@@ -25,7 +25,7 @@ def _report(num, name, passed, detail, t0):
         "name": name,
         "passed": bool(passed),
         "detail": detail,
-        "seconds": round(time.time() - t0, 2),
+        "seconds": round(time.perf_counter() - t0, 2),
     }
 
 
@@ -37,21 +37,21 @@ def _subsets(ranks):
 
 def criterion_1(max_n=9):
     """flag_h(n, (n), [1, i]) = 0 for all 1 <= i <= n-2, n <= 9."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
     for n in range(3, max_n + 1):
         for i in range(1, n - 1):
             h = flags.flag_h(n, full_shape(n), set(range(1, i + 1)))
             if h != 0:
                 bad.append((n, i, h))
-    if time.time() - t0 > 300:
+    if time.perf_counter() - t0 > 300:
         bad.append(("runtime", "exceeded 5 minutes"))
     return _report(1, "initial-segment vanishing", not bad, f"violations: {bad}", t0)
 
 
 def criterion_2(max_n=8):
     """1 not in S implies flag_h >= 1, witnessed by a verified word facet."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
     count = 0
     for n in range(3, max_n + 1):
@@ -67,14 +67,14 @@ def criterion_2(max_n=8):
                 facet = construct.build_word(word)  # raises if the word check fails
                 if str(bars.descent_word(facet)) != word:
                     bad.append((n, sorted(s), "word"))
-    if time.time() - t0 > 600:
+    if time.perf_counter() - t0 > 600:
         bad.append(("runtime", "exceeded 10 minutes"))
     return _report(2, "positivity for 1 not in S", not bad, f"{count} sets; violations: {bad}", t0)
 
 
 def criterion_3(max_n=9):
     """Feasible S = {1..i, j_1..j_l}, j_1 > i+1, i <= l: h >= 1 and builder verifies."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
     count = 0
     for n in range(4, max_n + 1):
@@ -93,7 +93,7 @@ def criterion_3(max_n=9):
 
 def criterion_4(max_n=9):
     """Any fired vanishing predicate forces flag_h = 0."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
     fired_total = 0
     for n in range(3, max_n + 1):
@@ -109,7 +109,7 @@ def criterion_4(max_n=9):
 
 def criterion_5():
     """flag_h at n = 7, 8, 9 agrees for every S inside [1, 3]."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
     for s in _subsets(range(1, 4)):
         s = set(s)
@@ -137,7 +137,7 @@ def _schemes():
 
 def criterion_6():
     """Partitioning verified: intervals disjoint, cover everything, sizes add up."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
     for scheme in _schemes():
         if scheme.status != "verified":
@@ -151,7 +151,7 @@ def criterion_6():
 
 def criterion_7():
     """h via minimal-face counts equals flag_h after dualizing, everywhere."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
     for scheme in _schemes():
         if scheme.status != "verified":
@@ -169,7 +169,7 @@ def criterion_7():
 
 def criterion_8():
     """supp(G) equals the descent set on nontrivial-non-equal facets."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
     checked = 0
     for scheme in _schemes():
@@ -184,7 +184,7 @@ def criterion_8():
 
 def criterion_9(max_n=8):
     """b' = 1 exactly on initial segments, else >= 2 with two distinct facets."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
     for n in range(3, max_n + 1):
         for s in _subsets(range(1, n - 1)):
@@ -203,7 +203,7 @@ def criterion_9(max_n=8):
 
 def criterion_10(max_n=8):
     """Positivity forces a witness chain; a strong witness forces positivity."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
     checked = 0
     for n in range(4, max_n + 1):
@@ -226,7 +226,7 @@ def criterion_10(max_n=8):
 
 def criterion_11():
     """Exact reproduction of the three worked facets."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
     f1 = construct.build_descending_run(10)
     if f1.positions != (2, 4, 6, 8, 7, 5, 3, 1, 9) or str(bars.descent_word(f1)) != "D" * 7 + "A":
@@ -239,7 +239,7 @@ def criterion_11():
         bad.append(("glue-11", f3.positions))
     if f1.render() != "o|8o|1o|7o|2o|6o|3o|5o|4o|9o":
         bad.append(("render-10", f1.render()))
-    if time.time() - t0 > 1:
+    if time.perf_counter() - t0 > 1:
         bad.append(("runtime", "worked facets should take milliseconds"))
     return _report(11, "worked facet reproduction", not bad, f"violations: {bad}", t0)
 
@@ -278,7 +278,7 @@ def _permutation_equal(chain_a, chain_b, n):
 
 def criterion_12(max_n=8, pairs=1000):
     """Two enumeration routes agree; canonical equality is orbit equality."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
     for n in range(3, max_n + 1):
         shape = full_shape(n)
@@ -309,7 +309,7 @@ def criterion_12(max_n=8, pairs=1000):
 
 def criterion_13(max_n=8):
     """Lengthening condition holds for both named orders, fails for the plant."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
 
     def all_shapes(n):

@@ -1,4 +1,4 @@
-"""Disk cache for facet enumerations and flag tables, keyed by (n, shape).
+"""Disk cache for flag tables, keyed by (n, shape).
 
 Files are JSON with a version and a payload checksum; a bad checksum is
 treated as a miss and the value is recomputed.  Writes go through a
@@ -12,7 +12,6 @@ import json
 import os
 import tempfile
 
-from .core import ChainType
 from .shapes import Shape, as_shape
 
 VERSION = 1
@@ -58,32 +57,6 @@ def _read(path: str, n: int, shape: Shape, kind: str):
     ):
         return None
     return doc["payload"]
-
-
-def store_facets(cache_dir: str, n: int, shape, facets) -> str:
-    shape = as_shape(shape)
-    payload = [ct.serialize() for ct in facets]
-    path = os.path.join(cache_dir, _key(n, shape, "facets"))
-    _write(
-        path,
-        {
-            "version": VERSION,
-            "kind": "facets",
-            "n": n,
-            "lambda": list(shape.parts),
-            "payload": payload,
-            "sha256": _digest(payload),
-        },
-    )
-    return path
-
-
-def load_facets(cache_dir: str, n: int, shape):
-    shape = as_shape(shape)
-    payload = _read(os.path.join(cache_dir, _key(n, shape, "facets")), n, shape, "facets")
-    if payload is None:
-        return None
-    return tuple(ChainType.deserialize(text, shape) for text in payload)
 
 
 def store_table(cache_dir: str, table) -> str:

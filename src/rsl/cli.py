@@ -290,7 +290,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         results, extra, code = args.fn(args)
     except UsageError as exc:
@@ -305,7 +305,7 @@ def main(argv=None) -> int:
             if k not in ("fn", "command", "csv") and v is not None
         },
         "results": results,
-        "timing_seconds": round(time.time() - t0, 3),
+        "timing_seconds": round(time.perf_counter() - t0, 3),
     }
     report.update(extra)
     _emit(report, args.csv)

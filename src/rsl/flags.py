@@ -8,8 +8,11 @@ representation.  The one-letter shape gives b_S(n); the hook shape
 (n-1, 1) gives b'_S(n).
 
 The full table is swept once per (n, shape): every facet is interned in a
-ForestStore and restrictions propagate support-by-support with memoized
-level deletion, so each distinct face is materialized once.
+ForestStore, and the faces of each support are the level deletions of the
+faces of its canonical parent (``kernel.sweep_plan``).  This is exact
+because every face with support S is the restriction of some face on any
+superset of S, so each support is reached by one deletion per parent face,
+and memoized deletion materializes each distinct face once.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import enumerate_facet_orbits
-from .kernel import ForestStore
+from .kernel import ForestStore, sweep_plan
 from .shapes import RankSet, Shape, as_shape, full_shape, hook_shape
 
 __all__ = [
@@ -72,21 +75,13 @@ def _table_cache(n: int, parts: tuple) -> FlagTable:
     if m > 0:
         facets = enumerate_facet_orbits(n, shape)
         store = ForestStore()
-        full_mask = (1 << m) - 1
-        faces = {full_mask: {store.intern_roots(ct.roots) for ct in facets}}
-        for size in range(m, 0, -1):
-            next_layer = {}
-            for mask, rows in faces.items():
-                f_by_mask[mask] = len(rows)
-                bits = [i for i in range(m) if mask >> i & 1]
-                for depth, bit in enumerate(bits):
-                    child = mask & ~(1 << bit)
-                    if child == 0:
-                        continue
-                    bucket = next_layer.setdefault(child, set())
-                    for roots in rows:
-                        bucket.add(store.drop_roots(roots, depth))
-            faces = next_layer
+        faces = {}
+        for mask, parent, depth in sweep_plan(m):
+            if parent is None:
+                faces[mask] = {store.intern_roots(ct.roots) for ct in facets}
+            else:
+                faces[mask] = {store.drop_roots(r, depth) for r in faces[parent]}
+        f_by_mask = {mask: len(rows) for mask, rows in faces.items()}
     # Moebius transform over subsets
     h_by_mask = {}
     for mask in f_by_mask:

@@ -17,7 +17,7 @@ from typing import Optional
 from .bars import InsertionFacet, enumerate_insertion_facets
 from .core import restrict
 from .flags import full_table
-from .kernel import ForestStore
+from .kernel import ForestStore, sweep_plan
 from .orders import BlockOrder, default_order, verify_lengthening
 from .shapes import RankSet, Shape, as_shape
 
@@ -88,23 +88,6 @@ def order_facets(n: int, shape, order: Optional[BlockOrder] = None) -> Partition
     return PartitionScheme(n=n, shape=shape, order=order, facets=tuple(keyed))
 
 
-def _mask_order(m: int):
-    """All masks over m coranks, descending popcount, with a parent pointer."""
-    masks = sorted(range(1 << m), key=lambda x: -bin(x).count("1"))
-    full = (1 << m) - 1
-    plan = []
-    for mask in masks:
-        if mask == full:
-            plan.append((mask, None, None))
-            continue
-        missing = (~mask) & full
-        bit = (missing & -missing).bit_length() - 1
-        parent = mask | (1 << bit)
-        depth = sum(1 for i in range(bit) if parent >> i & 1)
-        plan.append((mask, parent, depth))
-    return plan
-
-
 def minimal_new_faces(scheme: PartitionScheme) -> tuple:
     """Per-facet minimal new faces G_i, computed from the facet order.
 
@@ -115,7 +98,7 @@ def minimal_new_faces(scheme: PartitionScheme) -> tuple:
     """
     n, m = scheme.n, scheme.n - 2
     store = ForestStore()
-    plan = _mask_order(m)
+    plan = sweep_plan(m)
     full = (1 << m) - 1
     seen = {}
     minimal_faces = []

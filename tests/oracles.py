@@ -127,3 +127,14 @@ def classical_flag_f(n, ranks):
         out *= stirling2(prev, b)
         prev = b
     return out
+
+
+def euler_number(k):
+    """Up/down (Euler zigzag) number E_k, OEIS A000111, by the Seidel triangle."""
+    row = [1]
+    for _ in range(k):
+        nxt = [0]
+        for x in reversed(row):
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[-1]

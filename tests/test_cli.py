@@ -2,7 +2,6 @@ import json
 
 from rsl import cache, full_table
 from rsl.cli import main
-from rsl.core import enumerate_facet_orbits
 from rsl.shapes import Shape, full_shape
 
 
@@ -120,18 +119,11 @@ def test_cache_dir_from_environment(tmp_path, capsys, monkeypatch):
     assert code == 0 and doc["cache_hit"]
 
 
-def test_facet_cache_round_trip(tmp_path):
-    facets = enumerate_facet_orbits(6, full_shape(6))
-    cache.store_facets(str(tmp_path), 6, full_shape(6), facets)
-    loaded = cache.load_facets(str(tmp_path), 6, full_shape(6))
-    assert loaded == facets
-
-
 def test_cache_key_separation(tmp_path):
     hook = Shape((5, 1))
-    cache.store_facets(str(tmp_path), 6, hook, enumerate_facet_orbits(6, hook))
-    assert cache.load_facets(str(tmp_path), 6, full_shape(6)) is None
-    assert cache.load_facets(str(tmp_path), 6, hook) is not None
+    cache.store_table(str(tmp_path), full_table(6, hook))
+    assert cache.load_table(str(tmp_path), 6, full_shape(6)) is None
+    assert cache.load_table(str(tmp_path), 6, hook) == full_table(6, hook).entries()
 
 
 def test_cache_corruption_detected(tmp_path):

@@ -53,6 +53,10 @@ def test_small_facet_counts():
     assert len(enumerate_facet_orbits(3, full_shape(3))) == 1
     assert len(enumerate_facet_orbits(4, full_shape(4))) == 2
     assert len(enumerate_facet_orbits(5, full_shape(5))) == 5
+    for n in range(3, 10):
+        assert len(enumerate_facet_orbits(n, full_shape(n))) == oracles.euler_number(n - 1)
+    for n in range(3, 9):
+        assert len(enumerate_facet_orbits(n, Shape((n - 1, 1)))) == oracles.euler_number(n)
 
 
 def test_facet_orbits_against_brute_force():

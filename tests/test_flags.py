@@ -7,6 +7,7 @@ from rsl import (
     Shape,
     b_prime,
     check_stability,
+    faces_with_support,
     flag_f,
     flag_h,
     full_shape,
@@ -78,6 +79,15 @@ def test_one_part_shape_argument_forms_agree():
     for n in (4, 5, 6):
         assert full_table(n, (n,)) == full_table(n, Shape((n,)))
         assert full_table(n, n).f == full_table(n, (n,)).f
+
+
+@pytest.mark.parametrize("n", (6, 7))
+def test_table_matches_face_enumeration(n):
+    # both face-enumeration routes of core share no code with the sweep plan
+    for shape in ((n,), (n - 1, 1), (4, n - 4)):
+        table = full_table(n, shape)
+        for s, count in table.f.items():
+            assert count == len(faces_with_support(n, shape, s, cross_check=True))
 
 
 def test_full_shape_equals_quotiented_chain_count():

@@ -1,36 +1,22 @@
-"""Equivalence of the compiled kernel and the pure-Python fallback, plus
-agreement with the direct nested-tuple restriction."""
+"""The forest store against the direct nested-tuple restriction, and the
+structure of the sweep plan."""
 
 import random
 
-import pytest
-
 from rsl import RankSet, enumerate_facet_orbits, full_shape, restrict
-from rsl import _kernel_py
-from rsl.kernel import IMPL
-
-try:
-    from rsl import _kernel_cy
-except ImportError:  # pragma: no cover - extension not built
-    _kernel_cy = None
-
-IMPLS = [("python", _kernel_py.ForestStore)]
-if _kernel_cy is not None:
-    IMPLS.append(("cython", _kernel_cy.ForestStore))
+from rsl.kernel import IMPL, ForestStore, sweep_plan
 
 
-@pytest.mark.parametrize("name,store_cls", IMPLS)
-def test_intern_extract_round_trip(name, store_cls):
-    store = store_cls()
+def test_intern_extract_round_trip():
+    store = ForestStore()
     for n in (4, 5, 6):
         for facet in enumerate_facet_orbits(n, full_shape(n)):
             rid = store.intern_roots(facet.roots)
             assert store.nested_roots(rid) == facet.roots
 
 
-@pytest.mark.parametrize("name,store_cls", IMPLS)
-def test_drop_matches_direct_restriction(name, store_cls):
-    store = store_cls()
+def test_drop_matches_direct_restriction():
+    store = ForestStore()
     rng = random.Random(31)
     for n in (5, 6, 7):
         facets = enumerate_facet_orbits(n, full_shape(n))
@@ -43,26 +29,26 @@ def test_drop_matches_direct_restriction(name, store_cls):
                 assert store.nested_roots(store.drop_roots(rid, depth)) == direct.roots
 
 
-def test_impls_agree_on_shared_workload():
-    if _kernel_cy is None:
-        pytest.skip("compiled kernel not built")
-    a, b = _kernel_py.ForestStore(), _kernel_cy.ForestStore()
-    for n in (5, 6):
-        for facet in enumerate_facet_orbits(n, full_shape(n)):
-            ra = a.intern_roots(facet.roots)
-            rb = b.intern_roots(facet.roots)
-            for depth in range(len(facet.dual_levels)):
-                assert a.nested_roots(a.drop_roots(ra, depth)) == b.nested_roots(
-                    b.drop_roots(rb, depth)
-                )
-
-
 def test_interning_shares_ids():
-    store = _kernel_py.ForestStore()
+    store = ForestStore()
     x = store.intern_nested(((3,), (((1,), ()), ((2,), ()))))
     y = store.intern_nested(((3,), (((2,), ()), ((1,), ()))))  # child order ignored
     assert x == y
 
 
 def test_selected_impl_reports():
-    assert IMPL in ("python", "cython")
+    assert IMPL == "python"
+
+
+def test_sweep_plan_structure():
+    for m in range(0, 9):
+        full = (1 << m) - 1
+        plan = sweep_plan(m)
+        assert plan[0] == (full, None, None)
+        assert sorted(mask for mask, _, _ in plan) == list(range(1 << m))
+        position = {mask: i for i, (mask, _, _) in enumerate(plan)}
+        for i, (mask, parent, depth) in enumerate(plan[1:], start=1):
+            bit = next(b for b in range(m) if not mask >> b & 1)
+            assert parent == mask | (1 << bit)
+            assert depth == bit
+            assert position[parent] < i
