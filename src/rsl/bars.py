@@ -11,6 +11,11 @@ the one-letter shape, and (bars-to-the-left, left-child word, prefix word,
 r) in general, where r is the corank at which the split block was created.
 Lexicographic comparison of label sequences orders the facets.
 
+A facet's canonical forest is assembled bottom-up from its row history
+straight into a ``ForestStore`` (``facet_root_ids``, ``InsertionFacet.
+root_ids``); a nested ``ChainType`` is built from those ids only when one
+is asked for.
+
 Corank t is a topological descent of a facet when any of:
   1. insertion t lands strictly right of insertion t+1;
   2. t+1 splits the right child of t and t's left child is strictly larger
@@ -23,9 +28,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .core import ChainType, _sorted_nodes, empty_chain
+from .core import ChainType
+from .kernel import ForestStore
 from .orders import BlockOrder, default_order
 from .shapes import (
     Content,
@@ -43,6 +49,7 @@ __all__ = [
     "DescentWord",
     "InsertionFacet",
     "enumerate_insertion_facets",
+    "facet_root_ids",
     "facet_to_insertions",
     "cover_labels",
     "descent_set",
@@ -115,15 +122,22 @@ def _label_key(label: CoverLabel, order: BlockOrder, general: bool):
 class _Live:
     """One block of the evolving row."""
 
-    __slots__ = ("content", "created", "twin_gid", "split_at", "split_children", "split_parent")
+    __slots__ = ("content", "created", "twin_gid", "split_at")
 
     def __init__(self, content, created, twin_gid=None):
         self.content = content
         self.created = created
         self.twin_gid = twin_gid
         self.split_at = None
-        self.split_children = None
-        self.split_parent = None
+
+
+class _Replay(NamedTuple):
+    """One replay of a facet's insertions; entry t-1 of each list is insertion t."""
+
+    events: list  # (split block, left child, right child), as _Live blocks
+    row: list  # the final, fully refined row of _Live blocks
+    splits: list  # (row index, content) of the split block
+    prefixes: list  # contents of the blocks left of the split block
 
 
 class InsertionFacet:
@@ -167,12 +181,15 @@ class InsertionFacet:
     # -- simulation ----------------------------------------------------------
 
     def _simulate(self):
-        """Replay the insertions; returns (events, final row of _Live blocks)."""
+        """Replay the insertions once, checking each; every other view of
+        the facet (labels, forest, descents, diagram) reads this record."""
         if self._sim is not None:
             return self._sim
         root = _Live(self.shape.root_content, 0)
         row = [root]
-        events = []  # (block, left_Live, right_Live)
+        events = []
+        splits = []
+        prefixes = []
         for t, ins in enumerate(self.insertions, start=1):
             start = 0
             for idx, blk in enumerate(row):
@@ -199,69 +216,45 @@ class InsertionFacet:
             left = _Live(ins.left, t, gid)
             right = _Live(ins.right, t, gid)
             blk.split_at = t
-            blk.split_children = (left, right)
-            left.split_parent = right.split_parent = blk
-            row[idx : idx + 1] = [left, right]
             events.append((blk, left, right))
+            splits.append((idx, blk.content))
+            prefixes.append(tuple(b.content for b in row[:idx]))
+            row[idx : idx + 1] = [left, right]
         if any(content_size(b.content) != 1 for b in row):
             raise ValueError("row not fully refined after n-1 insertions")
-        self._sim = (events, row)
+        self._sim = _Replay(events, row, splits, prefixes)
         return self._sim
 
+    def root_ids(self, store: ForestStore) -> tuple:
+        """The facet's canonical forest interned in ``store``: sorted root ids."""
+        replay = self._simulate()
+        return _assemble_root_ids(store, [b.content for b in replay.row], replay.splits)
+
     def chain_type(self) -> ChainType:
-        if self._chain is not None:
-            return self._chain
-        n = self.n
-        if n == 2:
-            self._chain = empty_chain(self.shape)
-            return self._chain
-        events, _ = self._simulate()
-        last = n - 2
-
-        def node_at(blk, d):
-            if d == last:
-                return (blk.content, ())
-            if blk.split_at == d + 1:
-                kids = tuple(node_at(c, d + 1) for c in blk.split_children)
-            else:
-                kids = (node_at(blk, d + 1),)
-            return (blk.content, _sorted_nodes(kids))
-
-        _, left, right = events[0]
-        roots = _sorted_nodes((node_at(left, 1), node_at(right, 1)))
-        self._chain = ChainType(self.shape, tuple(range(1, n - 1)), roots)
+        if self._chain is None:
+            store = ForestStore()
+            roots = store.nested_roots(self.root_ids(store))
+            self._chain = ChainType(self.shape, tuple(range(1, self.n - 1)), roots)
         return self._chain
 
     def labels(self) -> tuple:
-        if self._labels is not None:
-            return self._labels
-        root = _Live(self.shape.root_content, 0)
-        row = [root]
-        labels = []
-        positions = []
-        for t, ins in enumerate(self.insertions, start=1):
-            start = 0
-            for idx, blk in enumerate(row):
-                width = content_size(blk.content)
-                if start < ins.position <= start + width - 1:
-                    break
-                start += width
-            prefix = tuple(b.content for b in row[:idx]) + (ins.left,)
-            positions.append(ins.position)
-            labels.append(
-                CoverLabel(
-                    position=ins.position,
-                    bars_left=sum(1 for p in positions[:-1] if p < ins.position),
-                    w=tuple(sorted(positions)),
-                    w_b=ins.left,
-                    prefix=prefix,
-                    r=blk.created,
+        if self._labels is None:
+            replay = self._simulate()
+            labels = []
+            positions = []
+            for ins, (blk, _, _), prefix in zip(self.insertions, replay.events, replay.prefixes):
+                positions.append(ins.position)
+                labels.append(
+                    CoverLabel(
+                        position=ins.position,
+                        bars_left=sum(1 for p in positions[:-1] if p < ins.position),
+                        w=tuple(sorted(positions)),
+                        w_b=ins.left,
+                        prefix=prefix + (ins.left,),
+                        r=blk.created,
+                    )
                 )
-            )
-            left = _Live(ins.left, t)
-            right = _Live(ins.right, t)
-            row[idx : idx + 1] = [left, right]
-        self._labels = tuple(labels)
+            self._labels = tuple(labels)
         return self._labels
 
     def sort_key(self):
@@ -273,7 +266,7 @@ class InsertionFacet:
     def _descent_data(self):
         if self._descents is not None:
             return self._descents
-        events, _ = self._simulate()
+        events = self._simulate().events
         n = self.n
         out = set()
         for t in range(1, n - 1):
@@ -303,7 +296,7 @@ class InsertionFacet:
     def render(self) -> str:
         """ASCII diagram: balls with each bar annotated by its corank."""
         rank_of_pos = {ins.position: t for t, ins in enumerate(self.insertions, start=1)}
-        _, row = self._simulate()
+        row = self._simulate().row
         if self.shape.is_full():
             letters = ["o"] * self.n
         else:
@@ -320,22 +313,55 @@ class InsertionFacet:
 # -- enumeration ----------------------------------------------------------------
 
 
-def enumerate_insertion_facets(n: int, shape, order: Optional[BlockOrder] = None):
-    """All normalized facets, depth first.  One per orbit: the only ambiguous
-    choices (which of two equal unsplit twins to refine, which equal child
-    goes left) are fixed by the normalization."""
+def _assemble_root_ids(store: ForestStore, row, splits) -> tuple:
+    """Intern a facet's canonical forest bottom-up from its row history.
+
+    ``row`` holds the contents of the fully refined row, left to right;
+    ``splits[t-1]`` is the row index and content of the block that insertion
+    t split.  Undoing the last insertion gives the finest level of the
+    chain, whose blocks are leaves.  Going up one level, an unsplit block
+    becomes a node with its one child and the block split at that step a
+    node with the sorted pair.  Returns the sorted root ids.
+    """
+    if len(splits) < 2:
+        return ()
+    node, cid = store.node, store.content_id
+    cids = [cid(c) for c in row]
+    idx, content = splits[-1]
+    cids[idx : idx + 2] = [cid(content)]
+    ids = [node(c, ()) for c in cids]
+    for idx, content in reversed(splits[1:-1]):
+        a, b = ids[idx], ids[idx + 1]
+        kids = [(i,) for i in ids]
+        kids[idx : idx + 2] = [(a, b) if a <= b else (b, a)]
+        cids[idx : idx + 2] = [cid(content)]
+        ids = [node(c, k) for c, k in zip(cids, kids)]
+    return tuple(sorted(ids))
+
+
+def _checked(n: int, shape, order: Optional[BlockOrder]):
     shape = as_shape(shape)
     if shape.n != n:
         raise ValueError(f"shape {shape} does not sum to n={n}")
-    if order is None:
-        order = default_order(shape)
+    return shape, default_order(shape) if order is None else order
 
-    results = []
+
+def _walk_facets(n: int, shape, order: BlockOrder, leaf) -> None:
+    """Depth-first over the normalized facets, one per orbit: the only
+    ambiguous choices (which of two equal unsplit twins to refine, which
+    equal child goes left) are fixed by the normalization.
+
+    Calls ``leaf(insertions, splits, row)`` at every facet: its BarInsertion
+    list, the (row index, content) of the block each insertion split, and
+    the final row of (content, created, twin id) blocks.  The lists are
+    reused; copy what is kept.
+    """
     acc = []
+    splits = []
 
     def rec(blocks, t):
         if t == n:
-            results.append(InsertionFacet(shape, order, tuple(acc)))
+            leaf(acc, splits, blocks)
             return
         start = 0
         for idx, (content, created, gid) in enumerate(blocks):
@@ -346,6 +372,7 @@ def enumerate_insertion_facets(n: int, shape, order: Optional[BlockOrder] = None
             if gid is not None and idx > 0 and blocks[idx - 1][2] == gid:
                 start += width  # right twin: left twin must be refined first
                 continue
+            splits.append((idx, content))
             for a, b in bipartitions(content):
                 ka, kb = (order.key(a), a), (order.key(b), b)
                 left, right = (a, b) if ka <= kb else (b, a)
@@ -360,10 +387,41 @@ def enumerate_insertion_facets(n: int, shape, order: Optional[BlockOrder] = None
                     t + 1,
                 )
                 acc.pop()
+            splits.pop()
             start += width
 
     rec([(shape.root_content, 0, None)], 1)
+
+
+def enumerate_insertion_facets(n: int, shape, order: Optional[BlockOrder] = None):
+    """All normalized facets as InsertionFacets, depth first."""
+    shape, order = _checked(n, shape, order)
+    results = []
+
+    def leaf(acc, splits, row):
+        results.append(InsertionFacet(shape, order, tuple(acc)))
+
+    _walk_facets(n, shape, order, leaf)
     return results
+
+
+def facet_root_ids(n: int, shape, store: ForestStore, order: Optional[BlockOrder] = None) -> list:
+    """Every facet orbit as its sorted root ids in ``store``, in the order of
+    ``enumerate_insertion_facets``; no ChainType is built.
+
+    Raises AssertionError if two facets intern to the same forest, which
+    would mean the normalization let one orbit through twice.
+    """
+    shape, order = _checked(n, shape, order)
+    ids = []
+
+    def leaf(acc, splits, row):
+        ids.append(_assemble_root_ids(store, [b[0] for b in row], splits))
+
+    _walk_facets(n, shape, order, leaf)
+    if len(set(ids)) != len(ids):
+        raise AssertionError("facet enumeration produced a duplicate orbit")
+    return ids
 
 
 # -- the lex-least extension -----------------------------------------------------
@@ -527,7 +585,7 @@ def facet_block_conditions(facet: InsertionFacet) -> tuple:
     """(non-equal, nontrivial non-equal) for a facet itself: no equal blocks
     created from one parent in a single step or in consecutive steps, of
     size >= 2 (strict) resp. >= 3 (relaxed)."""
-    events, _ = facet._simulate()
+    events = facet._simulate().events
     worst = 0  # largest size of an offending equal pair
     for t, (blk, left, right) in enumerate(events):
         if left.content == right.content:

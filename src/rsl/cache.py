@@ -1,8 +1,9 @@
 """Disk cache for flag tables, keyed by (n, shape).
 
-Files are JSON with a version and a payload checksum; a bad checksum is
-treated as a miss and the value is recomputed.  Writes go through a
-temporary file and an atomic rename.
+Files are JSON with a fingerprint of the code that computed them and a
+payload checksum; a file from other code or with a bad checksum is treated
+as a miss and the value is recomputed.  Writes go through a temporary file
+and an atomic rename.
 """
 
 from __future__ import annotations
@@ -11,10 +12,26 @@ import hashlib
 import json
 import os
 import tempfile
+from functools import lru_cache
 
 from .shapes import Shape, as_shape
 
-VERSION = 1
+# The modules whose code decides a table's entries.
+COMPUTING_MODULES = ("shapes", "orders", "core", "bars", "kernel", "flags")
+
+
+@lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """sha256 over the sources of the computing modules; read on first use,
+    not at import."""
+    h = hashlib.sha256()
+    here = os.path.dirname(os.path.abspath(__file__))
+    for name in COMPUTING_MODULES:
+        with open(os.path.join(here, name + ".py"), "rb") as fh:
+            source = fh.read()
+        h.update(f"{name}:{len(source)}:".encode())
+        h.update(source)
+    return h.hexdigest()
 
 
 def _key(n: int, shape: Shape, kind: str) -> str:
@@ -49,7 +66,7 @@ def _read(path: str, n: int, shape: Shape, kind: str):
     except (OSError, json.JSONDecodeError):
         return None
     if (
-        doc.get("version") != VERSION
+        doc.get("code") != code_fingerprint()
         or doc.get("kind") != kind
         or doc.get("n") != n
         or doc.get("lambda") != list(shape.parts)
@@ -65,7 +82,7 @@ def store_table(cache_dir: str, table) -> str:
     _write(
         path,
         {
-            "version": VERSION,
+            "code": code_fingerprint(),
             "kind": "table",
             "n": table.n,
             "lambda": list(table.shape.parts),

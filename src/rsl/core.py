@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .kernel import ForestStore
 from .shapes import (
     Content,
     MalformedChainError,
@@ -414,14 +415,19 @@ def block_orbits(c: ChainType, level: int, dual: bool = False) -> tuple:
 
 @lru_cache(maxsize=None)
 def _facet_cache(n: int, parts: tuple) -> tuple:
+    """Facet orbits as ChainTypes sorted by roots, read back from the ids
+    that ``bars.facet_root_ids`` interns (which also guards against
+    duplicate orbits); subtrees shared between facets share tuples."""
     from . import bars
 
     shape = Shape(parts)
-    facets = [f.chain_type() for f in bars.enumerate_insertion_facets(n, shape)]
-    keyed = sorted(facets, key=lambda ct: (ct.dual_levels, ct.roots))
-    if len(set(keyed)) != len(keyed):  # pragma: no cover - enumeration bug guard
-        raise AssertionError("facet enumeration produced a duplicate orbit")
-    return tuple(keyed)
+    store = ForestStore()
+    levels = tuple(range(1, n - 1))
+    facets = [
+        ChainType(shape, levels, store.nested_roots(ids))
+        for ids in bars.facet_root_ids(n, shape, store)
+    ]
+    return tuple(sorted(facets, key=lambda ct: ct.roots))
 
 
 def enumerate_facet_orbits(n: int, shape) -> tuple:

@@ -7,12 +7,13 @@ multiplicity of the trivial character in the rank-selected homology
 representation.  The one-letter shape gives b_S(n); the hook shape
 (n-1, 1) gives b'_S(n).
 
-The full table is swept once per (n, shape): every facet is interned in a
-ForestStore, and the faces of each support are the level deletions of the
-faces of its canonical parent (``kernel.sweep_plan``).  This is exact
-because every face with support S is the restriction of some face on any
-superset of S, so each support is reached by one deletion per parent face,
-and memoized deletion materializes each distinct face once.
+The full table is swept once per (n, shape).  The facet enumeration
+interns every facet straight into a ForestStore (``bars.facet_root_ids``;
+no ChainType is built), and the faces of each support are the level
+deletions of the faces of its canonical parent (``kernel.sweep_plan``).
+This is exact because every face with support S is the restriction of some
+face on any superset of S, so each support is reached by one deletion per
+parent face, and memoized deletion materializes each distinct face once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import enumerate_facet_orbits
+from .bars import facet_root_ids
 from .kernel import ForestStore, sweep_plan
 from .shapes import RankSet, Shape, as_shape, full_shape, hook_shape
 
@@ -73,12 +74,11 @@ def _table_cache(n: int, parts: tuple) -> FlagTable:
         raise ValueError("need n >= 2")
     f_by_mask = {0: 1}
     if m > 0:
-        facets = enumerate_facet_orbits(n, shape)
         store = ForestStore()
         faces = {}
         for mask, parent, depth in sweep_plan(m):
             if parent is None:
-                faces[mask] = {store.intern_roots(ct.roots) for ct in facets}
+                faces[mask] = set(facet_root_ids(n, shape, store))
             else:
                 faces[mask] = {store.drop_roots(r, depth) for r in faces[parent]}
         f_by_mask = {mask: len(rows) for mask, rows in faces.items()}

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bars import InsertionFacet, enumerate_insertion_facets
-from .core import restrict
+from .core import ChainType
 from .flags import full_table
 from .kernel import ForestStore, sweep_plan
 from .orders import BlockOrder, default_order, verify_lengthening
-from .shapes import RankSet, Shape, as_shape
+from .shapes import Shape, as_shape
 
 __all__ = [
     "PartitionScheme",
@@ -96,7 +96,7 @@ def minimal_new_faces(scheme: PartitionScheme) -> tuple:
     facet must then be precisely the supersets of supp(G).  Violations are
     recorded as failure witnesses, not patched.
     """
-    n, m = scheme.n, scheme.n - 2
+    m = scheme.n - 2
     store = ForestStore()
     plan = sweep_plan(m)
     full = (1 << m) - 1
@@ -106,8 +106,7 @@ def minimal_new_faces(scheme: PartitionScheme) -> tuple:
     new_counts = []
     failures = []
     for j, facet in enumerate(scheme.facets):
-        chain = facet.chain_type()
-        ids = {full: store.intern_roots(chain.roots)}
+        ids = {full: facet.root_ids(store)}
         for mask, parent, depth in plan:
             if parent is not None:
                 ids[mask] = store.drop_roots(ids[parent], depth)
@@ -140,9 +139,9 @@ def minimal_new_faces(scheme: PartitionScheme) -> tuple:
             )
         for mask in new_masks:
             seen[(mask, ids[mask])] = j
-        dual_support = frozenset(i + 1 for i in range(m) if d_mask >> i & 1)
-        min_supports.append(dual_support)
-        minimal_faces.append(restrict(chain, RankSet.of_dual(n, dual_support)))
+        levels = tuple(i + 1 for i in range(m) if d_mask >> i & 1)
+        min_supports.append(frozenset(levels))
+        minimal_faces.append(ChainType(scheme.shape, levels, store.nested_roots(ids[d_mask])))
         new_counts.append(len(new_set))
     scheme.minimal_faces = tuple(minimal_faces)
     scheme.min_dual_supports = tuple(min_supports)

@@ -15,8 +15,12 @@ from rsl import (
     min_extension,
     restrict,
 )
-from rsl.bars import NotMaximalError
+from rsl import bars, core, flags
+from rsl.bars import NotMaximalError, facet_root_ids
 from rsl.construct import facet_from_positions
+from rsl.core import empty_chain
+from rsl.flags import full_table
+from rsl.kernel import ForestStore
 
 
 def _facet(n, positions):
@@ -198,3 +202,79 @@ def test_quadruple_labels_structure():
     for label in cover_labels(facet):
         assert len(label.prefix) == label.bars_left + 1
         assert label.prefix[-1] == label.w_b
+
+
+# -- the interned-id route against explicit chains of set partitions ------------
+
+
+def _explicit_chain(facet):
+    """The facet as set partitions of 1..n, finest first.
+
+    The first t bars cut the row of balls into intervals.  Each ball's
+    letter is read off the insertion contents, and balls are relabelled so
+    that the letters follow ``Shape.letter_of``.
+    """
+    n, shape = facet.n, facet.shape
+    contents = {(1, n): shape.root_content}  # ball interval -> content
+    for ins in facet.insertions:
+        (lo, hi), = [iv for iv in contents if iv[0] <= ins.position < iv[1]]
+        del contents[lo, hi]
+        contents[lo, ins.position] = ins.left
+        contents[ins.position + 1, hi] = ins.right
+    pools = [[e for e in range(1, n + 1) if shape.letter_of(e) == k] for k in range(shape.k)]
+    label = {ball: pools[contents[ball, ball].index(1)].pop(0) for ball in range(1, n + 1)}
+    chain = []
+    for t in range(n - 2, 0, -1):
+        cuts = [0] + sorted(facet.positions[:t]) + [n]
+        chain.append([{label[b] for b in range(lo + 1, hi + 1)} for lo, hi in zip(cuts, cuts[1:])])
+    return chain
+
+
+def _oracle_shapes():
+    for n in range(2, 8):
+        yield n, full_shape(n)
+        yield n, Shape((n - 1, 1))
+    yield 7, Shape((4, 3))
+    yield 6, Shape((3, 2, 1))
+
+
+@pytest.mark.parametrize("n,shape", list(_oracle_shapes()), ids=str)
+def test_root_ids_match_canonicalized_explicit_chains(n, shape):
+    facets = enumerate_insertion_facets(n, shape)
+    expected = [canonicalize(_explicit_chain(f), shape) for f in facets]
+    assert [f.chain_type() for f in facets] == expected
+    store = ForestStore()
+    ids = facet_root_ids(n, shape, store)
+    nodes = store.size()
+    assert ids == [store.intern_roots(ct.roots) for ct in expected]
+    assert store.size() == nodes  # interning the oracle's forests adds nothing
+
+
+def test_facet_orbit_edge_cases():
+    assert enumerate_facet_orbits(2, full_shape(2)) == (empty_chain(full_shape(2)),)
+    assert facet_root_ids(2, full_shape(2), ForestStore()) == [()]
+    assert len(enumerate_facet_orbits(3, full_shape(3))) == 1
+    assert len(facet_root_ids(3, full_shape(3), ForestStore())) == 1
+
+
+@pytest.fixture
+def fresh_caches():
+    core._facet_cache.cache_clear()
+    flags._table_cache.cache_clear()
+    yield
+    core._facet_cache.cache_clear()
+    flags._table_cache.cache_clear()
+
+
+def test_duplicate_orbit_guard(monkeypatch, fresh_caches):
+    real = bars.bipartitions
+
+    def first_split_twice(content):
+        splits = list(real(content))
+        return splits[:1] + splits
+
+    monkeypatch.setattr(bars, "bipartitions", first_split_twice)
+    with pytest.raises(AssertionError, match="duplicate orbit"):
+        full_table(5, full_shape(5))
+    with pytest.raises(AssertionError, match="duplicate orbit"):
+        enumerate_facet_orbits(5, full_shape(5))

@@ -135,6 +135,20 @@ def test_cache_corruption_detected(tmp_path):
     assert cache.load_table(str(tmp_path), 5, full_shape(5)) is None
 
 
+def test_cache_keyed_on_code(tmp_path, capsys, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(cache, "code_fingerprint", lambda: "0" * 64)
+        code, doc = run_json(capsys, "--cache-dir", str(tmp_path), "table", "--n", "6")
+        assert code == 0 and not doc["cache_hit"]
+        assert cache.load_table(str(tmp_path), 6, full_shape(6)) is not None
+    # a table stored by other code is a miss, and is recomputed and stored again
+    assert cache.load_table(str(tmp_path), 6, full_shape(6)) is None
+    code, doc = run_json(capsys, "--cache-dir", str(tmp_path), "table", "--n", "6")
+    assert code == 0 and not doc["cache_hit"]
+    code, again = run_json(capsys, "--cache-dir", str(tmp_path), "table", "--n", "6")
+    assert code == 0 and again["cache_hit"] and again["results"] == doc["results"]
+
+
 def test_construct_infeasible_ranks(capsys):
     code, doc = run_json(capsys, "construct", "--ranks", "1,2", "--n", "6")
     assert code == 2

@@ -1,6 +1,16 @@
 import pytest
 
-from rsl import Shape, distinguished, full_shape, full_table, hook_shape, length_lex, reverse_length
+from rsl import (
+    RankSet,
+    Shape,
+    distinguished,
+    full_shape,
+    full_table,
+    hook_shape,
+    length_lex,
+    restrict,
+    reverse_length,
+)
 from rsl.partitioning import (
     LengtheningError,
     minimal_new_faces,
@@ -32,6 +42,16 @@ def test_minimal_faces_n4_example():
     assert scheme.interval_size_sum() == 6
     assert scheme.minimal_faces[0].is_empty()
     assert [node[0] for node in scheme.minimal_faces[1].roots] == [(2,), (2,)]
+
+
+@pytest.mark.parametrize("parts", [(7,), (6, 1)], ids=str)
+def test_minimal_faces_match_restriction(parts):
+    shape = Shape(parts)
+    order = distinguished(shape) if len(parts) > 1 else None
+    scheme = order_facets(7, shape, order)
+    minimal_new_faces(scheme)
+    for facet, face, dual in zip(scheme.facets, scheme.minimal_faces, scheme.min_dual_supports):
+        assert face == restrict(facet.chain_type(), RankSet.of_dual(7, dual))
 
 
 def test_verify_partitioning_n4():
