@@ -39,6 +39,7 @@ from .shapes import (
     add_contents,
     as_shape,
     bipartitions,
+    checked_shape,
     content_size,
     unit_contents,
 )
@@ -106,6 +107,19 @@ class DescentWord:
 
     def __str__(self):
         return self.letters
+
+
+def _cover_label(earlier, position: int, left: Content, prefix: tuple, r: int) -> CoverLabel:
+    """The label of a bar at ``position`` that splits off ``left`` to the
+    right of the blocks ``prefix``, after the bars at ``earlier``."""
+    return CoverLabel(
+        position=position,
+        bars_left=sum(1 for p in earlier if p < position),
+        w=tuple(sorted((*earlier, position))),
+        w_b=left,
+        prefix=prefix + (left,),
+        r=r,
+    )
 
 
 def _label_key(label: CoverLabel, order: BlockOrder, general: bool):
@@ -240,21 +254,13 @@ class InsertionFacet:
     def labels(self) -> tuple:
         if self._labels is None:
             replay = self._simulate()
-            labels = []
-            positions = []
-            for ins, (blk, _, _), prefix in zip(self.insertions, replay.events, replay.prefixes):
-                positions.append(ins.position)
-                labels.append(
-                    CoverLabel(
-                        position=ins.position,
-                        bars_left=sum(1 for p in positions[:-1] if p < ins.position),
-                        w=tuple(sorted(positions)),
-                        w_b=ins.left,
-                        prefix=prefix + (ins.left,),
-                        r=blk.created,
-                    )
+            positions = self.positions
+            self._labels = tuple(
+                _cover_label(positions[:t], ins.position, ins.left, prefix, blk.created)
+                for t, (ins, (blk, _, _), prefix) in enumerate(
+                    zip(self.insertions, replay.events, replay.prefixes)
                 )
-            self._labels = tuple(labels)
+            )
         return self._labels
 
     def sort_key(self):
@@ -340,9 +346,7 @@ def _assemble_root_ids(store: ForestStore, row, splits) -> tuple:
 
 
 def _checked(n: int, shape, order: Optional[BlockOrder]):
-    shape = as_shape(shape)
-    if shape.n != n:
-        raise ValueError(f"shape {shape} does not sum to n={n}")
+    shape = checked_shape(n, shape)
     return shape, default_order(shape) if order is None else order
 
 
@@ -509,14 +513,8 @@ def min_extension(c: ChainType, order: Optional[BlockOrder] = None) -> Insertion
                             layouts.append((t2, s2, t1, s1))
                         for lt, ls, rt, rs in layouts:
                             pos = start + content_size(ls)
-                            label = CoverLabel(
-                                position=pos,
-                                bars_left=sum(1 for p in positions if p < pos),
-                                w=tuple(sorted(positions + [pos])),
-                                w_b=ls,
-                                prefix=tuple(r[0] for r in row[:idx]) + (ls,),
-                                r=created,
-                            )
+                            prefix = tuple(r[0] for r in row[:idx])
+                            label = _cover_label(positions, pos, ls, prefix, created)
                             key = _label_key(label, order, general)
                             if best_key is None or key < best_key:
                                 best_key = key

@@ -17,7 +17,7 @@ import time
 
 from . import acceptance, cache, construct, flags, orders, partitioning, vanishing
 from .bars import descent_set, descent_word, facet_block_conditions
-from .shapes import RankSet, as_shape, full_shape
+from .shapes import RankSet, checked_shape, full_shape
 
 
 class UsageError(ValueError):
@@ -42,12 +42,9 @@ def _parse_shape(text, n: int):
     if not text:
         return full_shape(n)
     try:
-        shape = as_shape(tuple(int(x) for x in text.split(",")))
+        return checked_shape(n, tuple(int(x) for x in text.split(",")))
     except ValueError as exc:
         raise UsageError(f"bad shape {text!r}: {exc}") from exc
-    if shape.n != n:
-        raise UsageError(f"shape {shape} does not sum to n={n}")
-    return shape
 
 
 def _order_for(name, shape):
@@ -161,15 +158,8 @@ def cmd_construct(args):
         if n is None:
             raise UsageError("--ranks needs --n")
         ranks = _parse_ranks(args.ranks, n)
-        shape = vanishing.classify_rank_set(ranks, n)
         try:
-            if shape.kind == "no-1":
-                dual = RankSet.primal(n, ranks).as_dual()
-                from .bars import DescentWord
-
-                facet = construct.build_word(str(DescentWord.from_dual_set(n, dual.ranks)))
-            else:
-                facet = construct.build_theorem22(ranks, n)
+            facet = construct.build_theorem22(ranks, n)
         except (ValueError, construct.ConstructionError) as exc:
             raise UsageError(f"no construction for this rank set: {exc}") from exc
     else:

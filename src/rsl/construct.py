@@ -21,6 +21,7 @@ from __future__ import annotations
 from .bars import BarInsertion, DescentWord, InsertionFacet, descent_word
 from .orders import default_order, distinguished
 from .shapes import RankSet, as_shape, full_shape, hook_shape
+from .vanishing import classify_rank_set
 
 __all__ = [
     "ConstructionError",
@@ -304,28 +305,15 @@ def _search_peel_facet(word: str) -> list:
     return found[0]
 
 
-def _parse_initial_plus_tail(ranks, n: int):
-    """S = {1..i} u {j_1 < ... < j_l} with j_1 > i + 1; returns (i, js)."""
-    s = sorted(RankSet.primal(n, ranks).ranks)
-    i = 0
-    while i < len(s) and s[i] == i + 1:
-        i += 1
-    js = s[i:]
-    if js and i and js[0] == i + 1:  # pragma: no cover - loop above forbids
-        raise AssertionError
-    return i, tuple(js)
-
-
 def build_theorem22(ranks, n: int) -> InsertionFacet:
     """A facet whose descent set is the corank image of S = {1..i, j_1..j_l},
     requiring j_1 - i > 1 and i <= l."""
-    i, js = _parse_initial_plus_tail(ranks, n)
-    l = len(js)
-    if i > l:
-        raise ValueError(f"needs i <= l, got i={i}, l={l}")
-    dual = RankSet.primal(n, set(range(1, i + 1)) | set(js)).as_dual()
-    word = str(DescentWord.from_dual_set(n, dual.ranks))
-    if i == 0:
+    rs = RankSet.primal(n, ranks)
+    split = classify_rank_set(rs, n)
+    if split.i > split.l:
+        raise ValueError(f"needs i <= l, got i={split.i}, l={split.l}")
+    word = str(DescentWord.from_dual_set(n, rs.as_dual().ranks))
+    if split.i == 0:
         return build_word(word)
     facet = facet_from_positions(n, _search_peel_facet(word))
     return _verified(facet, word, "build_theorem22")
@@ -407,7 +395,7 @@ def build_bprime(ranks, n: int) -> tuple:
     multiplicity is exactly one) and two distinct verified facets
     otherwise.
     """
-    rs = RankSet.primal(n, ranks) if not isinstance(ranks, RankSet) else ranks.as_primal()
+    rs = RankSet.primal(n, ranks)
     word = str(DescentWord.from_dual_set(n, rs.as_dual().ranks))
     shape = hook_shape(n)
     order = distinguished(shape)

@@ -26,6 +26,7 @@ from .shapes import (
     RankSet,
     Shape,
     as_shape,
+    checked_shape,
     content_size,
     dualize,
     multiset_partitions,
@@ -355,12 +356,7 @@ def restrict(c: ChainType, sub) -> ChainType:
     ``sub`` is a RankSet (interpreted in its own basis) or an iterable of
     lattice ranks.
     """
-    if isinstance(sub, RankSet):
-        if sub.n != c.n:
-            raise ValueError("rank set is for a different n")
-        dual_target = frozenset(sub.as_dual().ranks)
-    else:
-        dual_target = frozenset(c.n - 1 - r for r in sub)
+    dual_target = RankSet.primal(c.n, sub).as_dual().ranks
     if not dual_target <= set(c.dual_levels):
         missing = sorted(dual_target - set(c.dual_levels))
         raise ValueError(f"coranks {missing} not in the support of the chain")
@@ -432,9 +428,7 @@ def _facet_cache(n: int, parts: tuple) -> tuple:
 
 def enumerate_facet_orbits(n: int, shape) -> tuple:
     """All orbits of maximal chains, one canonical form each, sorted."""
-    shape = as_shape(shape)
-    if shape.n != n:
-        raise ValueError(f"shape {shape} does not sum to n={n}")
+    shape = checked_shape(n, shape)
     if n < 2:
         raise ValueError("need n >= 2")
     return _facet_cache(n, shape.parts)
@@ -517,18 +511,8 @@ def faces_with_support(n: int, shape, ranks, cross_check=None) -> frozenset:
     enumeration is run as well and the two must agree.
     """
     shape = as_shape(shape)
-    if isinstance(ranks, RankSet):
-        rs = ranks
-    else:
-        rs = RankSet.primal(n, ranks)
-    if rs.n != n:
-        raise ValueError("rank set is for a different n")
-    dual_levels = tuple(sorted(rs.as_dual().ranks))
-
-    dual_full = frozenset(range(1, n - 1))
-    if not set(dual_levels) <= dual_full:  # pragma: no cover - RankSet validates
-        raise ValueError("ranks out of range")
-
+    rs = RankSet.primal(n, ranks)
+    dual_levels = rs.as_dual().sorted()
     via_restriction = frozenset(
         f.restrict(rs) for f in enumerate_facet_orbits(n, shape)
     )

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .bars import facet_root_ids
 from .kernel import ForestStore, sweep_plan
-from .shapes import RankSet, Shape, as_shape, full_shape, hook_shape
+from .shapes import RankSet, Shape, checked_shape, full_shape, hook_shape
 
 __all__ = [
     "FlagTable",
@@ -34,15 +34,6 @@ __all__ = [
     "check_stability",
     "reduced_euler",
 ]
-
-
-def _as_primal_ranks(n: int, ranks) -> frozenset:
-    if isinstance(ranks, RankSet):
-        if ranks.n != n:
-            raise ValueError("rank set is for a different n")
-        return frozenset(ranks.as_primal().ranks)
-    rs = RankSet.primal(n, ranks)  # validates range
-    return frozenset(rs.ranks)
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,19 +73,12 @@ def _table_cache(n: int, parts: tuple) -> FlagTable:
             else:
                 faces[mask] = {store.drop_roots(r, depth) for r in faces[parent]}
         f_by_mask = {mask: len(rows) for mask, rows in faces.items()}
-    # Moebius transform over subsets
-    h_by_mask = {}
-    for mask in f_by_mask:
-        acc = 0
-        sub = mask
-        bits_mask = bin(mask).count("1")
-        while True:
-            sign = -1 if (bits_mask - bin(sub).count("1")) % 2 else 1
-            acc += sign * f_by_mask[sub]
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        h_by_mask[mask] = acc
+    # Moebius transform over subsets, one bit at a time
+    h_by_mask = dict(f_by_mask)
+    for bit in (1 << i for i in range(m)):
+        for mask in h_by_mask:
+            if mask & bit:
+                h_by_mask[mask] -= h_by_mask[mask ^ bit]
 
     def to_primal(mask) -> frozenset:
         return frozenset(n - 1 - (i + 1) for i in range(m) if mask >> i & 1)
@@ -106,18 +90,15 @@ def _table_cache(n: int, parts: tuple) -> FlagTable:
 
 def full_table(n: int, shape) -> FlagTable:
     """The complete flag table over all rank subsets."""
-    shape = as_shape(shape)
-    if shape.n != n:
-        raise ValueError(f"shape {shape} does not sum to n={n}")
-    return _table_cache(n, shape.parts)
+    return _table_cache(n, checked_shape(n, shape).parts)
 
 
 def flag_f(n: int, shape, ranks) -> int:
-    return full_table(n, shape).f[_as_primal_ranks(n, ranks)]
+    return full_table(n, shape).f[RankSet.primal(n, ranks).ranks]
 
 
 def flag_h(n: int, shape, ranks) -> int:
-    return full_table(n, shape).h[_as_primal_ranks(n, ranks)]
+    return full_table(n, shape).h[RankSet.primal(n, ranks).ranks]
 
 
 def b_prime(n: int, ranks) -> int:
@@ -127,7 +108,7 @@ def b_prime(n: int, ranks) -> int:
 
 def check_stability(ranks, n: int, m: int) -> bool:
     """Agreement of flag_h across n and m, valid only above twice the top rank."""
-    s = _as_primal_ranks(min(n, m), ranks) if ranks else frozenset()
+    s = RankSet.primal(min(n, m), ranks).ranks if ranks else frozenset()
     top = max(s) if s else 0
     if not (n > 2 * top and m > 2 * top):
         raise ValueError(f"stability needs n, m > {2 * top}")
@@ -142,10 +123,10 @@ def reduced_euler(n: int, shape, ranks) -> int:
     sum defining h stays authoritative; the calibrated identity is
     h_S = (-1)^(|S|-1) * chi~ for nonempty S.
     """
-    s = _as_primal_ranks(n, ranks)
+    s = RankSet.primal(n, ranks).ranks
     if not s:
         return 1
-    table = full_table(n, as_shape(shape))
+    table = full_table(n, shape)
     acc = -1
     for t, fv in table.f.items():
         if t and t <= s:

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .shapes import Content, Shape, add_contents, as_shape, content_size, content_word
+from .shapes import Content, Shape, add_contents, as_shape, checked_shape, content_size, content_word
 
 
 class BlockOrderDomainError(ValueError):
@@ -104,9 +104,7 @@ def verify_lengthening(order: BlockOrder, n: int, shape) -> bool:
     its own extension BB', which shares every letter of B, so it uses the
     order's total key rather than ``compare``.
     """
-    shape = as_shape(shape)
-    if shape.n != n:
-        raise ValueError(f"shape {shape} does not sum to n={n}")
+    shape = checked_shape(n, shape)
     contents = list(_realizable_contents(shape))
     for b1 in contents:
         k1 = order.key(b1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .bars import InsertionFacet, enumerate_insertion_facets
@@ -79,13 +80,13 @@ def order_facets(n: int, shape, order: Optional[BlockOrder] = None) -> Partition
             f"order {order} fails the lengthening condition for n={n}, shape={shape}"
         )
     facets = enumerate_insertion_facets(n, shape, order)
-    keyed = sorted(facets, key=InsertionFacet.sort_key)
-    for a, b in zip(keyed, keyed[1:]):
-        if a.sort_key() == b.sort_key():
+    keyed = sorted(zip(map(InsertionFacet.sort_key, facets), facets), key=itemgetter(0))
+    for (key_a, a), (key_b, b) in zip(keyed, keyed[1:]):
+        if key_a == key_b:
             raise LabelTieError(
                 f"facets {a.positions} and {b.positions} share a label sequence"
             )
-    return PartitionScheme(n=n, shape=shape, order=order, facets=tuple(keyed))
+    return PartitionScheme(n=n, shape=shape, order=order, facets=tuple(f for _, f in keyed))
 
 
 def minimal_new_faces(scheme: PartitionScheme) -> tuple:

@@ -73,6 +73,14 @@ def as_shape(shape) -> Shape:
     return Shape(tuple(shape))
 
 
+def checked_shape(n: int, shape) -> Shape:
+    """``as_shape(shape)``, which must be a shape of n."""
+    shape = as_shape(shape)
+    if shape.n != n:
+        raise ValueError(f"shape {shape} does not sum to n={n}")
+    return shape
+
+
 def full_shape(n: int) -> Shape:
     return Shape((n,))
 
@@ -185,11 +193,25 @@ class RankSet:
 
     @classmethod
     def primal(cls, n: int, ranks: Iterable) -> "RankSet":
+        """The lattice-rank view of a rank argument for n: a RankSet in
+        either basis, or an iterable of lattice ranks.  Every function that
+        takes ranks reads them here."""
+        if isinstance(ranks, RankSet):
+            return ranks._for(n).as_primal()
         return cls(n, frozenset(ranks), dual=False)
 
     @classmethod
     def of_dual(cls, n: int, ranks: Iterable) -> "RankSet":
+        """The corank view: a RankSet in either basis, or an iterable of
+        coranks."""
+        if isinstance(ranks, RankSet):
+            return ranks._for(n).as_dual()
         return cls(n, frozenset(ranks), dual=True)
+
+    def _for(self, n: int) -> "RankSet":
+        if self.n != n:
+            raise ValueError(f"rank set {self} is for n={self.n}, not n={n}")
+        return self
 
     def sorted(self) -> tuple:
         return tuple(sorted(self.ranks))

@@ -86,6 +86,8 @@ def test_stability(capsys):
 def test_usage_errors(capsys):
     code, doc = run_json(capsys, "b", "--n", "4", "--ranks", "7")
     assert code == 2
+    code, doc = run_json(capsys, "table", "--n", "5", "--lambda", "4")
+    assert code == 2 and "does not sum to n=5" in doc["error"]
     code, doc = run_json(capsys, "construct", "--word", "AD", "--n", "4")
     assert code == 2
     code, doc = run_json(capsys, "stability", "--ranks", "3", "--n", "6", "--m", "7")

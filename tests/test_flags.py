@@ -6,13 +6,21 @@ from rsl import (
     RankSet,
     Shape,
     b_prime,
+    build_bprime,
+    build_theorem22,
+    chain_condition_search,
     check_stability,
+    classify_rank_set,
+    enumerate_facet_orbits,
     faces_with_support,
     flag_f,
     flag_h,
     full_shape,
     full_table,
     reduced_euler,
+    restrict,
+    theorem31_witness,
+    vanishing_predicates,
 )
 
 import oracles
@@ -146,11 +154,32 @@ def test_reduced_euler_known_values():
     assert reduced_euler(4, (4,), {2}) == 1
 
 
-def test_rank_set_argument_accepts_rank_set():
-    rs = RankSet.primal(5, {2})
-    assert flag_h(5, (5,), rs) == flag_h(5, (5,), {2})
-    dual = rs.as_dual()
-    assert flag_h(5, (5,), dual) == flag_h(5, (5,), {2})
+# name -> (n, lattice ranks S, call on a rank argument).  Every S differs
+# from its corank image, so reading a corank set as lattice ranks shows.
+RANK_ARGUMENT_CASES = {
+    "flag_f": (8, {1, 4}, lambda r: flag_f(8, (8,), r)),
+    "flag_h": (8, {1, 4}, lambda r: flag_h(8, (8,), r)),
+    "b_prime": (8, {1, 4}, lambda r: b_prime(8, r)),
+    "reduced_euler": (8, {1, 4}, lambda r: reduced_euler(8, (8,), r)),
+    "restrict": (8, {1, 4}, lambda r: restrict(enumerate_facet_orbits(8, (8,))[0], r)),
+    "faces_with_support": (8, {1, 4}, lambda r: faces_with_support(8, (8,), r)),
+    "classify_rank_set": (8, {1, 4}, lambda r: classify_rank_set(r, 8)),
+    "vanishing_predicates": (6, {4}, lambda r: vanishing_predicates(r, 6)),
+    "chain_condition_search": (8, {1, 4}, lambda r: chain_condition_search(r, 8)),
+    "theorem31_witness": (8, {1, 4}, lambda r: theorem31_witness(r, 8)),
+    "build_theorem22": (8, {1, 4}, lambda r: build_theorem22(r, 8)),
+    "build_bprime": (8, {1, 4}, lambda r: build_bprime(r, 8)),
+}
+
+
+@pytest.mark.parametrize("name", list(RANK_ARGUMENT_CASES))
+def test_rank_set_argument_accepts_rank_set(name):
+    n, s, call = RANK_ARGUMENT_CASES[name]
+    want = call(s)
+    assert call(RankSet.primal(n, s)) == want
+    assert call(RankSet.of_dual(n, {n - 1 - r for r in s})) == want
+    with pytest.raises(ValueError):
+        call(RankSet.primal(n + 1, s))
 
 
 def test_bad_shape_rejected():

@@ -11,7 +11,9 @@ from rsl import (
     restrict,
     reverse_length,
 )
+from rsl.bars import InsertionFacet
 from rsl.partitioning import (
+    LabelTieError,
     LengtheningError,
     minimal_new_faces,
     order_facets,
@@ -32,6 +34,26 @@ def test_order_facets_n3_singleton():
 def test_order_facets_refuses_bad_order():
     with pytest.raises(LengtheningError):
         order_facets(4, full_shape(4), reverse_length())
+
+
+def test_order_facets_keys_each_facet_once(monkeypatch):
+    keyed = []
+    plain = InsertionFacet.sort_key
+
+    def counting_sort_key(facet):
+        keyed.append(facet)
+        return plain(facet)
+
+    monkeypatch.setattr(InsertionFacet, "sort_key", counting_sort_key)
+    scheme = order_facets(6, hook_shape(6))
+    assert len(scheme.facets) == 61  # E_6
+    assert sorted(map(id, keyed)) == sorted(map(id, scheme.facets))
+
+
+def test_order_facets_refuses_label_ties(monkeypatch):
+    monkeypatch.setattr(InsertionFacet, "sort_key", lambda facet: ())
+    with pytest.raises(LabelTieError):
+        order_facets(5, full_shape(5))
 
 
 def test_minimal_faces_n4_example():
