@@ -1,10 +1,15 @@
 """Bar-insertion diagrams for orbits of saturated chains.
 
 A facet of the quotient complex is drawn as a row of n balls refined by
-n-1 bar insertions, the t-th at corank t.  Two conventions normalize the
-diagram: when a block splits, the child that is smaller in the active block
-order goes left (equal children are interchangeable), and of two equal
-blocks created together the left one must be refined first.
+n-1 bar insertions, the t-th at corank t.  Two conventions make each orbit
+appear once: when a block splits, the child that is smaller in the active
+block order goes left (ties broken by content), and of two equal blocks
+created together the left one is refined first.  Both live in one
+bar-insertion step: ``_splittable`` (the blocks the next bar may split),
+``_normalized`` (the oriented split) and ``_split_row`` (the row update).
+The facet walk, the checked replay that builds every ``InsertionFacet`` and
+``construct.facet_from_positions`` take all three; ``min_extension`` orients
+its splits with ``_normalized``.
 
 Covering relation t carries a label: (position, word-of-positions, r) for
 the one-letter shape, and (bars-to-the-left, left-child word, prefix word,
@@ -133,31 +138,87 @@ def _label_key(label: CoverLabel, order: BlockOrder, general: bool):
     return (label.position, label.w, label.r)
 
 
-class _Live:
-    """One block of the evolving row."""
-
-    __slots__ = ("content", "created", "twin_gid", "split_at")
-
-    def __init__(self, content, created, twin_gid=None):
-        self.content = content
-        self.created = created
-        self.twin_gid = twin_gid
-        self.split_at = None
-
-
 class _Replay(NamedTuple):
-    """One replay of a facet's insertions; entry t-1 of each list is insertion t."""
+    """The checked replay of a facet's insertions; entry t-1 of each list is
+    insertion t."""
 
-    events: list  # (split block, left child, right child), as _Live blocks
-    row: list  # the final, fully refined row of _Live blocks
+    row: tuple  # contents of the final, fully refined row
     splits: list  # (row index, content) of the split block
     prefixes: list  # contents of the blocks left of the split block
+    left_split: list  # step at which insertion t's left child is split
+
+
+# -- the one bar-insertion step ----------------------------------------------------
+#
+# A row is a list of blocks (content, step that created it, twin id); the twin
+# id is the creating step when the two children are equal, else None.
+
+
+def _splittable(row):
+    """(row index, balls left of it) of each block the next bar may split:
+    one of at least two balls that is not the right one of two equal
+    unsplit twins (the left twin is refined first).  A bar in a block with
+    ``start`` balls left of it and ``w`` balls falls at gap start+1 to
+    start+w-1."""
+    start = 0
+    prev = None
+    for idx, (content, _, gid) in enumerate(row):
+        width = content_size(content)
+        if width > 1 and (gid is None or gid != prev):
+            yield idx, start
+        start += width
+        prev = gid
+
+
+def _normalized(order: BlockOrder, start: int, created: int, a: Content, b: Content) -> BarInsertion:
+    """The one insertion splitting a block into a and b: the smaller child
+    under (order key, content) goes left."""
+    left, right = (a, b) if (order.key(a), a) <= (order.key(b), b) else (b, a)
+    return BarInsertion(start + content_size(left), left, right, created)
+
+
+def _split_row(row, idx: int, ins: BarInsertion, t: int) -> list:
+    """``row`` with block ``idx`` replaced by the two children of insertion t."""
+    gid = t if ins.left == ins.right else None
+    return row[:idx] + [(ins.left, t, gid), (ins.right, t, gid)] + row[idx + 1 :]
+
+
+def _replay(shape, order: BlockOrder, insertions) -> _Replay:
+    """Replay the insertions on the walker's rows, checking that each one is
+    the normalized split of a splittable block; every view of the facet
+    (labels, forest, descents, diagram) reads the record."""
+    row = [(shape.root_content, 0, None)]
+    splits = []
+    prefixes = []
+    left_split = [None] * len(insertions)
+    for t, ins in enumerate(insertions, start=1):
+        for idx, start in _splittable(row):
+            if start < ins.position < start + content_size(row[idx][0]):
+                break
+        else:
+            raise ValueError(f"insertion {t} at {ins.position} hits no splittable gap")
+        content, created, _ = row[idx]
+        if add_contents(ins.left, ins.right) != content or min(ins.left + ins.right) < 0:
+            raise ValueError(f"insertion {t} children do not sum to the block")
+        expected = _normalized(order, start, created, ins.left, ins.right)
+        if ins != expected:
+            raise ValueError(f"insertion {t} is {ins}, not the normalized split {expected}")
+        if created and start != insertions[created - 1].position:
+            left_split[created - 1] = t  # a right child starts at its parent's bar
+        splits.append((idx, content))
+        prefixes.append(tuple(b[0] for b in row[:idx]))
+        row = _split_row(row, idx, ins, t)
+    return _Replay(tuple(b[0] for b in row), splits, prefixes, left_split)
 
 
 class InsertionFacet:
-    """A maximal chain orbit as a normalized bar-insertion sequence."""
+    """A maximal chain orbit as a normalized bar-insertion sequence.
 
-    __slots__ = ("shape", "order", "insertions", "_sim", "_chain", "_labels", "_descents")
+    Building one replays and checks the insertions; a list that is not a
+    normalized facet raises ValueError.
+    """
+
+    __slots__ = ("shape", "order", "insertions", "_replay", "_chain", "_labels", "_descents")
 
     def __init__(self, shape, order: BlockOrder, insertions):
         self.shape = as_shape(shape)
@@ -165,7 +226,7 @@ class InsertionFacet:
         self.insertions = tuple(insertions)
         if len(self.insertions) != self.n - 1:
             raise ValueError("a facet of the order complex needs n-1 insertions")
-        self._sim = None
+        self._replay = _replay(self.shape, order, self.insertions)
         self._chain = None
         self._labels = None
         self._descents = None
@@ -192,57 +253,9 @@ class InsertionFacet:
     def __repr__(self):
         return f"InsertionFacet({self.shape}, {self.order}, positions={list(self.positions)})"
 
-    # -- simulation ----------------------------------------------------------
-
-    def _simulate(self):
-        """Replay the insertions once, checking each; every other view of
-        the facet (labels, forest, descents, diagram) reads this record."""
-        if self._sim is not None:
-            return self._sim
-        root = _Live(self.shape.root_content, 0)
-        row = [root]
-        events = []
-        splits = []
-        prefixes = []
-        for t, ins in enumerate(self.insertions, start=1):
-            start = 0
-            for idx, blk in enumerate(row):
-                width = content_size(blk.content)
-                if start < ins.position <= start + width - 1:
-                    break
-                start += width
-            else:
-                raise ValueError(f"insertion {t} at {ins.position} hits no splittable gap")
-            if add_contents(ins.left, ins.right) != blk.content:
-                raise ValueError(f"insertion {t} children do not sum to the block")
-            if start + content_size(ins.left) != ins.position:
-                raise ValueError(f"insertion {t} position inconsistent with left child")
-            if ins.parent_rank != blk.created:
-                raise ValueError(f"insertion {t} has wrong parent rank")
-            if self.order.key(ins.left) > self.order.key(ins.right):
-                raise ValueError(f"insertion {t} puts the larger child on the left")
-            if blk.twin_gid is not None and any(
-                other is not blk and other.twin_gid == blk.twin_gid
-                for other in row[:idx]
-            ):
-                raise ValueError(f"insertion {t} splits a twin before its left partner")
-            gid = t if ins.left == ins.right else None
-            left = _Live(ins.left, t, gid)
-            right = _Live(ins.right, t, gid)
-            blk.split_at = t
-            events.append((blk, left, right))
-            splits.append((idx, blk.content))
-            prefixes.append(tuple(b.content for b in row[:idx]))
-            row[idx : idx + 1] = [left, right]
-        if any(content_size(b.content) != 1 for b in row):
-            raise ValueError("row not fully refined after n-1 insertions")
-        self._sim = _Replay(events, row, splits, prefixes)
-        return self._sim
-
     def root_ids(self, store: ForestStore) -> tuple:
         """The facet's canonical forest interned in ``store``: sorted root ids."""
-        replay = self._simulate()
-        return _assemble_root_ids(store, [b.content for b in replay.row], replay.splits)
+        return _assemble_root_ids(store, self._replay.row, self._replay.splits)
 
     def chain_type(self) -> ChainType:
         if self._chain is None:
@@ -253,13 +266,10 @@ class InsertionFacet:
 
     def labels(self) -> tuple:
         if self._labels is None:
-            replay = self._simulate()
             positions = self.positions
             self._labels = tuple(
-                _cover_label(positions[:t], ins.position, ins.left, prefix, blk.created)
-                for t, (ins, (blk, _, _), prefix) in enumerate(
-                    zip(self.insertions, replay.events, replay.prefixes)
-                )
+                _cover_label(positions[:t], ins.position, ins.left, prefix, ins.parent_rank)
+                for t, (ins, prefix) in enumerate(zip(self.insertions, self._replay.prefixes))
             )
         return self._labels
 
@@ -269,45 +279,40 @@ class InsertionFacet:
 
     # -- descents --------------------------------------------------------------
 
-    def _descent_data(self):
+    def descent_dual_set(self) -> frozenset:
         if self._descents is not None:
             return self._descents
-        events = self._simulate().events
-        n = self.n
+        splits, left_split = self._replay.splits, self._replay.left_split
+        key = self.order.key
         out = set()
-        for t in range(1, n - 1):
-            blk_t, left_t, right_t = events[t - 1]
-            blk_u, left_u, right_u = events[t]
-            if self.insertions[t - 1].position > self.insertions[t].position:
+        for t in range(1, self.n - 1):
+            ins_t, ins_u = self.insertions[t - 1], self.insertions[t]
+            if ins_t.position > ins_u.position:
                 out.add(t)
                 continue
-            if blk_u is right_t:
-                if self.order.key(left_t.content) > self.order.key(left_u.content):
+            if splits[t][0] == splits[t - 1][0] + 1:  # t+1 splits t's right child
+                if key(ins_t.left) > key(ins_u.left):
                     out.add(t)
                     continue
                 # equal contents are required: only interchangeable blocks
                 # admit the order-swapping exchange behind condition 3
                 if (
-                    content_size(left_t.content) == 2
-                    and left_t.content == left_u.content
-                    and left_u.split_at < left_t.split_at
+                    content_size(ins_t.left) == 2
+                    and ins_t.left == ins_u.left
+                    and left_split[t] < left_split[t - 1]
                 ):
                     out.add(t)
         self._descents = frozenset(out)
         return self._descents
 
-    def descent_dual_set(self) -> frozenset:
-        return self._descent_data()
-
     def render(self) -> str:
         """ASCII diagram: balls with each bar annotated by its corank."""
         rank_of_pos = {ins.position: t for t, ins in enumerate(self.insertions, start=1)}
-        row = self._simulate().row
         if self.shape.is_full():
             letters = ["o"] * self.n
         else:
             symbols = "abcdefghij"
-            letters = [symbols[b.content.index(1)] for b in row]
+            letters = [symbols[content.index(1)] for content in self._replay.row]
         out = []
         for i, ch in enumerate(letters, start=1):
             out.append(ch)
@@ -345,84 +350,62 @@ def _assemble_root_ids(store: ForestStore, row, splits) -> tuple:
     return tuple(sorted(ids))
 
 
-def _checked(n: int, shape, order: Optional[BlockOrder]):
-    shape = checked_shape(n, shape)
-    return shape, default_order(shape) if order is None else order
-
-
 def _walk_facets(n: int, shape, order: BlockOrder, leaf) -> None:
-    """Depth-first over the normalized facets, one per orbit: the only
-    ambiguous choices (which of two equal unsplit twins to refine, which
-    equal child goes left) are fixed by the normalization.
+    """Depth-first over the normalized facets, one per orbit: every
+    splittable block, every split of it, normalized.
 
     Calls ``leaf(insertions, splits, row)`` at every facet: its BarInsertion
     list, the (row index, content) of the block each insertion split, and
-    the final row of (content, created, twin id) blocks.  The lists are
-    reused; copy what is kept.
+    the final row.  The lists are reused; copy what is kept.
     """
     acc = []
     splits = []
 
-    def rec(blocks, t):
+    def rec(row, t):
         if t == n:
-            leaf(acc, splits, blocks)
+            leaf(acc, splits, row)
             return
-        start = 0
-        for idx, (content, created, gid) in enumerate(blocks):
-            width = content_size(content)
-            if width < 2:
-                start += width
-                continue
-            if gid is not None and idx > 0 and blocks[idx - 1][2] == gid:
-                start += width  # right twin: left twin must be refined first
-                continue
+        for idx, start in _splittable(row):
+            content, created, _ = row[idx]
             splits.append((idx, content))
             for a, b in bipartitions(content):
-                ka, kb = (order.key(a), a), (order.key(b), b)
-                left, right = (a, b) if ka <= kb else (b, a)
-                new_gid = t if left == right else None
-                acc.append(
-                    BarInsertion(start + content_size(left), left, right, created)
-                )
-                rec(
-                    blocks[:idx]
-                    + [(left, t, new_gid), (right, t, new_gid)]
-                    + blocks[idx + 1 :],
-                    t + 1,
-                )
+                ins = _normalized(order, start, created, a, b)
+                acc.append(ins)
+                rec(_split_row(row, idx, ins, t), t + 1)
                 acc.pop()
             splits.pop()
-            start += width
 
     rec([(shape.root_content, 0, None)], 1)
 
 
 def enumerate_insertion_facets(n: int, shape, order: Optional[BlockOrder] = None):
     """All normalized facets as InsertionFacets, depth first."""
-    shape, order = _checked(n, shape, order)
+    shape = checked_shape(n, shape)
+    order = default_order(shape) if order is None else order
     results = []
 
     def leaf(acc, splits, row):
-        results.append(InsertionFacet(shape, order, tuple(acc)))
+        results.append(InsertionFacet(shape, order, acc))
 
     _walk_facets(n, shape, order, leaf)
     return results
 
 
-def facet_root_ids(n: int, shape, store: ForestStore, order: Optional[BlockOrder] = None) -> list:
+def facet_root_ids(n: int, shape, store: ForestStore) -> list:
     """Every facet orbit as its sorted root ids in ``store``, in the order of
-    ``enumerate_insertion_facets``; no ChainType is built.
+    ``enumerate_insertion_facets``; no ChainType is built.  The ids are
+    canonical, so they do not depend on the block order.
 
     Raises AssertionError if two facets intern to the same forest, which
     would mean the normalization let one orbit through twice.
     """
-    shape, order = _checked(n, shape, order)
+    shape = checked_shape(n, shape)
     ids = []
 
     def leaf(acc, splits, row):
         ids.append(_assemble_root_ids(store, [b[0] for b in row], splits))
 
-    _walk_facets(n, shape, order, leaf)
+    _walk_facets(n, shape, default_order(shape), leaf)
     if len(set(ids)) != len(ids):
         raise AssertionError("facet enumeration produced a duplicate orbit")
     return ids
@@ -503,35 +486,30 @@ def min_extension(c: ChainType, order: Optional[BlockOrder] = None) -> Insertion
             for idx, (content, created, targets) in enumerate(row):
                 width = content_size(content)
                 if len(targets) >= 2:
+                    prefix = tuple(r[0] for r in row[:idx])
                     for t1, t2 in _target_bipartitions(targets):
-                        s1, s2 = _content_sum(t1, shape.k), _content_sum(t2, shape.k)
-                        k1, k2 = order.key(s1), order.key(s2)
-                        layouts = []
-                        if k1 <= k2:
-                            layouts.append((t1, s1, t2, s2))
-                        if k2 < k1 or (k1 == k2 and t1 != t2):
-                            layouts.append((t2, s2, t1, s1))
-                        for lt, ls, rt, rs in layouts:
-                            pos = start + content_size(ls)
-                            prefix = tuple(r[0] for r in row[:idx])
-                            label = _cover_label(positions, pos, ls, prefix, created)
-                            key = _label_key(label, order, general)
-                            if best_key is None or key < best_key:
-                                best_key = key
-                                chosen = [(state, idx, lt, ls, rt, rs, pos)]
-                            elif key == best_key:
-                                chosen.append((state, idx, lt, ls, rt, rs, pos))
+                        s1 = _content_sum(t1, shape.k)
+                        ins = _normalized(order, start, created, s1, _content_sum(t2, shape.k))
+                        if ins.left != ins.right:
+                            placements = [(t1, t2) if ins.left == s1 else (t2, t1)]
+                        else:  # equal contents: either subtree may go left
+                            placements = [(t1, t2), (t2, t1)]
+                        label = _cover_label(positions, ins.position, ins.left, prefix, created)
+                        key = _label_key(label, order, general)
+                        if best_key is None or key < best_key:
+                            best_key = key
+                            chosen = []
+                        if key == best_key:
+                            chosen.extend((state, idx, ins, lt, rt) for lt, rt in placements)
                 start += width
         if not chosen:
             raise AssertionError("extension search stalled")
         new_states = {}
-        for state, idx, lt, ls, rt, rs, pos in chosen:
+        for state, idx, ins, lt, rt in chosen:
             row, done = state
-            content, created, _ = row[idx]
-            left_slot = (ls, t, tuple(sorted(lt)))
-            right_slot = (rs, t, tuple(sorted(rt)))
+            left_slot = (ins.left, t, tuple(sorted(lt)))
+            right_slot = (ins.right, t, tuple(sorted(rt)))
             new_row = row[:idx] + (left_slot, right_slot) + row[idx + 1 :]
-            ins = BarInsertion(pos, ls, rs, created)
             if t in support:
                 reanchored = []
                 ok = True
@@ -583,18 +561,19 @@ def facet_block_conditions(facet: InsertionFacet) -> tuple:
     """(non-equal, nontrivial non-equal) for a facet itself: no equal blocks
     created from one parent in a single step or in consecutive steps, of
     size >= 2 (strict) resp. >= 3 (relaxed)."""
-    events = facet._simulate().events
+    splits = facet._replay.splits
     worst = 0  # largest size of an offending equal pair
-    for t, (blk, left, right) in enumerate(events):
-        if left.content == right.content:
-            worst = max(worst, content_size(left.content))
-        if t + 1 < len(events):
-            nxt_blk, nxt_left, nxt_right = events[t + 1]
-            if nxt_blk is left or nxt_blk is right:
-                sibling = right if nxt_blk is left else left
-                for child in (nxt_left, nxt_right):
-                    if sibling.content == child.content:
-                        worst = max(worst, content_size(child.content))
+    for t, ins in enumerate(facet.insertions):
+        if ins.left == ins.right:
+            worst = max(worst, content_size(ins.left))
+        if t + 1 < len(splits):
+            offset = splits[t + 1][0] - splits[t][0]  # 0: left child, 1: right child
+            if offset in (0, 1):
+                sibling = ins.right if offset == 0 else ins.left
+                nxt = facet.insertions[t + 1]
+                for child in (nxt.left, nxt.right):
+                    if sibling == child:
+                        worst = max(worst, content_size(child))
     return (worst < 2, worst < 3)
 
 

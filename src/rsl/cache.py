@@ -63,10 +63,11 @@ def _read(path: str, n: int, shape: Shape, kind: str):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # also bad JSON and bytes that are not UTF-8
         return None
     if (
-        doc.get("code") != code_fingerprint()
+        not isinstance(doc, dict)
+        or doc.get("code") != code_fingerprint()
         or doc.get("kind") != kind
         or doc.get("n") != n
         or doc.get("lambda") != list(shape.parts)

@@ -152,7 +152,7 @@ def cmd_construct(args):
             n = len(args.word) + 2
         try:
             facet = construct.build_word(args.word, n)
-        except construct.WordUnsupportedError as exc:
+        except ValueError as exc:
             raise UsageError(str(exc)) from exc
     elif args.ranks is not None:
         if n is None:
@@ -282,6 +282,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     t0 = time.perf_counter()
     try:
+        if getattr(args, "n", None) is not None and args.n < 2:
+            raise UsageError(f"need n >= 2, got n={args.n}")
         results, extra, code = args.fn(args)
     except UsageError as exc:
         json.dump({"error": str(exc)}, sys.stdout)

@@ -18,9 +18,9 @@ returning; a mismatch raises instead of returning a wrong facet.
 
 from __future__ import annotations
 
-from .bars import BarInsertion, DescentWord, InsertionFacet, descent_word
+from .bars import DescentWord, InsertionFacet, _normalized, _split_row, _splittable, descent_word
 from .orders import default_order, distinguished
-from .shapes import RankSet, as_shape, full_shape, hook_shape
+from .shapes import RankSet, bipartitions, checked_shape, hook_shape
 from .vanishing import classify_rank_set
 
 __all__ = [
@@ -50,36 +50,28 @@ def _word_of(word) -> str:
 
 
 def facet_from_positions(n: int, positions, shape=None, order=None) -> InsertionFacet:
-    """Rebuild a facet from bare gap positions.
+    """Rebuild a facet of ``shape`` (default (n)) from bare gap positions.
 
-    Only shapes whose splits are content-determined by position are
-    accepted: the one-letter shape, and the hook shape where the letter s
-    always stays in the left child.
+    Bar t takes the one normalized split (``bars._normalized``) of a
+    splittable block whose bar falls at the t-th position; ValueError when
+    no split or more than one fits.
     """
-    shape = as_shape(shape) if shape is not None else full_shape(n)
+    shape = checked_shape(n, n if shape is None else shape)
     order = order or default_order(shape)
-    if shape.k > 2 or (shape.k == 2 and shape.parts[1] != 1):
-        raise ValueError("positions do not determine contents for this shape")
-    row = [(shape.root_content, 0)]
+    row = [(shape.root_content, 0, None)]
     out = []
     for t, p in enumerate(positions, start=1):
-        start = 0
-        for idx, (content, created) in enumerate(row):
-            width = sum(content)
-            if start < p <= start + width - 1:
-                break
-            start += width
-        else:
-            raise ConstructionError(f"position {p} is not inside a block")
-        q = p - start
-        if shape.k == 1:
-            left, right = (q,), (width - q,)
-        elif content[1]:  # block contains s; s-child goes left
-            left, right = (q - 1, 1), (width - q, 0)
-        else:
-            left, right = (q, 0), (width - q, 0)
-        out.append(BarInsertion(p, left, right, created))
-        row[idx : idx + 1] = [(left, t), (right, t)]
+        fits = [
+            (idx, ins)
+            for idx, start in _splittable(row)
+            for a, b in bipartitions(row[idx][0])
+            if (ins := _normalized(order, start, row[idx][1], a, b)).position == p
+        ]
+        if len(fits) != 1:
+            raise ValueError(f"{len(fits)} normalized splits put bar {t} at {p}, not one")
+        idx, ins = fits[0]
+        out.append(ins)
+        row = _split_row(row, idx, ins, t)
     return InsertionFacet(shape, order, out)
 
 
@@ -191,20 +183,20 @@ def build_descending_run(n: int) -> InsertionFacet:
 # -- peel search ------------------------------------------------------------
 
 
-def _search_peel_facet(word: str) -> list:
-    """Positions of a facet achieving ``word`` using only unit and pair
-    peels plus pair refinements.
+def _search_peel_facet(word: str) -> InsertionFacet:
+    """A facet achieving ``word`` using only unit and pair peels plus pair
+    refinements.
 
     Letters are forced move-to-move: a peel followed by a smaller-left
     peel, any refinement after a peel, and right-to-left refinements are
     descents; everything else is an ascent except two pair peels in a row,
     which descend exactly when the later block is refined first.  The DFS
-    prunes on those rules and on the deferred pair-pair constraints.
+    prunes on those rules and on the deferred pair-pair constraints, and
+    keeps the first leaf that is a normalized facet.
     """
     n = len(word) + 2
 
     seq = []
-    # live pair blocks: start ball -> twin partner start (or None)
     found = []
 
     def letter_ok(rank, value):
@@ -212,11 +204,15 @@ def _search_peel_facet(word: str) -> list:
 
     def rec(t, rem_start, rem, live, prev, pending):
         # prev: ("peel", pos, left_size) | ("refine", pos) | None
+        # live: start balls of the unrefined pair blocks
         if found:
             return
         if t == n:
             if rem == 0 and not live:
-                found.append(list(seq))
+                try:
+                    found.append(facet_from_positions(n, seq))
+                except ValueError:
+                    pass  # refines the right one of two twins first
             return
         rank = t - 1  # letter decided by the pair (t-1, t)
         moves = []
@@ -224,11 +220,7 @@ def _search_peel_facet(word: str) -> list:
             moves.append(("peel", 1))
         if rem >= 4:
             moves.append(("peel", 2))
-        for start in sorted(live, reverse=True):
-            twin = live[start]
-            if twin is not None and twin < start and twin in live:
-                continue  # left twin first
-            moves.append(("refine", start))
+        moves.extend(("refine", start) for start in sorted(live, reverse=True))
         for kind, arg in moves:
             if kind == "peel":
                 pos = rem_start + arg - 1
@@ -250,15 +242,11 @@ def _search_peel_facet(word: str) -> list:
                 if prev is not None and prev[0] == "peel" and prev[2] == 2 == arg:
                     # blocks [ppos-1, rem_start+? ]: earlier block starts prev pos-1
                     new_pending = pending + (((prev[1] - 1), rem_start, rank),)
-                new_live = dict(live)
+                new_live = live | {rem_start} if arg == 2 else live
                 new_rem_start, new_rem = rem_start + arg, rem - arg
-                if arg == 2:
-                    new_live[rem_start] = None
                 if new_rem == 2:
                     # remainder becomes an ordinary pair block
-                    new_live[new_rem_start] = rem_start if arg == 2 and rem == 4 else None
-                    if arg == 2 and rem == 4:
-                        new_live[rem_start] = new_rem_start
+                    new_live = new_live | {new_rem_start}
                     new_rem_start, new_rem = new_rem_start + 2, 0
                 elif new_rem == 1 or new_rem < 0:
                     continue  # a lone ball or overdraw can never complete
@@ -293,13 +281,11 @@ def _search_peel_facet(word: str) -> list:
                             break
                 if not ok:
                     continue
-                new_live = dict(live)
-                del new_live[start]
                 seq.append(pos)
-                rec(t + 1, rem_start, rem, new_live, ("refine", pos), pending)
+                rec(t + 1, rem_start, rem, live - {start}, ("refine", pos), pending)
                 seq.pop()
 
-    rec(1, 1, n, {}, None, ())
+    rec(1, 1, n, frozenset(), None, ())
     if not found:
         raise ConstructionError(f"no peel facet achieves word {word}")
     return found[0]
@@ -315,8 +301,7 @@ def build_theorem22(ranks, n: int) -> InsertionFacet:
     word = str(DescentWord.from_dual_set(n, rs.as_dual().ranks))
     if split.i == 0:
         return build_word(word)
-    facet = facet_from_positions(n, _search_peel_facet(word))
-    return _verified(facet, word, "build_theorem22")
+    return _verified(_search_peel_facet(word), word, "build_theorem22")
 
 
 # -- hook shape ------------------------------------------------------------

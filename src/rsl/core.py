@@ -70,10 +70,6 @@ class ChainType:
         """Ranks of the lattice (not the dual), ascending."""
         return tuple(sorted(self.n - 1 - d for d in self.dual_levels))
 
-    @property
-    def dual_support(self) -> tuple:
-        return self.dual_levels
-
     def rank_set(self) -> RankSet:
         return RankSet.primal(self.n, self.support)
 
@@ -94,12 +90,6 @@ class ChainType:
         for _ in range(depth):
             nodes = tuple(c for node in nodes for c in node[1])
         return nodes
-
-    def level_contents(self, rank: int, dual: bool = False) -> tuple:
-        d = rank if dual else self.n - 1 - rank
-        if d not in self.dual_levels:
-            raise ValueError(f"level {rank} not in support")
-        return tuple(node[0] for node in self.level_nodes(self.depth_of_dual(d)))
 
     # -- operations ----------------------------------------------------------
 
@@ -371,7 +361,7 @@ def restrict(c: ChainType, sub) -> ChainType:
 # -- block orbits --------------------------------------------------------------
 
 
-def block_orbits(c: ChainType, level: int, dual: bool = False) -> tuple:
+def block_orbits(c: ChainType, level: int) -> tuple:
     """Stabilizer orbits of the blocks at one level of the chain.
 
     Two blocks are equivalent when a level-preserving automorphism of the
@@ -379,7 +369,7 @@ def block_orbits(c: ChainType, level: int, dual: bool = False) -> tuple:
     equivalent parents.  Returns a tuple of orbits, each a tuple of block
     indices in canonical node order (matching ``realize``).
     """
-    d = level if dual else c.n - 1 - level
+    d = c.n - 1 - level
     if d not in c.dual_levels:
         raise ValueError(f"level {level} not in support")
     target = c.depth_of_dual(d)

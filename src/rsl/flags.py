@@ -108,7 +108,7 @@ def b_prime(n: int, ranks) -> int:
 
 def check_stability(ranks, n: int, m: int) -> bool:
     """Agreement of flag_h across n and m, valid only above twice the top rank."""
-    s = RankSet.primal(min(n, m), ranks).ranks if ranks else frozenset()
+    s = RankSet.primal_at_either(n, m, ranks).ranks
     top = max(s) if s else 0
     if not (n > 2 * top and m > 2 * top):
         raise ValueError(f"stability needs n, m > {2 * top}")

@@ -153,19 +153,13 @@ def minimal_new_faces(scheme: PartitionScheme) -> tuple:
     return scheme.minimal_faces
 
 
-def verify_partitioning(scheme_or_n, shape=None, order: Optional[BlockOrder] = None) -> PartitionScheme:
-    """Disjointness and coverage of the intervals over all face orbits.
-
-    Accepts a prepared scheme, or (n, shape[, order]) to run the whole
-    pipeline.  On success fills ``h_via_partitioning``: corank support of
-    G_i -> number of intervals.
+def verify_partitioning(n: int, shape, order: Optional[BlockOrder] = None) -> PartitionScheme:
+    """Disjointness and coverage of the intervals over all face orbits: the
+    whole pipeline from ``order_facets``.  On success fills
+    ``h_via_partitioning``: corank support of G_i -> number of intervals.
     """
-    if isinstance(scheme_or_n, PartitionScheme):
-        scheme = scheme_or_n
-    else:
-        scheme = order_facets(scheme_or_n, shape, order)
-    if scheme.minimal_faces is None:
-        minimal_new_faces(scheme)
+    scheme = order_facets(n, shape, order)
+    minimal_new_faces(scheme)
     if scheme.status == "failed":
         return scheme
 

@@ -208,6 +208,14 @@ class RankSet:
             return ranks._for(n).as_dual()
         return cls(n, frozenset(ranks), dual=True)
 
+    @classmethod
+    def primal_at_either(cls, n: int, m: int, ranks: Iterable) -> "RankSet":
+        """``primal`` for an argument that holds at two sizes: a RankSet is
+        read at its own size, which must be n or m; an iterable of lattice
+        ranks at min(n, m)."""
+        own = ranks.n if isinstance(ranks, RankSet) else None
+        return cls.primal(own if own in (n, m) else min(n, m), ranks)
+
     def _for(self, n: int) -> "RankSet":
         if self.n != n:
             raise ValueError(f"rank set {self} is for n={self.n}, not n={n}")

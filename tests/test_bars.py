@@ -21,6 +21,8 @@ from rsl.construct import facet_from_positions
 from rsl.core import empty_chain
 from rsl.flags import full_table
 from rsl.kernel import ForestStore
+from rsl.orders import custom, distinguished, length_lex
+from rsl.shapes import hook_shape
 
 
 def _facet(n, positions):
@@ -77,6 +79,59 @@ def test_round_trip_hook_shape():
     order = distinguished(shape)
     for ins in enumerate_insertion_facets(6, shape, order):
         assert facet_to_insertions(ins.chain_type(), order) == ins
+
+
+def _ins(position, left, right, parent_rank):
+    return bars.BarInsertion(position, (left,), (right,), parent_rank)
+
+
+_TWO_TWO = [_ins(2, 2, 2, 0), _ins(1, 1, 1, 1), _ins(3, 1, 1, 1)]  # positions [2, 1, 3]
+
+
+@pytest.mark.parametrize(
+    "insertions",
+    [
+        [_ins(1, 1, 3, 0), _ins(1, 1, 2, 1), _ins(3, 1, 1, 1)],  # gap 1 is already a bar
+        [_ins(1, 1, 2, 0), _ins(2, 1, 2, 1), _ins(3, 1, 1, 1)],  # 1 + 2 != 4
+        [_ins(2, 1, 3, 0), _ins(3, 1, 2, 1), _ins(1, 1, 1, 1)],  # left child of 1 ends at 1
+        [_TWO_TWO[0], _ins(1, 1, 1, 0), _TWO_TWO[2]],  # the pair was created at 1
+        [_ins(3, 3, 1, 0), _ins(1, 1, 2, 1), _ins(2, 1, 1, 2)],  # larger child left
+        [_TWO_TWO[0], _ins(3, 1, 1, 1), _ins(1, 1, 1, 1)],  # right twin first
+        _TWO_TWO[:2],  # too few
+    ],
+    ids=["no-gap", "sum", "position", "parent-rank", "orientation", "twin", "too-few"],
+)
+def test_malformed_insertions_rejected_at_construction(insertions):
+    assert bars.InsertionFacet(full_shape(4), length_lex(), _TWO_TWO).positions == (2, 1, 3)
+    with pytest.raises(ValueError):
+        bars.InsertionFacet(full_shape(4), length_lex(), insertions)
+
+
+def test_content_breaks_order_key_ties():
+    by_size = custom("size", lambda c: (sum(c),))  # (2,0) and (0,2) tie
+    tail = [bars.BarInsertion(1, (0, 1), (0, 1), 1), bars.BarInsertion(3, (1, 0), (1, 0), 1)]
+    first = bars.BarInsertion(2, (0, 2), (2, 0), 0)
+    assert bars.InsertionFacet((2, 2), by_size, [first] + tail).positions == (2, 1, 3)
+    swapped = bars.BarInsertion(2, (2, 0), (0, 2), 0)
+    with pytest.raises(ValueError, match="not the normalized split"):
+        bars.InsertionFacet((2, 2), by_size, [swapped] + tail)
+
+
+def test_facet_from_positions_rejects_at_once():
+    with pytest.raises(ValueError, match="0 normalized splits put bar 1 at 3"):
+        facet_from_positions(4, [3, 1, 2], hook_shape(4))  # length-lex: s is not left
+    with pytest.raises(ValueError, match="0 normalized splits put bar 1 at 3"):
+        facet_from_positions(4, [3, 2, 1])
+    with pytest.raises(ValueError, match="2 normalized splits put bar 1 at 2"):
+        facet_from_positions(4, [2, 1, 3], (2, 2))  # (2,0)|(0,2) and (1,1)|(1,1)
+
+
+def test_facet_from_positions_round_trip():
+    cases = [(n, full_shape(n), length_lex()) for n in range(2, 9)]
+    cases += [(n, hook_shape(n), distinguished(hook_shape(n))) for n in range(2, 8)]
+    for n, shape, order in cases:
+        for f in enumerate_insertion_facets(n, shape, order):
+            assert facet_from_positions(n, f.positions, shape, order) == f
 
 
 def test_facet_to_insertions_rejects_faces():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rsl import cache, full_table
 from rsl.cli import main
 from rsl.shapes import Shape, full_shape
@@ -92,6 +94,15 @@ def test_usage_errors(capsys):
     assert code == 2
     code, doc = run_json(capsys, "stability", "--ranks", "3", "--n", "6", "--m", "7")
     assert code == 2
+    for argv in (
+        ("construct", "--word", "DDA", "--n", "7"),
+        ("construct", "--word", "XYZ"),
+        ("table", "--n", "1"),
+        ("table", "--n", "0"),
+        ("partition-verify", "--n", "1"),
+    ):
+        code, doc = run_json(capsys, *argv)
+        assert code == 2 and doc["error"], argv
 
 
 def test_verify_all_quick(capsys):
@@ -128,13 +139,35 @@ def test_cache_key_separation(tmp_path):
     assert cache.load_table(str(tmp_path), 6, hook) == full_table(6, hook).entries()
 
 
-def test_cache_corruption_detected(tmp_path):
+def _tamper_f_value(path):
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["payload"][0][1] += 1
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+def _write_bytes(data):
+    def spoil(path):
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+    return spoil
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [_tamper_f_value, _write_bytes(b"[]"), _write_bytes(b"\xff\xfe{}")],
+    ids=["tampered-payload", "not-an-object", "not-utf8"],
+)
+def test_cache_corruption_detected(tmp_path, capsys, spoil):
     table = full_table(5, full_shape(5))
-    path = cache.store_table(str(tmp_path), table)
-    doc = json.load(open(path))
-    doc["payload"][0][1] += 1  # tamper with an f value
-    json.dump(doc, open(path, "w"))
+    spoil(cache.store_table(str(tmp_path), table))
     assert cache.load_table(str(tmp_path), 5, full_shape(5)) is None
+    # the CLI treats the entry as a miss, recomputes it and stores it again
+    code, doc = run_json(capsys, "--cache-dir", str(tmp_path), "table", "--n", "5")
+    assert code == 0 and not doc["cache_hit"]
+    assert cache.load_table(str(tmp_path), 5, full_shape(5)) == table.entries()
 
 
 def test_cache_keyed_on_code(tmp_path, capsys, monkeypatch):

@@ -131,6 +131,12 @@ def test_stability_examples():
     assert flag_h(5, (5,), {2}) == flag_h(6, (6,), {2})
     assert check_stability({1}, 3, 4)
     assert check_stability({3}, 7, 8)
+    # a RankSet is read at its own size, which may be either of the two
+    assert check_stability(RankSet.primal(6, {2}), 5, 6)
+    assert check_stability(RankSet.of_dual(6, {3}), 5, 6)
+    assert check_stability(RankSet.primal(5, {2}), 5, 6)
+    with pytest.raises(ValueError, match="is for n=7"):
+        check_stability(RankSet.primal(7, {2}), 5, 6)
 
 
 def test_stability_precondition():
