@@ -80,4 +80,13 @@ from .vanishing import (
     vanishing_predicates,
 )
 
+from . import core, flags
+
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty the in-process caches of facet orbits and flag tables, so the
+    next call computes afresh and the memory they hold can be freed."""
+    core._facet_cache.cache_clear()
+    flags._table_cache.cache_clear()

@@ -354,7 +354,13 @@ CRITERIA = [
 
 def run_all(max_n=None, verbose=False):
     """Run every criterion; ``max_n`` (if given) lowers the heavy ranges for
-    a quick pass but never raises them above the contract values."""
+    a quick pass but never raises them above the contract values.
+
+    ``max_n`` below 5 raises ``ValueError``: some criteria would then check
+    no rank set at all and pass vacuously.
+    """
+    if max_n is not None and max_n < 5:
+        raise ValueError(f"max_n must be at least 5, got {max_n}")
     reports = []
     for num, fn in enumerate(CRITERIA, start=1):
         kwargs = {}

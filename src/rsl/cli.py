@@ -212,7 +212,10 @@ def cmd_stability(args):
 
 
 def cmd_verify_all(args):
-    reports = acceptance.run_all(max_n=args.max_n, verbose=not args.quiet)
+    try:
+        reports = acceptance.run_all(max_n=args.max_n, verbose=not args.quiet)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     passed = all(r["passed"] for r in reports)
     return {"criteria": reports, "passed": passed}, {}, 0 if passed else 1
 

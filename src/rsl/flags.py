@@ -14,6 +14,11 @@ deletions of the faces of its canonical parent (``kernel.sweep_plan``).
 This is exact because every face with support S is the restriction of some
 face on any superset of S, so each support is reached by one deletion per
 parent face, and memoized deletion materializes each distinct face once.
+
+The sweep walks the canonical-parent tree depth first.  Only the face sets
+of the current support and its ancestors stay alive, one per popcount, so
+at most m + 1 sets over the m = n - 2 coranks are held at once instead of
+all 2^m; each set is counted and dropped once its subtree is done.
 """
 
 from __future__ import annotations
@@ -63,16 +68,17 @@ def _table_cache(n: int, parts: tuple) -> FlagTable:
     m = n - 2
     if m < 0:
         raise ValueError("need n >= 2")
-    f_by_mask = {0: 1}
-    if m > 0:
-        store = ForestStore()
-        faces = {}
-        for mask, parent, depth in sweep_plan(m):
-            if parent is None:
-                faces[mask] = set(facet_root_ids(n, shape, store))
-            else:
-                faces[mask] = {store.drop_roots(r, depth) for r in faces[parent]}
-        f_by_mask = {mask: len(rows) for mask, rows in faces.items()}
+    store = ForestStore()
+    path = []  # face sets of the current mask and its ancestors, full first
+    f_by_mask = {}
+    for mask, parent, depth in sweep_plan(m):
+        if parent is None:
+            faces = set(facet_root_ids(n, shape, store))
+        else:
+            del path[m - mask.bit_count() :]  # keep the ancestors; the parent is last
+            faces = {store.drop_roots(r, depth) for r in path[-1]}
+        path.append(faces)
+        f_by_mask[mask] = len(faces)
     # Moebius transform over subsets, one bit at a time
     h_by_mask = dict(f_by_mask)
     for bit in (1 << i for i in range(m)):

@@ -2,15 +2,21 @@
 
 Every distinct subtree gets a small integer id; a node is (content id,
 sorted child ids).  Equal subtrees share ids, so orbit equality is id
-equality and level deletion memoizes across the whole enumeration.  This is
-the hot core of the package.
+equality and level deletion memoizes across the whole enumeration.  The
+deletion memo holds one dict per depth, keyed by node id, so a lookup
+builds no key; it lives as long as its store, which may serve many masks
+and facets.  This is the hot core of the package.
 
 ``sweep_plan`` fixes the order in which faces are reached from a facet:
 each support is the restriction of its canonical parent, so one level
-deletion per face suffices.
+deletion per face suffices.  The plan is a depth-first preorder of the
+canonical-parent tree, so a caller needs only the face sets of the current
+mask's ancestors.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 __all__ = ["ForestStore", "IMPL", "sweep_plan"]
 
@@ -33,7 +39,7 @@ class ForestStore:
         self._contents = []
         self._node_ids = {}
         self._nodes = []
-        self._drop_memo = {}
+        self._drop_memo = defaultdict(dict)  # depth -> {node id: new node id}
         self._nested_memo = {}
 
     # -- interning ---------------------------------------------------------
@@ -86,9 +92,9 @@ class ForestStore:
     def drop_node(self, nid, depth):
         """Delete the level ``depth`` generations below this node (depth >= 1),
         splicing grandchildren up; returns the new node id."""
-        key = (nid, depth)
-        out = self._drop_memo.get(key)
-        if out is not None:
+        memo = self._drop_memo[depth]
+        out = memo.get(nid)
+        if out is not None:  # node id 0 is a valid result
             return out
         cid, child_ids = self._nodes[nid]
         if depth == 1:
@@ -100,7 +106,7 @@ class ForestStore:
         else:
             new_children = sorted(self.drop_node(c, depth - 1) for c in child_ids)
             out = self.node(cid, tuple(new_children))
-        self._drop_memo[key] = out
+        memo[nid] = out
         return out
 
     def drop_roots(self, root_ids, depth):
@@ -118,17 +124,23 @@ class ForestStore:
 
 
 def sweep_plan(m: int) -> list:
-    """Every mask over m coranks as (mask, parent, depth), parents first.
+    """Every mask over m coranks as (mask, parent, depth), in depth-first
+    preorder of the canonical-parent tree.
 
     The full mask comes first with no parent.  Every other mask's canonical
     parent is the mask plus its lowest missing bit; that bit is also the
     level to delete from the parent's faces, since every lower bit is set.
-    Masks run in descending popcount, so each parent precedes its children.
+    So the children of P are P minus bit b, for each b below P's lowest
+    missing bit.  In preorder each parent precedes its children, and a
+    mask's parent is the last earlier mask with one more bit, so a sweep
+    keeps at most one face set per popcount alive.
     """
     full = (1 << m) - 1
-    plan = [(full, None, None)]
-    for mask in sorted(range(full), key=lambda x: -bin(x).count("1")):
-        missing = ~mask & full
-        bit = (missing & -missing).bit_length() - 1
-        plan.append((mask, mask | 1 << bit, bit))
+    plan = []
+    stack = [(full, None, None)]
+    while stack:
+        mask, parent, depth = stack.pop()
+        plan.append((mask, parent, depth))
+        low = (~mask & (mask + 1)).bit_length() - 1  # lowest missing bit
+        stack.extend((mask & ~(1 << b), mask, b) for b in range(low))
     return plan

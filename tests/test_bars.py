@@ -5,6 +5,7 @@ from rsl import (
     Shape,
     block_conditions,
     canonicalize,
+    clear_caches,
     cover_labels,
     descent_set,
     descent_word,
@@ -15,7 +16,7 @@ from rsl import (
     min_extension,
     restrict,
 )
-from rsl import bars, core, flags
+from rsl import bars
 from rsl.bars import NotMaximalError, facet_root_ids
 from rsl.construct import facet_from_positions
 from rsl.core import empty_chain
@@ -314,11 +315,9 @@ def test_facet_orbit_edge_cases():
 
 @pytest.fixture
 def fresh_caches():
-    core._facet_cache.cache_clear()
-    flags._table_cache.cache_clear()
+    clear_caches()
     yield
-    core._facet_cache.cache_clear()
-    flags._table_cache.cache_clear()
+    clear_caches()
 
 
 def test_duplicate_orbit_guard(monkeypatch, fresh_caches):

@@ -100,6 +100,8 @@ def test_usage_errors(capsys):
         ("table", "--n", "1"),
         ("table", "--n", "0"),
         ("partition-verify", "--n", "1"),
+        ("verify-all", "--max-n", "1"),
+        ("verify-all", "--max-n", "4"),
     ):
         code, doc = run_json(capsys, *argv)
         assert code == 2 and doc["error"], argv

@@ -4,6 +4,8 @@ structure of the sweep plan."""
 import random
 
 from rsl import RankSet, enumerate_facet_orbits, full_shape, restrict
+from rsl.bars import facet_root_ids
+from rsl.core import _drop_depth
 from rsl.kernel import IMPL, ForestStore, sweep_plan
 
 
@@ -29,6 +31,42 @@ def test_drop_matches_direct_restriction():
                 assert store.nested_roots(store.drop_roots(rid, depth)) == direct.roots
 
 
+class _NodeCountingStore(ForestStore):
+    __slots__ = ("node_calls",)
+
+    def __init__(self):
+        super().__init__()
+        self.node_calls = 0
+
+    def node(self, cid, child_ids):
+        self.node_calls += 1
+        return super().node(cid, child_ids)
+
+
+def test_drop_memo_reused_across_forests():
+    """One store serves every mask of a table and every facet of a
+    partitioning sweep, so a second use of the per-depth memo must answer
+    exactly as the first, and from the memo alone."""
+    n = 7
+    store = _NodeCountingStore()
+    forests = facet_root_ids(n, full_shape(n), store)
+    # every interned subtree as a one-root forest too: some drop to node 0
+    forests += [(nid,) for nid in range(store.size())]
+    expected = {
+        (rid, depth): _drop_depth(store.nested_roots(rid), depth)
+        for rid in forests
+        for depth in range(n - 2)
+    }
+    for sweep in range(2):
+        store.node_calls = 0
+        results = {key: store.drop_roots(*key) for key in expected}
+        for key, got in results.items():
+            assert store.nested_roots(got) == expected[key], (sweep, key)
+        if sweep:
+            assert store.node_calls == 0  # every drop of the second sweep is a memo hit
+    assert any(0 in got for (_, depth), got in results.items() if depth > 0)
+
+
 def test_interning_shares_ids():
     store = ForestStore()
     x = store.intern_nested(((3,), (((1,), ()), ((2,), ()))))
@@ -46,9 +84,12 @@ def test_sweep_plan_structure():
         plan = sweep_plan(m)
         assert plan[0] == (full, None, None)
         assert sorted(mask for mask, _, _ in plan) == list(range(1 << m))
-        position = {mask: i for i, (mask, _, _) in enumerate(plan)}
-        for i, (mask, parent, depth) in enumerate(plan[1:], start=1):
+        last_with_popcount = {m: full}
+        for mask, parent, depth in plan[1:]:
             bit = next(b for b in range(m) if not mask >> b & 1)
             assert parent == mask | (1 << bit)
             assert depth == bit
-            assert position[parent] < i
+            # preorder: the parent is the most recent mask with one more bit,
+            # so a sweep needs one live face set per popcount
+            assert last_with_popcount.get(mask.bit_count() + 1) == parent
+            last_with_popcount[mask.bit_count()] = mask
