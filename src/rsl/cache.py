@@ -94,10 +94,30 @@ def store_table(cache_dir: str, table) -> str:
     return path
 
 
+def _table_entries(payload, n: int):
+    """The payload's rows as entries, or None unless it is a list of
+    [ranks, f, h] rows with integer f and h whose rank sets are the
+    2^(n-2) subsets of 1..n-2, each once."""
+    if not isinstance(payload, list) or len(payload) != 1 << (n - 2):
+        return None
+    entries = []
+    for row in payload:
+        if not (isinstance(row, list) and len(row) == 3 and isinstance(row[0], list)):
+            return None
+        s, f, h = row
+        if not all(type(v) is int for v in (*s, f, h)):
+            return None
+        if s != sorted(set(s)) or not all(1 <= r <= n - 2 for r in s):
+            return None
+        entries.append((tuple(s), f, h))
+    if len({s for s, _, _ in entries}) != len(entries):
+        return None
+    return entries
+
+
 def load_table(cache_dir: str, n: int, shape):
-    """Table entries [(ranks tuple, f, h), ...] or None on miss."""
+    """Table entries [(ranks tuple, f, h), ...] or None on miss; a malformed
+    payload is a miss too."""
     shape = as_shape(shape)
     payload = _read(os.path.join(cache_dir, _key(n, shape, "table")), n, shape, "table")
-    if payload is None:
-        return None
-    return [(tuple(s), f, h) for s, f, h in payload]
+    return _table_entries(payload, n)

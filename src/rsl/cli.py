@@ -5,6 +5,11 @@ stability, verify-all.  Ranks on the command line are always lattice
 ranks; corank views appear only with --dual.  Output is JSON by default,
 CSV for tables with --csv.  Exit codes: 0 success, 1 verification failure,
 2 usage error.
+
+With --cache-dir (or RSL_CACHE_DIR), table, b, bprime and vanish read
+flag tables from the disk cache, and report cache_hit.  Only table writes
+the cache: run ``rsl table`` once for an (n, shape), and later queries of
+that table read it instead of recomputing.  stability always computes.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import time
 
 from . import acceptance, cache, construct, flags, orders, partitioning, vanishing
 from .bars import descent_set, descent_word, facet_block_conditions
-from .shapes import RankSet, checked_shape, full_shape
+from .shapes import RankSet, checked_shape, full_shape, hook_shape
 
 
 class UsageError(ValueError):
@@ -68,19 +73,26 @@ def _emit(report: dict, as_csv: bool) -> None:
         print()
 
 
-def _table_results(n, shape, dual, cache_dir):
-    hit = False
-    entries = None
+def _table(n, shape, cache_dir):
+    """Flag table entries [(ranks, f, h), ...] and whether they came from the
+    cache.  Reads the cache but never writes it."""
     if cache_dir:
-        cached = cache.load_table(cache_dir, n, shape)
-        if cached is not None:
-            hit = True
-            entries = cached
-    if entries is None:
-        table = flags.full_table(n, shape)
-        entries = table.entries()
-        if cache_dir:
-            cache.store_table(cache_dir, table)
+        entries = cache.load_table(cache_dir, n, shape)
+        if entries is not None:
+            return entries, True
+    return flags.full_table(n, shape).entries(), False
+
+
+def _h_values(n, shape, cache_dir):
+    """{frozenset of lattice ranks: h} and whether it came from the cache."""
+    entries, hit = _table(n, shape, cache_dir)
+    return {frozenset(s): h for s, _, h in entries}, hit
+
+
+def _table_results(n, shape, dual, cache_dir):
+    entries, hit = _table(n, shape, cache_dir)
+    if cache_dir and not hit:
+        cache.store_table(cache_dir, flags.full_table(n, shape))  # computed above
     out = []
     for s, f, h in entries:
         key = tuple(sorted(n - 1 - r for r in s)) if dual else s
@@ -96,14 +108,14 @@ def cmd_table(args):
 
 def cmd_b(args):
     ranks = _parse_ranks(args.ranks, args.n)
-    value = flags.flag_h(args.n, full_shape(args.n), ranks)
-    return {"n": args.n, "S": sorted(ranks), "b": value}, {}, 0
+    h, hit = _h_values(args.n, full_shape(args.n), args.cache_dir)
+    return {"n": args.n, "S": sorted(ranks), "b": h[ranks]}, {"cache_hit": hit}, 0
 
 
 def cmd_bprime(args):
     ranks = _parse_ranks(args.ranks, args.n)
-    value = flags.b_prime(args.n, ranks)
-    return {"n": args.n, "S": sorted(ranks), "bprime": value}, {}, 0
+    h, hit = _h_values(args.n, hook_shape(args.n), args.cache_dir)
+    return {"n": args.n, "S": sorted(ranks), "bprime": h[ranks]}, {"cache_hit": hit}, 0
 
 
 def cmd_partition_verify(args):
@@ -180,16 +192,18 @@ def cmd_vanish(args):
     import itertools
 
     n = args.n
+    h_of, hit = _h_values(n, full_shape(n), args.cache_dir)
     rows = []
     consistent = True
     for size in range(0, n - 1):
         for s in itertools.combinations(range(1, n - 1), size):
             rules = sorted(vanishing.vanishing_predicates(set(s), n))
-            h = flags.flag_h(n, full_shape(n), set(s))
+            h = h_of[frozenset(s)]
             ok = h == 0 if rules else True
             consistent = consistent and ok
             rows.append({"S": list(s), "h": h, "rules": rules, "consistent": ok})
-    return {"n": n, "sets": rows, "consistent": consistent}, {}, 0 if consistent else 1
+    results = {"n": n, "sets": rows, "consistent": consistent}
+    return results, {"cache_hit": hit}, 0 if consistent else 1
 
 
 def cmd_stability(args):

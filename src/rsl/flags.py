@@ -19,6 +19,15 @@ The sweep walks the canonical-parent tree depth first.  Only the face sets
 of the current support and its ancestors stay alive, one per popcount, so
 at most m + 1 sets over the m = n - 2 coranks are held at once instead of
 all 2^m; each set is counted and dropped once its subtree is done.
+
+The drop memo is freed as the sweep goes.  The children of the full support
+come at deletion depths m-1, ..., 0, and the subtree of the child at depth
+d deletes only at depths <= d, so on reaching that child no lookup can hit
+the memo above d again.  Nor can one hit the memo of depth d itself: from
+here on only the child's own deletion looks there, keyed by facet roots,
+and every key it holds is shorter than a facet root (a node below a root,
+or the root of a forest that has lost a level).  So the memo of depth d
+and above is freed before that deletion.
 """
 
 from __future__ import annotations
@@ -68,6 +77,7 @@ def _table_cache(n: int, parts: tuple) -> FlagTable:
     m = n - 2
     if m < 0:
         raise ValueError("need n >= 2")
+    full = (1 << m) - 1
     store = ForestStore()
     path = []  # face sets of the current mask and its ancestors, full first
     f_by_mask = {}
@@ -75,6 +85,8 @@ def _table_cache(n: int, parts: tuple) -> FlagTable:
         if parent is None:
             faces = set(facet_root_ids(n, shape, store))
         else:
+            if parent == full:
+                store.release_drops_from(depth)  # see the module docstring
             del path[m - mask.bit_count() :]  # keep the ancestors; the parent is last
             faces = {store.drop_roots(r, depth) for r in path[-1]}
         path.append(faces)

@@ -5,7 +5,8 @@ sorted child ids).  Equal subtrees share ids, so orbit equality is id
 equality and level deletion memoizes across the whole enumeration.  The
 deletion memo holds one dict per depth, keyed by node id, so a lookup
 builds no key; it lives as long as its store, which may serve many masks
-and facets.  This is the hot core of the package.
+and facets, unless the caller frees the depths it will not reach again
+(``release_drops_from``).  This is the hot core of the package.
 
 ``sweep_plan`` fixes the order in which faces are reached from a facet:
 each support is the restriction of its canonical parent, so one level
@@ -108,6 +109,13 @@ class ForestStore:
             out = self.node(cid, tuple(new_children))
         memo[nid] = out
         return out
+
+    def release_drops_from(self, depth):
+        """Free the deletion memo of ``depth`` and of every depth above it.
+        A sweep calls this once no later lookup can hit there; a freed memo
+        only makes a later deletion recompute, never answer differently."""
+        for d in [d for d in self._drop_memo if d >= depth]:
+            del self._drop_memo[d]
 
     def drop_roots(self, root_ids, depth):
         """Delete level ``depth`` (0 = the root level itself) from a forest."""

@@ -98,7 +98,7 @@ def minimal_new_faces(scheme: PartitionScheme) -> tuple:
     recorded as failure witnesses, not patched.
     """
     m = scheme.n - 2
-    store = ForestStore()
+    store = ForestStore()  # shared by every facet, so no memo depth is ever dead
     plan = sweep_plan(m)
     full = (1 << m) - 1
     seen = {}

@@ -1,8 +1,9 @@
 import json
+import os
 
 import pytest
 
-from rsl import cache, full_table
+from rsl import b_prime, cache, cli, flag_h, full_table
 from rsl.cli import main
 from rsl.shapes import Shape, full_shape
 
@@ -157,10 +158,39 @@ def _write_bytes(data):
     return spoil
 
 
+def _rewrite_payload(change):
+    """Change the payload and store a matching checksum, so only the check of
+    the payload's form can catch it."""
+
+    def spoil(path):
+        with open(path) as fh:
+            doc = json.load(fh)
+        change(doc["payload"])
+        doc["sha256"] = cache._digest(doc["payload"])
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+
+    return spoil
+
+
+def _drop_h(payload):
+    del payload[0][2]
+
+
+def _keep_first_row(payload):
+    del payload[1:]
+
+
 @pytest.mark.parametrize(
     "spoil",
-    [_tamper_f_value, _write_bytes(b"[]"), _write_bytes(b"\xff\xfe{}")],
-    ids=["tampered-payload", "not-an-object", "not-utf8"],
+    [
+        _tamper_f_value,
+        _write_bytes(b"[]"),
+        _write_bytes(b"\xff\xfe{}"),
+        _rewrite_payload(_drop_h),
+        _rewrite_payload(_keep_first_row),
+    ],
+    ids=["tampered-payload", "not-an-object", "not-utf8", "bad-row", "missing-entries"],
 )
 def test_cache_corruption_detected(tmp_path, capsys, spoil):
     table = full_table(5, full_shape(5))
@@ -184,6 +214,62 @@ def test_cache_keyed_on_code(tmp_path, capsys, monkeypatch):
     assert code == 0 and not doc["cache_hit"]
     code, again = run_json(capsys, "--cache-dir", str(tmp_path), "table", "--n", "6")
     assert code == 0 and again["cache_hit"] and again["results"] == doc["results"]
+
+
+QUERIES = (
+    ("b", "--n", "7", "--ranks", "2,4"),
+    ("bprime", "--n", "7", "--ranks", "2,3"),
+    ("vanish", "--n", "7"),
+)
+
+
+def _query_answers(capsys, cache_dir):
+    """{command: (answer, cache_hit)} for the three table queries."""
+    answers = {}
+    for argv in QUERIES:
+        code, doc = run_json(capsys, "--cache-dir", cache_dir, *argv)
+        assert code == 0, argv
+        res = doc["results"]
+        if argv[0] == "vanish":
+            value = {tuple(row["S"]): row["h"] for row in res["sets"]}
+        else:
+            value = res[argv[0]]
+        answers[argv[0]] = (value, doc["cache_hit"])
+    return answers
+
+
+def _in_process_answers():
+    h_of = {s: h for s, _, h in full_table(7, full_shape(7)).entries()}
+    return {"b": flag_h(7, (7,), {2, 4}), "bprime": b_prime(7, {2, 3}), "vanish": h_of}
+
+
+def test_queries_read_stored_tables(tmp_path, capsys, monkeypatch):
+    want = _in_process_answers()
+    cache.store_table(str(tmp_path), full_table(7, full_shape(7)))
+    cache.store_table(str(tmp_path), full_table(7, (6, 1)))
+
+    def no_sweep(n, shape):
+        raise AssertionError("a stored table was recomputed")
+
+    monkeypatch.setattr(cli.flags, "full_table", no_sweep)
+    got = _query_answers(capsys, str(tmp_path))
+    assert got == {cmd: (value, True) for cmd, value in want.items()}
+
+
+def test_queries_never_write_the_cache(tmp_path, capsys):
+    want = _in_process_answers()
+    got = _query_answers(capsys, str(tmp_path))
+    assert got == {cmd: (value, False) for cmd, value in want.items()}
+    assert os.listdir(tmp_path) == []
+
+
+def test_query_misses_table_of_other_code(tmp_path, capsys, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(cache, "code_fingerprint", lambda: "0" * 64)
+        cache.store_table(str(tmp_path), full_table(7, full_shape(7)))
+    code, doc = run_json(capsys, "--cache-dir", str(tmp_path), *QUERIES[0])
+    assert code == 0 and not doc["cache_hit"]
+    assert doc["results"]["b"] == flag_h(7, (7,), {2, 4})
 
 
 def test_construct_infeasible_ranks(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from rsl import (
     RankSet,
+    clear_caches,
     Shape,
     b_prime,
     build_bprime,
@@ -22,6 +23,9 @@ from rsl import (
     theorem31_witness,
     vanishing_predicates,
 )
+
+from rsl import flags
+from rsl.kernel import ForestStore
 
 import oracles
 
@@ -208,3 +212,50 @@ def test_stability_sweep_through_n10():
             flag_h(n, full_shape(n), s) for n in range(2 * top + 1, 11) if n >= 3 and s <= set(range(1, n - 1))
         ]
         assert len(set(vals)) == 1, (s, vals)
+
+
+def _sweep_full_table_8(monkeypatch, release):
+    """full_table(8, (8,)) on a fresh ForestStore that counts ``node`` calls
+    and records each memo release with the depths it leaves; with
+    ``release`` False the release is a no-op."""
+    stores = []
+
+    class CountingStore(ForestStore):
+        __slots__ = ("node_calls", "releases")
+
+        def __init__(self):
+            super().__init__()
+            self.node_calls = 0
+            self.releases = []
+            stores.append(self)
+
+        def node(self, cid, child_ids):
+            self.node_calls += 1
+            return super().node(cid, child_ids)
+
+        def release_drops_from(self, depth):
+            if release:
+                super().release_drops_from(depth)
+            self.releases.append((depth, max(self._drop_memo, default=-1)))
+
+    monkeypatch.setattr(flags, "ForestStore", CountingStore)
+    clear_caches()
+    try:
+        table = full_table(8, (8,))
+    finally:
+        clear_caches()
+    (store,) = stores
+    return table, store
+
+
+def test_sweep_frees_only_dead_drop_memos(monkeypatch):
+    """A freed memo could only cost work, never an answer, so the check is on
+    work: releasing the depths no later lookup hits interns no extra node."""
+    shipped, store = _sweep_full_table_8(monkeypatch, release=True)
+    kept, kept_store = _sweep_full_table_8(monkeypatch, release=False)
+    assert shipped.f == kept.f and shipped.h == kept.h
+    assert store.node_calls == kept_store.node_calls
+    # once per child of the full mask, deepest first, keeping only lower depths
+    assert [d for d, _ in store.releases] == list(range(5, -1, -1))
+    assert all(top < d for d, top in store.releases)
+    assert kept_store._drop_memo and not store._drop_memo
