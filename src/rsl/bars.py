@@ -357,9 +357,15 @@ def _walk_facets(n: int, shape, order: BlockOrder, leaf) -> None:
     Calls ``leaf(insertions, splits, row)`` at every facet: its BarInsertion
     list, the (row index, content) of the block each insertion split, and
     the final row.  The lists are reused; copy what is kept.
+
+    A block content is split many times over, so each walk keeps a
+    per-walk bipartition memo, ``halves``: content -> tuple of its
+    bipartitions, gone when the walk ends.  Every split is still oriented
+    by ``_normalized``.
     """
     acc = []
     splits = []
+    halves = {}
 
     def rec(row, t):
         if t == n:
@@ -368,7 +374,10 @@ def _walk_facets(n: int, shape, order: BlockOrder, leaf) -> None:
         for idx, start in _splittable(row):
             content, created, _ = row[idx]
             splits.append((idx, content))
-            for a, b in bipartitions(content):
+            pairs = halves.get(content)
+            if pairs is None:
+                pairs = halves[content] = tuple(bipartitions(content))
+            for a, b in pairs:
                 ins = _normalized(order, start, created, a, b)
                 acc.append(ins)
                 rec(_split_row(row, idx, ins, t), t + 1)

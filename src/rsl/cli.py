@@ -6,10 +6,11 @@ ranks; corank views appear only with --dual.  Output is JSON by default,
 CSV for tables with --csv.  Exit codes: 0 success, 1 verification failure,
 2 usage error.
 
-With --cache-dir (or RSL_CACHE_DIR), table, b, bprime and vanish read
-flag tables from the disk cache, and report cache_hit.  Only table writes
-the cache: run ``rsl table`` once for an (n, shape), and later queries of
-that table read it instead of recomputing.  stability always computes.
+With --cache-dir (or RSL_CACHE_DIR), table, b, bprime, vanish and
+stability read flag tables from the disk cache, and report cache_hit
+(for stability, true only when both of its tables were stored).  Only
+table writes the cache: run ``rsl table`` once for an (n, shape), and
+later queries of that table read it instead of recomputing.
 """
 
 from __future__ import annotations
@@ -209,20 +210,20 @@ def cmd_vanish(args):
 def cmd_stability(args):
     ranks = _parse_ranks(args.ranks, min(args.n, args.m))
     try:
-        same = flags.check_stability(ranks, args.n, args.m)
+        s = flags.stability_ranks(ranks, args.n, args.m)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    h_n, hit_n = _h_values(args.n, full_shape(args.n), args.cache_dir)
+    h_m, hit_m = _h_values(args.m, full_shape(args.m), args.cache_dir)
+    same = h_n[s] == h_m[s]
     results = {
         "S": sorted(ranks),
         "n": args.n,
         "m": args.m,
         "equal": same,
-        "values": {
-            str(args.n): flags.flag_h(args.n, full_shape(args.n), ranks),
-            str(args.m): flags.flag_h(args.m, full_shape(args.m), ranks),
-        },
+        "values": {str(args.n): h_n[s], str(args.m): h_m[s]},
     }
-    return results, {}, 0 if same else 1
+    return results, {"cache_hit": hit_n and hit_m}, 0 if same else 1
 
 
 def cmd_verify_all(args):

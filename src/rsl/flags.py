@@ -46,6 +46,7 @@ __all__ = [
     "b_prime",
     "full_table",
     "check_stability",
+    "stability_ranks",
     "reduced_euler",
 ]
 
@@ -124,12 +125,19 @@ def b_prime(n: int, ranks) -> int:
     return flag_h(n, hook_shape(n), ranks)
 
 
-def check_stability(ranks, n: int, m: int) -> bool:
-    """Agreement of flag_h across n and m, valid only above twice the top rank."""
+def stability_ranks(ranks, n: int, m: int) -> frozenset:
+    """The lattice ranks a comparison of sizes n and m reads.  Stability is
+    claimed only above twice the top rank, so ValueError below that."""
     s = RankSet.primal_at_either(n, m, ranks).ranks
-    top = max(s) if s else 0
+    top = max(s, default=0)
     if not (n > 2 * top and m > 2 * top):
         raise ValueError(f"stability needs n, m > {2 * top}")
+    return s
+
+
+def check_stability(ranks, n: int, m: int) -> bool:
+    """Agreement of flag_h across n and m, valid only above twice the top rank."""
+    s = stability_ranks(ranks, n, m)
     return flag_h(n, full_shape(n), s) == flag_h(m, full_shape(m), s)
 
 

@@ -6,7 +6,9 @@ equality and level deletion memoizes across the whole enumeration.  The
 deletion memo holds one dict per depth, keyed by node id, so a lookup
 builds no key; it lives as long as its store, which may serve many masks
 and facets, unless the caller frees the depths it will not reach again
-(``release_drops_from``).  This is the hot core of the package.
+(``release_drops_from``).  A memo hit is answered at the lookup, in the
+loop over a forest's roots or a node's children, with no call; only a
+miss calls ``drop_node``.  This is the hot core of the package.
 
 ``sweep_plan`` fixes the order in which faces are reached from a facet:
 each support is the restriction of its canonical parent, so one level
@@ -92,22 +94,24 @@ class ForestStore:
 
     def drop_node(self, nid, depth):
         """Delete the level ``depth`` generations below this node (depth >= 1),
-        splicing grandchildren up; returns the new node id."""
-        memo = self._drop_memo[depth]
-        out = memo.get(nid)
-        if out is not None:  # node id 0 is a valid result
-            return out
+        splicing grandchildren up; returns the new node id.  Called on a
+        memo miss: the caller has already looked ``nid`` up at ``depth``.
+        The loop over the children repeats ``drop_roots`` instead of calling
+        it, so ``drop_roots`` stays one call per forest a caller deletes."""
         cid, child_ids = self._nodes[nid]
+        merged = []
         if depth == 1:
-            merged = []
             for c in child_ids:
                 merged.extend(self._nodes[c][1])
-            merged.sort()
-            out = self.node(cid, tuple(merged))
         else:
-            new_children = sorted(self.drop_node(c, depth - 1) for c in child_ids)
-            out = self.node(cid, tuple(new_children))
-        memo[nid] = out
+            get = self._drop_memo[depth - 1].get
+            for c in child_ids:
+                out = get(c)
+                if out is None:  # node id 0 is a valid result
+                    out = self.drop_node(c, depth - 1)
+                merged.append(out)
+        merged.sort()
+        out = self._drop_memo[depth][nid] = self.node(cid, tuple(merged))
         return out
 
     def release_drops_from(self, depth):
@@ -119,13 +123,19 @@ class ForestStore:
 
     def drop_roots(self, root_ids, depth):
         """Delete level ``depth`` (0 = the root level itself) from a forest."""
+        merged = []
         if depth == 0:
-            merged = []
             for r in root_ids:
                 merged.extend(self._nodes[r][1])
-            merged.sort()
-            return tuple(merged)
-        return tuple(sorted(self.drop_node(r, depth) for r in root_ids))
+        else:
+            get = self._drop_memo[depth].get
+            for r in root_ids:
+                out = get(r)
+                if out is None:  # node id 0 is a valid result
+                    out = self.drop_node(r, depth)
+                merged.append(out)
+        merged.sort()
+        return tuple(merged)
 
     def size(self):
         return len(self._nodes)

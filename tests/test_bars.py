@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import pytest
 
 from rsl import (
@@ -23,7 +26,7 @@ from rsl.core import empty_chain
 from rsl.flags import full_table
 from rsl.kernel import ForestStore
 from rsl.orders import custom, distinguished, length_lex
-from rsl.shapes import hook_shape
+from rsl.shapes import bipartitions, hook_shape
 
 
 def _facet(n, positions):
@@ -332,3 +335,49 @@ def test_duplicate_orbit_guard(monkeypatch, fresh_caches):
         full_table(5, full_shape(5))
     with pytest.raises(AssertionError, match="duplicate orbit"):
         enumerate_facet_orbits(5, full_shape(5))
+
+
+def test_walk_splits_each_content_once(monkeypatch):
+    """Every content of at least two balls below (4, 4) is split by the
+    walk, and its bipartitions are computed once per walk, not once per
+    split nor once per process."""
+    calls = Counter()
+
+    def counted(content):
+        calls[content] += 1
+        return bipartitions(content)
+
+    monkeypatch.setattr(bars, "bipartitions", counted)
+    splittable = {c for c in itertools.product(range(5), repeat=2) if sum(c) >= 2}
+    for _ in range(2):
+        calls.clear()
+        facet_root_ids(8, (4, 4), ForestStore())
+        assert set(calls) == splittable
+        assert set(calls.values()) == {1}
+
+
+def _walk_without_memo(n, shape, order):
+    """The facets' insertion lists, walked with a fresh bipartitions call at
+    every split."""
+    out = []
+
+    def rec(row, t, acc):
+        if t == n:
+            out.append(tuple(acc))
+            return
+        for idx, start in bars._splittable(row):
+            content, created, _ = row[idx]
+            for a, b in bipartitions(content):
+                ins = bars._normalized(order, start, created, a, b)
+                rec(bars._split_row(row, idx, ins, t), t + 1, acc + [ins])
+
+    rec([(shape.root_content, 0, None)], 1, [])
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_walk_memo_keeps_facet_order(n):
+    for shape in {full_shape(n), hook_shape(n)}:
+        facets = enumerate_insertion_facets(n, shape)
+        want = _walk_without_memo(n, shape, facets[0].order)
+        assert [f.insertions for f in facets] == want

@@ -272,6 +272,25 @@ def test_query_misses_table_of_other_code(tmp_path, capsys, monkeypatch):
     assert doc["results"]["b"] == flag_h(7, (7,), {2, 4})
 
 
+def test_stability_reads_stored_tables(tmp_path, capsys, monkeypatch):
+    argv = ("--cache-dir", str(tmp_path), "stability", "--ranks", "2", "--n", "7", "--m", "8")
+    want = {"7": flag_h(7, (7,), {2}), "8": flag_h(8, (8,), {2})}
+    cache.store_table(str(tmp_path), full_table(7, full_shape(7)))
+    stored = sorted(os.listdir(tmp_path))
+    code, doc = run_json(capsys, *argv)  # (8) is not stored: computed, not written
+    assert code == 0 and doc["results"]["values"] == want and not doc["cache_hit"]
+    assert sorted(os.listdir(tmp_path)) == stored
+    cache.store_table(str(tmp_path), full_table(8, full_shape(8)))
+
+    def no_sweep(n, shape):
+        raise AssertionError("a stored table was recomputed")
+
+    monkeypatch.setattr(cli.flags, "full_table", no_sweep)
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and doc["results"]["values"] == want and doc["cache_hit"]
+    assert doc["results"]["equal"]
+
+
 def test_construct_infeasible_ranks(capsys):
     code, doc = run_json(capsys, "construct", "--ranks", "1,2", "--n", "6")
     assert code == 2

@@ -146,6 +146,11 @@ def test_stability_examples():
 def test_stability_precondition():
     with pytest.raises(ValueError):
         check_stability({3}, 6, 7)  # needs both sizes above 6
+    # the one range check, shared with ``rsl stability``
+    with pytest.raises(ValueError, match="n, m > 6"):
+        flags.stability_ranks({3}, 7, 6)
+    assert flags.stability_ranks(RankSet.of_dual(6, {3}), 5, 6) == frozenset({2})
+    assert flags.stability_ranks(set(), 2, 3) == frozenset()
 
 
 def test_reduced_euler_identity():

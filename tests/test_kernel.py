@@ -31,24 +31,31 @@ def test_drop_matches_direct_restriction():
                 assert store.nested_roots(store.drop_roots(rid, depth)) == direct.roots
 
 
-class _NodeCountingStore(ForestStore):
-    __slots__ = ("node_calls",)
+class _CountingStore(ForestStore):
+    __slots__ = ("node_calls", "drop_node_calls")
 
     def __init__(self):
         super().__init__()
         self.node_calls = 0
+        self.drop_node_calls = 0
 
     def node(self, cid, child_ids):
         self.node_calls += 1
         return super().node(cid, child_ids)
 
+    def drop_node(self, nid, depth):
+        self.drop_node_calls += 1
+        return super().drop_node(nid, depth)
+
 
 def test_drop_memo_reused_across_forests():
     """One store serves every mask of a table and every facet of a
     partitioning sweep, so a second use of the per-depth memo must answer
-    exactly as the first, and from the memo alone."""
+    exactly as the first, and from the memo alone.  A hit is answered at
+    the lookup: ``drop_node`` runs once per memo entry it creates, and the
+    second sweep makes no call, also for hits that return node id 0."""
     n = 7
-    store = _NodeCountingStore()
+    store = _CountingStore()
     forests = facet_root_ids(n, full_shape(n), store)
     # every interned subtree as a one-root forest too: some drop to node 0
     forests += [(nid,) for nid in range(store.size())]
@@ -58,12 +65,15 @@ def test_drop_memo_reused_across_forests():
         for depth in range(n - 2)
     }
     for sweep in range(2):
-        store.node_calls = 0
+        store.node_calls = store.drop_node_calls = 0
         results = {key: store.drop_roots(*key) for key in expected}
         for key, got in results.items():
             assert store.nested_roots(got) == expected[key], (sweep, key)
         if sweep:
             assert store.node_calls == 0  # every drop of the second sweep is a memo hit
+            assert store.drop_node_calls == 0
+        else:  # each call is a miss: it adds exactly one memo entry
+            assert store.drop_node_calls == sum(map(len, store._drop_memo.values()))
     assert any(0 in got for (_, depth), got in results.items() if depth > 0)
 
 
