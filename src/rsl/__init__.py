@@ -80,13 +80,13 @@ from .vanishing import (
     vanishing_predicates,
 )
 
-from . import core, flags
+from . import flags
 
 __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty the in-process caches of facet orbits and flag tables, so the
-    next call computes afresh and the memory they hold can be freed."""
-    core._facet_cache.cache_clear()
+    """Empty the in-process cache of flag tables, so the next call computes
+    afresh and the memory it holds can be freed.  Nothing else is cached:
+    ``enumerate_facet_orbits`` builds its facets on every call."""
     flags._table_cache.cache_clear()

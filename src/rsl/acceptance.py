@@ -12,7 +12,7 @@ import random
 import sys
 import time
 
-from . import bars, construct, core, flags, orders, partitioning, vanishing
+from . import bars, construct, core, flags, oracles, orders, partitioning, vanishing
 from .shapes import RankSet, full_shape, hook_shape
 
 FULL_SHAPE_PARTITION_MAX_N = 7
@@ -260,32 +260,19 @@ def _random_chain(rng, n):
     return keep or [chain[rng.randrange(len(chain))]]
 
 
-def _permutation_equal(chain_a, chain_b, n):
-    if [len(p) for p in chain_a] != [len(p) for p in chain_b]:
-        return False
-    target = [set(map(frozenset, p)) for p in chain_b]
-    for perm in itertools.permutations(range(1, n + 1)):
-        mapping = {i + 1: perm[i] for i in range(n)}
-        ok = True
-        for p, t in zip(chain_a, target):
-            if {frozenset(mapping[e] for e in b) for b in p} != t:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
 def criterion_12(max_n=8, pairs=1000):
-    """Two enumeration routes agree; canonical equality is orbit equality."""
+    """The faces of every support S of (n), n <= max_n, built level by level
+    (``core.faces_with_support``) equal the restrictions of every facet
+    (``oracles.faces_by_restriction``) and are not empty; canonical equality
+    is orbit equality under exhaustive permutation search."""
     t0 = time.perf_counter()
     bad = []
     for n in range(3, max_n + 1):
         shape = full_shape(n)
         for s in _subsets(range(1, n - 1)):
-            got = core.faces_with_support(n, shape, set(s), cross_check=True)
-            if not got and s == ():
-                bad.append((n, "empty support missing"))
+            got = core.faces_with_support(n, shape, s)
+            if not got or got != oracles.faces_by_restriction(n, shape, s):
+                bad.append((n, s, "face routes differ"))
     rng = random.Random(20260810)
     for n in range(3, 7):
         shape = full_shape(n)
@@ -301,7 +288,7 @@ def criterion_12(max_n=8, pairs=1000):
             else:
                 b = list(reversed(_random_chain(rng, n)))
             same_type = core.canonicalize(a, shape) == core.canonicalize(b, shape)
-            same_orbit = _permutation_equal(a, b, n)
+            same_orbit = oracles.chains_equivalent(a, b, shape)
             if same_type != same_orbit:
                 bad.append((n, trial, a, b))
     return _report(12, "oracle cross-checks", not bad, f"violations: {bad[:2]}", t0)

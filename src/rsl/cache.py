@@ -34,9 +34,14 @@ def code_fingerprint() -> str:
     return h.hexdigest()
 
 
-def _key(n: int, shape: Shape, kind: str) -> str:
+# Every document is a flag table; the kind stays in file names and
+# documents, so the stored format is unchanged.
+_KIND = "table"
+
+
+def _key(n: int, shape: Shape) -> str:
     lam = "-".join(str(p) for p in shape.parts)
-    return f"n{n}_lam{lam}_{kind}.json"
+    return f"n{n}_lam{lam}_{_KIND}.json"
 
 
 def _digest(payload) -> str:
@@ -57,7 +62,7 @@ def _write(path: str, doc: dict) -> None:
         raise
 
 
-def _read(path: str, n: int, shape: Shape, kind: str):
+def _read(path: str, n: int, shape: Shape):
     if not os.path.exists(path):
         return None
     try:
@@ -68,7 +73,7 @@ def _read(path: str, n: int, shape: Shape, kind: str):
     if (
         not isinstance(doc, dict)
         or doc.get("code") != code_fingerprint()
-        or doc.get("kind") != kind
+        or doc.get("kind") != _KIND
         or doc.get("n") != n
         or doc.get("lambda") != list(shape.parts)
         or doc.get("sha256") != _digest(doc.get("payload"))
@@ -79,12 +84,12 @@ def _read(path: str, n: int, shape: Shape, kind: str):
 
 def store_table(cache_dir: str, table) -> str:
     payload = [[list(s), f, h] for s, f, h in table.entries()]
-    path = os.path.join(cache_dir, _key(table.n, table.shape, "table"))
+    path = os.path.join(cache_dir, _key(table.n, table.shape))
     _write(
         path,
         {
             "code": code_fingerprint(),
-            "kind": "table",
+            "kind": _KIND,
             "n": table.n,
             "lambda": list(table.shape.parts),
             "payload": payload,
@@ -119,5 +124,5 @@ def load_table(cache_dir: str, n: int, shape):
     """Table entries [(ranks tuple, f, h), ...] or None on miss; a malformed
     payload is a miss too."""
     shape = as_shape(shape)
-    payload = _read(os.path.join(cache_dir, _key(n, shape, "table")), n, shape, "table")
+    payload = _read(os.path.join(cache_dir, _key(n, shape)), n, shape)
     return _table_entries(payload, n)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .kernel import ForestStore
 from .shapes import (
@@ -399,14 +398,18 @@ def block_orbits(c: ChainType, level: int) -> tuple:
 # -- enumeration ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _facet_cache(n: int, parts: tuple) -> tuple:
-    """Facet orbits as ChainTypes sorted by roots, read back from the ids
-    that ``bars.facet_root_ids`` interns (which also guards against
-    duplicate orbits); subtrees shared between facets share tuples."""
+def enumerate_facet_orbits(n: int, shape) -> tuple:
+    """All orbits of maximal chains, one canonical form each, sorted by roots.
+
+    Computed afresh on every call from the ids that ``bars.facet_root_ids``
+    interns (which also guards against duplicate orbits); subtrees shared
+    between facets share tuples.
+    """
     from . import bars
 
-    shape = Shape(parts)
+    shape = checked_shape(n, shape)
+    if n < 2:
+        raise ValueError("need n >= 2")
     store = ForestStore()
     levels = tuple(range(1, n - 1))
     facets = [
@@ -414,14 +417,6 @@ def _facet_cache(n: int, parts: tuple) -> tuple:
         for ids in bars.facet_root_ids(n, shape, store)
     ]
     return tuple(sorted(facets, key=lambda ct: ct.roots))
-
-
-def enumerate_facet_orbits(n: int, shape) -> tuple:
-    """All orbits of maximal chains, one canonical form each, sorted."""
-    shape = checked_shape(n, shape)
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return _facet_cache(n, shape.parts)
 
 
 def _compositions(total: int, bounds) -> itertools.chain:
@@ -442,77 +437,43 @@ def _compositions(total: int, bounds) -> itertools.chain:
     return rec(0, total)
 
 
-def _faces_direct(n: int, shape: Shape, dual_levels: tuple) -> set:
-    """Level-by-level enumeration of orbits with the given dual support.
-
-    Independent of the facet/restriction route: each level is produced by
-    refining every bottom block through explicit multiset partitions, with
-    canonical deduplication.
-    """
+def faces_with_support(n: int, shape, ranks) -> frozenset:
+    """All orbit types with support exactly ``ranks``, built level by level
+    without any facet: the coarsest level is every multiset partition of
+    the ground content, each finer one refines every bottom block, and
+    canonical forms deduplicate.  ``oracles.faces_by_restriction`` is the
+    oracle."""
+    shape = checked_shape(n, shape)
+    dual_levels = RankSet.primal(n, ranks).as_dual().sorted()
     if not dual_levels:
-        return {empty_chain(shape)}
+        return frozenset({empty_chain(shape)})
 
-    first = dual_levels[0]
-    partials = set()
-    for parts in multiset_partitions(shape.root_content, first + 1):
-        partials.add(_sorted_nodes((p, ()) for p in parts))
+    partials = {
+        _sorted_nodes((p, ()) for p in parts)
+        for parts in multiset_partitions(shape.root_content, dual_levels[0] + 1)
+    }
 
-    def bottoms(node, left, acc):
-        if left == 0:
-            acc.append(node[0])
-        else:
-            for ch in node[1]:
-                bottoms(ch, left - 1, acc)
-
-    def rebuild(node, left, choices, cursor):
+    def rebuild(node, left, picks):
+        """The node with its bottom blocks refined by the next ``picks``."""
         content, children = node
         if left == 0:
-            picked = choices[cursor[0]]
-            cursor[0] += 1
-            return (content, _sorted_nodes((p, ()) for p in picked))
-        return (content, _sorted_nodes(rebuild(c, left - 1, choices, cursor) for c in children))
+            return (content, _sorted_nodes((p, ()) for p in next(picks)))
+        return (content, _sorted_nodes(rebuild(c, left - 1, picks) for c in children))
 
     for depth, d in enumerate(dual_levels[1:]):
         grown = set()
         for roots in partials:
-            contents = []
-            for r in roots:
-                bottoms(r, depth, contents)
-            bounds = [content_size(x) for x in contents]
-            for counts in _compositions(d + 1, bounds):
+            bottom = roots
+            for _ in range(depth):
+                bottom = [c for node in bottom for c in node[1]]
+            contents = [node[0] for node in bottom]
+            for counts in _compositions(d + 1, [content_size(x) for x in contents]):
                 per_node = [
                     list(multiset_partitions(cont, m)) for cont, m in zip(contents, counts)
                 ]
                 for combo in itertools.product(*per_node):
-                    cursor = [0]
-                    grown.add(
-                        _sorted_nodes(rebuild(r, depth, combo, cursor) for r in roots)
-                    )
+                    picks = iter(combo)
+                    grown.add(_sorted_nodes(rebuild(r, depth, picks) for r in roots))
         partials = grown
 
-    return {ChainType(shape, dual_levels, roots) for roots in partials}
-
-
-def faces_with_support(n: int, shape, ranks, cross_check=None) -> frozenset:
-    """All orbit types with support exactly ``ranks``.
-
-    Primary route restricts every facet orbit and deduplicates; with
-    ``cross_check`` (default for n <= 6) the direct level-by-level
-    enumeration is run as well and the two must agree.
-    """
-    shape = as_shape(shape)
-    rs = RankSet.primal(n, ranks)
-    dual_levels = rs.as_dual().sorted()
-    via_restriction = frozenset(
-        f.restrict(rs) for f in enumerate_facet_orbits(n, shape)
-    )
-    if cross_check is None:
-        cross_check = n <= 6
-    if cross_check:
-        direct = frozenset(_faces_direct(n, shape, dual_levels))
-        if direct != via_restriction:
-            raise AssertionError(
-                f"face enumeration mismatch for n={n} shape={shape} S={rs}: "
-                f"{len(direct)} direct vs {len(via_restriction)} by restriction"
-            )
-    return via_restriction
+    return frozenset(ChainType(shape, dual_levels, roots) for roots in partials)

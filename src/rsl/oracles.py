@@ -1,9 +1,12 @@
-"""Brute-force reference implementations used only by the tests."""
+"""Brute-force reference implementations for the acceptance battery and the
+tests; each shares no code with the layer it checks."""
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+
+from .core import enumerate_facet_orbits
 
 
 def set_partitions(elements):
@@ -79,19 +82,18 @@ def chains_with_support(n, ranks):
 
 
 def young_subgroup(shape):
-    """All permutations of {1..n} preserving the letter classes, as dicts."""
+    """All permutations of {1..n} preserving the letter classes, as dicts,
+    generated one at a time."""
     blocks = []
     start = 1
     for p in shape.parts:
         blocks.append(list(range(start, start + p)))
         start += p
-    perms = []
     for combo in itertools.product(*[itertools.permutations(b) for b in blocks]):
         mapping = {}
         for orig, img in zip(blocks, combo):
             mapping.update(dict(zip(orig, img)))
-        perms.append(mapping)
-    return perms
+        yield mapping
 
 
 def chains_equivalent(chain_a, chain_b, shape):
@@ -107,6 +109,17 @@ def chains_equivalent(chain_a, chain_b, shape):
         ):
             return True
     return False
+
+
+@lru_cache(maxsize=1)
+def _facets(n, shape):
+    return enumerate_facet_orbits(n, shape)
+
+
+def faces_by_restriction(n, shape, ranks):
+    """``core.faces_with_support`` as the restrictions of every facet orbit;
+    the last (n, shape)'s facets are kept for the next rank set."""
+    return frozenset(f.restrict(ranks) for f in _facets(n, shape))
 
 
 @lru_cache(maxsize=None)

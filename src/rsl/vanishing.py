@@ -101,7 +101,7 @@ def vanishing_predicates(ranks, n: int) -> frozenset:
 
 def _beta_chains(js: tuple, n: int):
     return sorted(
-        faces_with_support(n, full_shape(n), js, cross_check=False),
+        faces_with_support(n, full_shape(n), js),
         key=lambda c: (c.dual_levels, c.roots),
     )
 

@@ -58,7 +58,7 @@ def test_criterion_11_worked_facets():
     _run(acceptance.criterion_11)
 
 
-def test_criterion_12_oracle_cross_checks():
+def test_criterion_12_oracle_checks():
     _run(acceptance.criterion_12)
 
 

@@ -15,9 +15,8 @@ from rsl import (
     full_shape,
     restrict,
 )
-from rsl.core import empty_chain, _faces_direct
-
-import oracles
+from rsl import oracles
+from rsl.core import empty_chain
 
 
 def test_canonicalize_relabeling_symmetry():
@@ -104,12 +103,16 @@ def test_faces_with_support_examples():
     assert faces_with_support(6, full_shape(6), ()) == frozenset(
         [empty_chain(full_shape(6))]
     )
+    with pytest.raises(ValueError):
+        faces_with_support(5, (4,), {1})  # the shape does not sum to n
 
 
 def test_faces_both_routes_agree_small():
     for n in range(3, 7):
         for ranks in _all_subsets(n):
-            faces_with_support(n, full_shape(n), ranks, cross_check=True)
+            assert faces_with_support(n, full_shape(n), ranks) == (
+                oracles.faces_by_restriction(n, full_shape(n), ranks)
+            )
 
 
 def _all_subsets(n):
@@ -134,10 +137,11 @@ def test_faces_against_chain_oracle():
 
 def test_direct_route_counts_unquotiented():
     # with all letters distinct the orbits are the chains themselves
-    shape = Shape((1, 1, 1, 1))
-    for ranks in _all_subsets(4):
-        direct = _faces_direct(4, shape, tuple(sorted(3 - r for r in ranks)))
-        assert len(direct) == len(oracles.chains_with_support(4, ranks)) or not ranks
+    for n in (4, 5, 6):
+        shape = Shape((1,) * n)
+        for ranks in _all_subsets(n):
+            faces = faces_with_support(n, shape, ranks)
+            assert len(faces) == len(oracles.chains_with_support(n, ranks))
 
 
 def test_block_orbits_examples():
@@ -195,8 +199,9 @@ def test_random_relabeling_invariance():
     rng = random.Random(99)
     shape = Shape((3, 2, 1))
     chains = oracles.chains_with_support(6, (2, 4))
+    group = list(oracles.young_subgroup(shape))
     for chain in rng.sample(chains, 40):
-        mapping = rng.choice(oracles.young_subgroup(shape))
+        mapping = rng.choice(group)
         image = [[frozenset(mapping[e] for e in b) for b in p] for p in chain]
         assert canonicalize(chain, shape) == canonicalize(image, shape)
 

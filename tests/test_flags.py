@@ -24,10 +24,8 @@ from rsl import (
     vanishing_predicates,
 )
 
-from rsl import flags
+from rsl import flags, oracles
 from rsl.kernel import ForestStore
-
-import oracles
 
 
 def test_full_table_n4_exact():
@@ -95,11 +93,13 @@ def test_one_part_shape_argument_forms_agree():
 
 @pytest.mark.parametrize("n", (6, 7))
 def test_table_matches_face_enumeration(n):
-    # both face-enumeration routes of core share no code with the sweep plan
+    # both face-enumeration routes share no code with the sweep plan
     for shape in ((n,), (n - 1, 1), (4, n - 4)):
         table = full_table(n, shape)
         for s, count in table.f.items():
-            assert count == len(faces_with_support(n, shape, s, cross_check=True))
+            faces = faces_with_support(n, shape, s)
+            assert count == len(faces)
+            assert faces == oracles.faces_by_restriction(n, shape, s)
 
 
 def test_full_shape_equals_quotiented_chain_count():

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from rsl import (
     theorem31_witness,
     vanishing_predicates,
 )
+from rsl import bars
 
 
 def test_classification():
@@ -62,6 +64,23 @@ def test_chain_condition_necessity():
                     continue
                 if flag_h(n, full_shape(n), set(s)) > 0:
                     assert chain_condition_search(set(s), n) is not None, (n, s)
+
+
+def test_witness_searches_reach_n16(monkeypatch):
+    """The searches build only the faces of the tail support, never a facet
+    (E_15 of them at n = 16), and answer in milliseconds."""
+
+    def no_facets(*args):
+        raise AssertionError("a witness search enumerated facets")
+
+    monkeypatch.setattr(bars, "_walk_facets", no_facets)
+    t0 = time.perf_counter()
+    found = chain_condition_search({1, 2, 5, 7}, 16)
+    strong = theorem31_witness({1, 4, 7}, 12)
+    assert time.perf_counter() - t0 < 10
+    assert found.chain.support == (1, 2, 5, 7)
+    assert found.orbit_count >= 3  # i + 1 with i = 2
+    assert strong.support == (1, 4, 7)
 
 
 def test_theorem31_examples():
