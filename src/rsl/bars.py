@@ -6,10 +6,10 @@ appear once: when a block splits, the child that is smaller in the active
 block order goes left (ties broken by content), and of two equal blocks
 created together the left one is refined first.  Both live in one
 bar-insertion step: ``_splittable`` (the blocks the next bar may split),
-``_normalized`` (the oriented split) and ``_split_row`` (the row update).
-The facet walk, the checked replay that builds every ``InsertionFacet`` and
-``construct.facet_from_positions`` take all three; ``min_extension`` orients
-its splits with ``_normalized``.
+``_oriented`` (which child goes left; ``_normalized`` makes the insertion)
+and ``_split_row`` (the row update).  The facet walk, the checked replay
+that builds every ``InsertionFacet`` and ``construct.facet_from_positions``
+take all three; ``min_extension`` orients its splits with ``_normalized``.
 
 Covering relation t carries a label: (position, word-of-positions, r) for
 the one-letter shape, and (bars-to-the-left, left-child word, prefix word,
@@ -170,17 +170,22 @@ def _splittable(row):
         prev = gid
 
 
-def _normalized(order: BlockOrder, start: int, created: int, a: Content, b: Content) -> BarInsertion:
-    """The one insertion splitting a block into a and b: the smaller child
+def _oriented(order: BlockOrder, a: Content, b: Content) -> tuple:
+    """(left, right) children of a split into a and b: the smaller child
     under (order key, content) goes left."""
-    left, right = (a, b) if (order.key(a), a) <= (order.key(b), b) else (b, a)
+    return (a, b) if (order.key(a), a) <= (order.key(b), b) else (b, a)
+
+
+def _normalized(order: BlockOrder, start: int, created: int, a: Content, b: Content) -> BarInsertion:
+    """The one insertion splitting a block into a and b, oriented."""
+    left, right = _oriented(order, a, b)
     return BarInsertion(start + content_size(left), left, right, created)
 
 
-def _split_row(row, idx: int, ins: BarInsertion, t: int) -> list:
-    """``row`` with block ``idx`` replaced by the two children of insertion t."""
-    gid = t if ins.left == ins.right else None
-    return row[:idx] + [(ins.left, t, gid), (ins.right, t, gid)] + row[idx + 1 :]
+def _split_row(row, idx: int, left: Content, right: Content, t: int) -> list:
+    """``row`` with block ``idx`` replaced by the children of insertion t."""
+    gid = t if left == right else None
+    return row[:idx] + [(left, t, gid), (right, t, gid)] + row[idx + 1 :]
 
 
 def _replay(shape, order: BlockOrder, insertions) -> _Replay:
@@ -207,7 +212,7 @@ def _replay(shape, order: BlockOrder, insertions) -> _Replay:
             left_split[created - 1] = t  # a right child starts at its parent's bar
         splits.append((idx, content))
         prefixes.append(tuple(b[0] for b in row[:idx]))
-        row = _split_row(row, idx, ins, t)
+        row = _split_row(row, idx, ins.left, ins.right, t)
     return _Replay(tuple(b[0] for b in row), splits, prefixes, left_split)
 
 
@@ -336,32 +341,32 @@ def _assemble_root_ids(store: ForestStore, row, splits) -> tuple:
     """
     if len(splits) < 2:
         return ()
-    node, cid = store.node, store.content_id
+    cid = store.content_id
     cids = [cid(c) for c in row]
     idx, content = splits[-1]
     cids[idx : idx + 2] = [cid(content)]
-    ids = [node(c, ()) for c in cids]
+    keys = [(c, ()) for c in cids]
     for idx, content in reversed(splits[1:-1]):
+        ids = store.node_ids(keys)
         a, b = ids[idx], ids[idx + 1]
-        kids = [(i,) for i in ids]
-        kids[idx : idx + 2] = [(a, b) if a <= b else (b, a)]
-        cids[idx : idx + 2] = [cid(content)]
-        ids = [node(c, k) for c, k in zip(cids, kids)]
-    return tuple(sorted(ids))
+        keys = [(k[0], (i,)) for k, i in zip(keys, ids)]
+        keys[idx : idx + 2] = [(cid(content), (a, b) if a <= b else (b, a))]
+    return tuple(sorted(store.node_ids(keys)))
 
 
-def _walk_facets(n: int, shape, order: BlockOrder, leaf) -> None:
+def _walk_facets(n: int, shape, order: BlockOrder, leaf, insertions: bool) -> None:
     """Depth-first over the normalized facets, one per orbit: every
-    splittable block, every split of it, normalized.
+    splittable block, every split of it, oriented.
 
-    Calls ``leaf(insertions, splits, row)`` at every facet: its BarInsertion
-    list, the (row index, content) of the block each insertion split, and
-    the final row.  The lists are reused; copy what is kept.
+    Calls ``leaf(acc, splits, row)`` at every facet: its BarInsertion list
+    (empty unless ``insertions``), the (row index, content) of the block
+    each insertion split, and the final row.  The lists are reused; copy
+    what is kept.
 
     A block content is split many times over, so each walk keeps a
-    per-walk bipartition memo, ``halves``: content -> tuple of its
-    bipartitions, gone when the walk ends.  Every split is still oriented
-    by ``_normalized``.
+    per-walk memo, ``halves``: content -> its bipartitions, each already
+    oriented by ``_oriented`` and with the width of its left child, gone
+    when the walk ends.
     """
     acc = []
     splits = []
@@ -376,12 +381,16 @@ def _walk_facets(n: int, shape, order: BlockOrder, leaf) -> None:
             splits.append((idx, content))
             pairs = halves.get(content)
             if pairs is None:
-                pairs = halves[content] = tuple(bipartitions(content))
-            for a, b in pairs:
-                ins = _normalized(order, start, created, a, b)
-                acc.append(ins)
-                rec(_split_row(row, idx, ins, t), t + 1)
-                acc.pop()
+                pairs = halves[content] = tuple(
+                    (left, right, content_size(left))
+                    for left, right in (_oriented(order, a, b) for a, b in bipartitions(content))
+                )
+            for left, right, width in pairs:
+                if insertions:
+                    acc.append(BarInsertion(start + width, left, right, created))
+                rec(_split_row(row, idx, left, right, t), t + 1)
+                if insertions:
+                    acc.pop()
             splits.pop()
 
     rec([(shape.root_content, 0, None)], 1)
@@ -396,14 +405,14 @@ def enumerate_insertion_facets(n: int, shape, order: Optional[BlockOrder] = None
     def leaf(acc, splits, row):
         results.append(InsertionFacet(shape, order, acc))
 
-    _walk_facets(n, shape, order, leaf)
+    _walk_facets(n, shape, order, leaf, insertions=True)
     return results
 
 
 def facet_root_ids(n: int, shape, store: ForestStore) -> list:
     """Every facet orbit as its sorted root ids in ``store``, in the order of
-    ``enumerate_insertion_facets``; no ChainType is built.  The ids are
-    canonical, so they do not depend on the block order.
+    ``enumerate_insertion_facets``; no ChainType or BarInsertion is built.
+    The ids are canonical, so they do not depend on the block order.
 
     Raises AssertionError if two facets intern to the same forest, which
     would mean the normalization let one orbit through twice.
@@ -414,7 +423,7 @@ def facet_root_ids(n: int, shape, store: ForestStore) -> list:
     def leaf(acc, splits, row):
         ids.append(_assemble_root_ids(store, [b[0] for b in row], splits))
 
-    _walk_facets(n, shape, default_order(shape), leaf)
+    _walk_facets(n, shape, default_order(shape), leaf, insertions=False)
     if len(set(ids)) != len(ids):
         raise AssertionError("facet enumeration produced a duplicate orbit")
     return ids

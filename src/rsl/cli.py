@@ -21,7 +21,7 @@ import os
 import sys
 import time
 
-from . import acceptance, cache, construct, flags, orders, partitioning, vanishing
+from . import cache, construct, flags, orders, partitioning, vanishing
 from .bars import descent_set, descent_word, facet_block_conditions
 from .shapes import RankSet, checked_shape, full_shape, hook_shape
 
@@ -227,6 +227,8 @@ def cmd_stability(args):
 
 
 def cmd_verify_all(args):
+    from . import acceptance  # the battery and its oracles load only for this command
+
     try:
         reports = acceptance.run_all(max_n=args.max_n, verbose=not args.quiet)
     except ValueError as exc:

@@ -71,7 +71,7 @@ def facet_from_positions(n: int, positions, shape=None, order=None) -> Insertion
             raise ValueError(f"{len(fits)} normalized splits put bar {t} at {p}, not one")
         idx, ins = fits[0]
         out.append(ins)
-        row = _split_row(row, idx, ins, t)
+        row = _split_row(row, idx, ins.left, ins.right, t)
     return InsertionFacet(shape, order, out)
 
 

@@ -20,14 +20,15 @@ of the current support and its ancestors stay alive, one per popcount, so
 at most m + 1 sets over the m = n - 2 coranks are held at once instead of
 all 2^m; each set is counted and dropped once its subtree is done.
 
-The drop memo is freed as the sweep goes.  The children of the full support
-come at deletion depths m-1, ..., 0, and the subtree of the child at depth
-d deletes only at depths <= d, so on reaching that child no lookup can hit
-the memo above d again.  Nor can one hit the memo of depth d itself: from
-here on only the child's own deletion looks there, keyed by facet roots,
-and every key it holds is shorter than a facet root (a node below a root,
-or the root of a forest that has lost a level).  So the memo of depth d
-and above is freed before that deletion.
+The drop memo, keyed by the height of the deleted level, is freed as the
+sweep goes.  The children of the full support come at heights m-1, ..., 0.
+A mask in the subtree of the child at height h lacks the level at h and
+only levels finer than it beyond that, so every deletion in the subtree is
+at a height <= h, and so is every deletion in the later children's
+subtrees.  On reaching that child no lookup can hit the memo above h again,
+and the memo of every height above h is freed.  The memo at h itself is
+kept: the child's own deletion walks the facets' nodes, which earlier
+subtrees met at height h too.
 """
 
 from __future__ import annotations
@@ -82,14 +83,15 @@ def _table_cache(n: int, parts: tuple) -> FlagTable:
     store = ForestStore()
     path = []  # face sets of the current mask and its ancestors, full first
     f_by_mask = {}
-    for mask, parent, depth in sweep_plan(m):
+    for mask, parent, height in sweep_plan(m):
         if parent is None:
             faces = set(facet_root_ids(n, shape, store))
         else:
             if parent == full:
-                store.release_drops_from(depth)  # see the module docstring
+                store.release_drops_above(height)  # see the module docstring
             del path[m - mask.bit_count() :]  # keep the ancestors; the parent is last
-            faces = {store.drop_roots(r, depth) for r in path[-1]}
+            top = parent.bit_count() - 1
+            faces = {store.drop_roots(r, height, top) for r in path[-1]}
         path.append(faces)
         f_by_mask[mask] = len(faces)
     # Moebius transform over subsets, one bit at a time

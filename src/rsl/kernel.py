@@ -2,19 +2,22 @@
 
 Every distinct subtree gets a small integer id; a node is (content id,
 sorted child ids).  Equal subtrees share ids, so orbit equality is id
-equality and level deletion memoizes across the whole enumeration.  The
-deletion memo holds one dict per depth, keyed by node id, so a lookup
-builds no key; it lives as long as its store, which may serve many masks
-and facets, unless the caller frees the depths it will not reach again
-(``release_drops_from``).  A memo hit is answered at the lookup, in the
-loop over a forest's roots or a node's children, with no call; only a
+equality and level deletion memoizes across the whole enumeration.  A
+forest is leveled, so every node has one height (levels between it and the
+leaves, leaves at 0) and a level is named by its height, whatever forest
+holds it.  The deletion memo holds one dict per deleted height, keyed by
+node id, so a lookup builds no key and the whole recursion of one deletion
+reads one dict.  The memo lives as long as its store, which may serve many
+masks and facets, unless the caller frees the heights it will not reach
+again (``release_drops_above``).  A memo hit is answered at the lookup, in
+the loop over a forest's roots or a node's children, with no call; only a
 miss calls ``drop_node``.  This is the hot core of the package.
 
 ``sweep_plan`` fixes the order in which faces are reached from a facet:
-each support is the restriction of its canonical parent, so one level
-deletion per face suffices.  The plan is a depth-first preorder of the
-canonical-parent tree, so a caller needs only the face sets of the current
-mask's ancestors.
+each support is the restriction of its canonical parent, the support plus
+its finest missing level, so one level deletion per face suffices.  The
+plan is a depth-first preorder of the canonical-parent tree, so a caller
+needs only the face sets of the current mask's ancestors.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ class ForestStore:
         self._contents = []
         self._node_ids = {}
         self._nodes = []
-        self._drop_memo = defaultdict(dict)  # depth -> {node id: new node id}
+        self._drop_memo = defaultdict(dict)  # height -> {node id: new node id}
         self._nested_memo = {}
 
     # -- interning ---------------------------------------------------------
@@ -63,6 +66,15 @@ class ForestStore:
             self._node_ids[key] = nid
             self._nodes.append(key)
         return nid
+
+    def node_ids(self, keys) -> list:
+        """The ids of the nodes (content id, sorted child ids) in ``keys``.
+        Most are already interned, so all are looked up in one pass before
+        any new one is made."""
+        ids = list(map(self._node_ids.get, keys))
+        if None in ids:
+            ids = [self.node(*k) if i is None else i for k, i in zip(keys, ids)]
+        return ids
 
     def intern_nested(self, nested):
         """Intern a (content, children) nested tuple; children in any order."""
@@ -92,47 +104,50 @@ class ForestStore:
 
     # -- level deletion ----------------------------------------------------
 
-    def drop_node(self, nid, depth):
-        """Delete the level ``depth`` generations below this node (depth >= 1),
-        splicing grandchildren up; returns the new node id.  Called on a
-        memo miss: the caller has already looked ``nid`` up at ``depth``.
-        The loop over the children repeats ``drop_roots`` instead of calling
-        it, so ``drop_roots`` stays one call per forest a caller deletes."""
+    def drop_node(self, nid, height, own):
+        """Delete the level at ``height`` below this node of height ``own``
+        (height < own), splicing grandchildren up; returns the new node id.
+        Called on a memo miss: the caller has already looked ``nid`` up at
+        ``height``.  The loop over the children repeats ``drop_roots``
+        instead of calling it, so ``drop_roots`` stays one call per forest a
+        caller deletes."""
         cid, child_ids = self._nodes[nid]
+        memo = self._drop_memo[height]
         merged = []
-        if depth == 1:
+        if own - 1 == height:
             for c in child_ids:
                 merged.extend(self._nodes[c][1])
         else:
-            get = self._drop_memo[depth - 1].get
+            get = memo.get
             for c in child_ids:
                 out = get(c)
                 if out is None:  # node id 0 is a valid result
-                    out = self.drop_node(c, depth - 1)
+                    out = self.drop_node(c, height, own - 1)
                 merged.append(out)
         merged.sort()
-        out = self._drop_memo[depth][nid] = self.node(cid, tuple(merged))
+        out = memo[nid] = self.node(cid, tuple(merged))
         return out
 
-    def release_drops_from(self, depth):
-        """Free the deletion memo of ``depth`` and of every depth above it.
-        A sweep calls this once no later lookup can hit there; a freed memo
-        only makes a later deletion recompute, never answer differently."""
-        for d in [d for d in self._drop_memo if d >= depth]:
-            del self._drop_memo[d]
+    def release_drops_above(self, height):
+        """Free the deletion memo of every height above ``height``.  A sweep
+        calls this once no later lookup can hit there; a freed memo only
+        makes a later deletion recompute, never answer differently."""
+        for h in [h for h in self._drop_memo if h > height]:
+            del self._drop_memo[h]
 
-    def drop_roots(self, root_ids, depth):
-        """Delete level ``depth`` (0 = the root level itself) from a forest."""
+    def drop_roots(self, root_ids, height, top):
+        """Delete the level at ``height`` from a forest whose roots have
+        height ``top`` (height <= top; height == top deletes the roots)."""
         merged = []
-        if depth == 0:
+        if height == top:
             for r in root_ids:
                 merged.extend(self._nodes[r][1])
         else:
-            get = self._drop_memo[depth].get
+            get = self._drop_memo[height].get
             for r in root_ids:
                 out = get(r)
                 if out is None:  # node id 0 is a valid result
-                    out = self.drop_node(r, depth)
+                    out = self.drop_node(r, height, top)
                 merged.append(out)
         merged.sort()
         return tuple(merged)
@@ -142,23 +157,28 @@ class ForestStore:
 
 
 def sweep_plan(m: int) -> list:
-    """Every mask over m coranks as (mask, parent, depth), in depth-first
+    """Every mask over m coranks as (mask, parent, height), in depth-first
     preorder of the canonical-parent tree.
 
     The full mask comes first with no parent.  Every other mask's canonical
-    parent is the mask plus its lowest missing bit; that bit is also the
-    level to delete from the parent's faces, since every lower bit is set.
-    So the children of P are P minus bit b, for each b below P's lowest
-    missing bit.  In preorder each parent precedes its children, and a
-    mask's parent is the last earlier mask with one more bit, so a sweep
-    keeps at most one face set per popcount alive.
+    parent is the mask plus its highest missing bit b, its finest missing
+    level.  Parents that add a fine level have fewer faces than those that
+    add a coarse one: the sweep of (10) makes 297,781 deletions, against
+    403,856 through the lowest missing bit, and is within 1% of the best
+    parent chosen mask by mask.  Every bit above b is set, so the level to
+    delete from the parent's faces has m-1-b levels below it; that is its
+    height, fixed by b alone.  So the children of P are P minus bit c, for
+    each c above P's highest missing bit, and they come in decreasing
+    height.  In preorder each parent precedes its children, and a mask's
+    parent is the last earlier mask with one more bit, so a sweep keeps at
+    most one face set per popcount alive.
     """
     full = (1 << m) - 1
     plan = []
     stack = [(full, None, None)]
     while stack:
-        mask, parent, depth = stack.pop()
-        plan.append((mask, parent, depth))
-        low = (~mask & (mask + 1)).bit_length() - 1  # lowest missing bit
-        stack.extend((mask & ~(1 << b), mask, b) for b in range(low))
+        mask, parent, height = stack.pop()
+        plan.append((mask, parent, height))
+        high = (full & ~mask).bit_length()  # one above the highest missing bit
+        stack.extend((mask & ~(1 << c), mask, m - 1 - c) for c in range(m - 1, high - 1, -1))
     return plan

@@ -98,7 +98,7 @@ def minimal_new_faces(scheme: PartitionScheme) -> tuple:
     recorded as failure witnesses, not patched.
     """
     m = scheme.n - 2
-    store = ForestStore()  # shared by every facet, so no memo depth is ever dead
+    store = ForestStore()  # shared by every facet, so no memo height is ever dead
     plan = sweep_plan(m)
     full = (1 << m) - 1
     seen = {}
@@ -108,9 +108,9 @@ def minimal_new_faces(scheme: PartitionScheme) -> tuple:
     failures = []
     for j, facet in enumerate(scheme.facets):
         ids = {full: facet.root_ids(store)}
-        for mask, parent, depth in plan:
+        for mask, parent, height in plan:
             if parent is not None:
-                ids[mask] = store.drop_roots(ids[parent], depth)
+                ids[mask] = store.drop_roots(ids[parent], height, parent.bit_count() - 1)
         new_masks = [mask for mask in ids if (mask, ids[mask]) not in seen]
         d_mask = 0
         for i in range(m):

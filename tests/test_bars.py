@@ -369,7 +369,7 @@ def _walk_without_memo(n, shape, order):
             content, created, _ = row[idx]
             for a, b in bipartitions(content):
                 ins = bars._normalized(order, start, created, a, b)
-                rec(bars._split_row(row, idx, ins, t), t + 1, acc + [ins])
+                rec(bars._split_row(row, idx, ins.left, ins.right, t), t + 1, acc + [ins])
 
     rec([(shape.root_content, 0, None)], 1, [])
     return out

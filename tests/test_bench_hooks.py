@@ -16,5 +16,5 @@ def test_traced_table_young_counts():
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     metrics = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
-    assert metrics["kernel.drop_calls"]["value"] == 139_696
+    assert metrics["kernel.drop_calls"]["value"] == 117_468
     assert metrics["kernel.store_nodes"]["value"] == 26_292

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -113,6 +115,19 @@ def test_verify_all_quick(capsys):
     assert code == 0
     assert doc["results"]["passed"]
     assert len(doc["results"]["criteria"]) == 13
+
+
+def test_cli_import_leaves_the_battery_out():
+    """Every CLI request is a fresh process, so ``import rsl.cli`` must not
+    load the acceptance battery and its oracles; ``verify-all`` loads them."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, rsl.cli; print(sorted(m for m in sys.modules if m in ('rsl.acceptance', 'rsl.oracles')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_table_cache_cold_vs_warm(tmp_path, capsys):

@@ -221,7 +221,7 @@ def test_stability_sweep_through_n10():
 
 def _sweep_full_table_8(monkeypatch, release):
     """full_table(8, (8,)) on a fresh ForestStore that counts ``node`` calls
-    and records each memo release with the depths it leaves; with
+    and records each memo release with the heights it leaves; with
     ``release`` False the release is a no-op."""
     stores = []
 
@@ -238,10 +238,10 @@ def _sweep_full_table_8(monkeypatch, release):
             self.node_calls += 1
             return super().node(cid, child_ids)
 
-        def release_drops_from(self, depth):
+        def release_drops_above(self, height):
             if release:
-                super().release_drops_from(depth)
-            self.releases.append((depth, max(self._drop_memo, default=-1)))
+                super().release_drops_above(height)
+            self.releases.append((height, max(self._drop_memo, default=-1)))
 
     monkeypatch.setattr(flags, "ForestStore", CountingStore)
     clear_caches()
@@ -255,12 +255,49 @@ def _sweep_full_table_8(monkeypatch, release):
 
 def test_sweep_frees_only_dead_drop_memos(monkeypatch):
     """A freed memo could only cost work, never an answer, so the check is on
-    work: releasing the depths no later lookup hits interns no extra node."""
+    work: releasing the heights no later lookup hits interns no extra node."""
     shipped, store = _sweep_full_table_8(monkeypatch, release=True)
     kept, kept_store = _sweep_full_table_8(monkeypatch, release=False)
     assert shipped.f == kept.f and shipped.h == kept.h
     assert store.node_calls == kept_store.node_calls
-    # once per child of the full mask, deepest first, keeping only lower depths
-    assert [d for d, _ in store.releases] == list(range(5, -1, -1))
-    assert all(top < d for d, top in store.releases)
-    assert kept_store._drop_memo and not store._drop_memo
+    # once per child of the full mask, coarsest level first, keeping only
+    # the heights at or below the child's
+    assert [h for h, _ in store.releases] == list(range(5, -1, -1))
+    assert all(top <= h for h, top in store.releases)
+    assert max(kept_store._drop_memo) > 0 and set(store._drop_memo) <= {0}
+
+
+@pytest.mark.parametrize("n", range(6, 9))
+def test_sweep_work_is_finest_parent_faces(monkeypatch, n):
+    """The sweep deletes once per face of each mask's parent, and the parent
+    adds the mask's finest (highest) missing bit.  The count is read from
+    the table the sweep returns, and it is at most the count through the
+    coarsest (lowest) missing bit."""
+    m = n - 2
+    full = (1 << m) - 1
+
+    class CountingStore(ForestStore):
+        __slots__ = ()
+        calls = 0
+
+        def drop_roots(self, root_ids, height, top):
+            CountingStore.calls += 1
+            return super().drop_roots(root_ids, height, top)
+
+    monkeypatch.setattr(flags, "ForestStore", CountingStore)
+    for shape in ((n,), (n - 1, 1), (4, n - 4)):
+        clear_caches()
+        CountingStore.calls = 0
+        try:
+            table = full_table(n, shape)
+        finally:
+            clear_caches()
+
+        def f(mask):  # coranks as bits, lowest bit = corank 1 = lattice rank n-2
+            return table.f[frozenset(n - 2 - i for i in range(m) if mask >> i & 1)]
+
+        masks = range(full)  # every mask but the full one
+        finest = sum(f(mask | 1 << (full & ~mask).bit_length() - 1) for mask in masks)
+        coarsest = sum(f(mask | (~mask & (mask + 1))) for mask in masks)
+        assert CountingStore.calls == finest, shape
+        assert finest <= coarsest, shape

@@ -25,10 +25,21 @@ def test_drop_matches_direct_restriction():
         for facet in rng.sample(facets, min(10, len(facets))):
             rid = store.intern_roots(facet.roots)
             levels = list(facet.dual_levels)
+            top = len(levels) - 1
             for depth, d in enumerate(levels):
                 keep = [x for x in levels if x != d]
                 direct = restrict(facet, RankSet.of_dual(n, keep))
-                assert store.nested_roots(store.drop_roots(rid, depth)) == direct.roots
+                got = store.drop_roots(rid, top - depth, top)
+                assert store.nested_roots(got) == direct.roots
+
+
+def _height(store, nid):
+    """Levels below a node: the length of any path down to a leaf."""
+    h = 0
+    while store._nodes[nid][1]:
+        nid = store._nodes[nid][1][0]
+        h += 1
+    return h
 
 
 class _CountingStore(ForestStore):
@@ -43,26 +54,26 @@ class _CountingStore(ForestStore):
         self.node_calls += 1
         return super().node(cid, child_ids)
 
-    def drop_node(self, nid, depth):
+    def drop_node(self, nid, height, own):
         self.drop_node_calls += 1
-        return super().drop_node(nid, depth)
+        return super().drop_node(nid, height, own)
 
 
 def test_drop_memo_reused_across_forests():
     """One store serves every mask of a table and every facet of a
-    partitioning sweep, so a second use of the per-depth memo must answer
+    partitioning sweep, so a second use of the per-height memo must answer
     exactly as the first, and from the memo alone.  A hit is answered at
     the lookup: ``drop_node`` runs once per memo entry it creates, and the
     second sweep makes no call, also for hits that return node id 0."""
     n = 7
     store = _CountingStore()
-    forests = facet_root_ids(n, full_shape(n), store)
+    forests = [(rid, n - 3) for rid in facet_root_ids(n, full_shape(n), store)]
     # every interned subtree as a one-root forest too: some drop to node 0
-    forests += [(nid,) for nid in range(store.size())]
+    forests += [((nid,), _height(store, nid)) for nid in range(store.size())]
     expected = {
-        (rid, depth): _drop_depth(store.nested_roots(rid), depth)
-        for rid in forests
-        for depth in range(n - 2)
+        (rid, height, top): _drop_depth(store.nested_roots(rid), top - height)
+        for rid, top in forests
+        for height in range(top + 1)
     }
     for sweep in range(2):
         store.node_calls = store.drop_node_calls = 0
@@ -74,7 +85,7 @@ def test_drop_memo_reused_across_forests():
             assert store.drop_node_calls == 0
         else:  # each call is a miss: it adds exactly one memo entry
             assert store.drop_node_calls == sum(map(len, store._drop_memo.values()))
-    assert any(0 in got for (_, depth), got in results.items() if depth > 0)
+    assert any(0 in got for (_, height, top), got in results.items() if height < top)
 
 
 def test_interning_shares_ids():
@@ -95,11 +106,15 @@ def test_sweep_plan_structure():
         assert plan[0] == (full, None, None)
         assert sorted(mask for mask, _, _ in plan) == list(range(1 << m))
         last_with_popcount = {m: full}
-        for mask, parent, depth in plan[1:]:
-            bit = next(b for b in range(m) if not mask >> b & 1)
+        last_child_height = {}
+        for mask, parent, height in plan[1:]:
+            bit = max(b for b in range(m) if not mask >> b & 1)
             assert parent == mask | (1 << bit)
-            assert depth == bit
+            assert height == m - 1 - bit
             # preorder: the parent is the most recent mask with one more bit,
             # so a sweep needs one live face set per popcount
             assert last_with_popcount.get(mask.bit_count() + 1) == parent
             last_with_popcount[mask.bit_count()] = mask
+            # each mask's children come in decreasing height
+            assert last_child_height.get(parent, m) > height
+            last_child_height[parent] = height
