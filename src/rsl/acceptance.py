@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import bars, construct, core, flags, oracles, orders, partitioning, vanishing
-from .shapes import RankSet, full_shape, hook_shape
+from .shapes import RankSet, full_shape, hook_shape, multiset_partitions
 
 FULL_SHAPE_PARTITION_MAX_N = 7
 HOOK_PARTITION_MAX_N = 6
@@ -261,7 +261,7 @@ def _random_chain(rng, n):
 
 
 def criterion_12(max_n=8, pairs=1000):
-    """The faces of every support S of (n), n <= max_n, built level by level
+    """The faces of every support S of (n), n <= max_n, built bottom-up
     (``core.faces_with_support``) equal the restrictions of every facet
     (``oracles.faces_by_restriction``) and are not empty; canonical equality
     is orbit equality under exhaustive permutation search."""
@@ -298,25 +298,19 @@ def criterion_13(max_n=8):
     """Lengthening condition holds for both named orders, fails for the plant."""
     t0 = time.perf_counter()
     bad = []
-
-    def all_shapes(n):
-        def rec(remaining, most):
-            if remaining == 0:
-                yield ()
-            for p in range(min(remaining, most), 0, -1):
-                for rest in rec(remaining - p, p):
-                    yield (p,) + rest
-
-        return rec(n, n)
-
-    for n in range(2, max_n + 1):
-        for parts in all_shapes(n):
-            if not orders.verify_lengthening(orders.length_lex(), n, parts):
-                bad.append((n, parts, "length-lex"))
-            if parts[-1] == 1:
-                order = orders.distinguished(parts)
-                if not orders.verify_lengthening(order, n, parts):
-                    bad.append((n, parts, "distinguished"))
+    shapes = (
+        (n, tuple(p for (p,) in blocks))
+        for n in range(2, max_n + 1)
+        for k in range(1, n + 1)
+        for blocks in multiset_partitions((n,), k)
+    )
+    for n, parts in shapes:
+        if not orders.verify_lengthening(orders.length_lex(), n, parts):
+            bad.append((n, parts, "length-lex"))
+        if parts[-1] == 1:
+            order = orders.distinguished(parts)
+            if not orders.verify_lengthening(order, n, parts):
+                bad.append((n, parts, "distinguished"))
     if orders.verify_lengthening(orders.reverse_length(), 4, (4,)):
         bad.append((4, (4,), "reverse-length should fail"))
     return _report(13, "lengthening condition", not bad, f"violations: {bad}", t0)

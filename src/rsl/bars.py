@@ -104,9 +104,6 @@ class DescentWord:
         dual_ranks = set(dual_ranks)
         return cls("".join("D" if p in dual_ranks else "A" for p in range(1, n - 1)))
 
-    def dual_set(self) -> frozenset:
-        return frozenset(i + 1 for i, ch in enumerate(self.letters) if ch == "D")
-
     def __len__(self):
         return len(self.letters)
 

@@ -15,7 +15,6 @@ operations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .kernel import ForestStore
@@ -46,10 +45,6 @@ Node = tuple  # (content, sorted tuple of child Nodes)
 
 def _sorted_nodes(nodes) -> tuple:
     return tuple(sorted(nodes))
-
-
-def _node_count(node: Node) -> int:
-    return 1 + sum(_node_count(c) for c in node[1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -419,61 +414,49 @@ def enumerate_facet_orbits(n: int, shape) -> tuple:
     return tuple(sorted(facets, key=lambda ct: ct.roots))
 
 
-def _compositions(total: int, bounds) -> itertools.chain:
-    """Tuples m with 1 <= m_i <= bounds[i] and sum(m) == total."""
-
-    def rec(i, left):
-        if i == len(bounds) - 1:
-            if 1 <= left <= bounds[i]:
-                yield (left,)
-            return
-        rest = len(bounds) - i - 1
-        lo = max(1, left - sum(bounds[i + 1 :]))
-        hi = min(bounds[i], left - rest)
-        for m in range(lo, hi + 1):
-            for tail in rec(i + 1, left - m):
-                yield (m,) + tail
-
-    return rec(0, total)
-
-
 def faces_with_support(n: int, shape, ranks) -> frozenset:
-    """All orbit types with support exactly ``ranks``, built level by level
-    without any facet: the coarsest level is every multiset partition of
-    the ground content, each finer one refines every bottom block, and
-    canonical forms deduplicate.  ``oracles.faces_by_restriction`` is the
-    oracle."""
+    """All orbit types with support exactly ``ranks``, built bottom-up on a
+    ``ForestStore`` without any facet.
+
+    The finest level is every multiset partition of the ground content, as
+    leaves.  Each coarser level groups the nodes below it: every multiset
+    partition of their ids (a count vector over the distinct ids) into as
+    many groups as the level has blocks, each group one node whose content
+    sums its children's.  A forest's node ids fix every level's grouping,
+    so each orbit comes out exactly once.  ``oracles.faces_by_restriction``
+    is the oracle."""
     shape = checked_shape(n, shape)
     dual_levels = RankSet.primal(n, ranks).as_dual().sorted()
     if not dual_levels:
         return frozenset({empty_chain(shape)})
 
-    partials = {
-        _sorted_nodes((p, ()) for p in parts)
-        for parts in multiset_partitions(shape.root_content, dual_levels[0] + 1)
-    }
+    store = ForestStore()
+    content_of = {}
 
-    def rebuild(node, left, picks):
-        """The node with its bottom blocks refined by the next ``picks``."""
-        content, children = node
-        if left == 0:
-            return (content, _sorted_nodes((p, ()) for p in next(picks)))
-        return (content, _sorted_nodes(rebuild(c, left - 1, picks) for c in children))
+    def node(content, child_ids):
+        nid = store.node(store.content_id(content), child_ids)
+        content_of[nid] = content
+        return nid
 
-    for depth, d in enumerate(dual_levels[1:]):
-        grown = set()
-        for roots in partials:
-            bottom = roots
-            for _ in range(depth):
-                bottom = [c for node in bottom for c in node[1]]
-            contents = [node[0] for node in bottom]
-            for counts in _compositions(d + 1, [content_size(x) for x in contents]):
-                per_node = [
-                    list(multiset_partitions(cont, m)) for cont, m in zip(contents, counts)
-                ]
-                for combo in itertools.product(*per_node):
-                    picks = iter(combo)
-                    grown.add(_sorted_nodes(rebuild(r, depth, picks) for r in roots))
-        partials = grown
+    forests = [
+        tuple(sorted(node(p, ()) for p in parts))
+        for parts in multiset_partitions(shape.root_content, dual_levels[-1] + 1)
+    ]
+    for d in reversed(dual_levels[:-1]):
+        coarser = []
+        groupings = {}  # count vector -> its multiset partitions, for this level
+        for ids in forests:
+            distinct = sorted(set(ids))
+            counts = tuple(ids.count(i) for i in distinct)
+            if counts not in groupings:
+                groupings[counts] = tuple(multiset_partitions(counts, d + 1))
+            for groups in groupings[counts]:
+                roots = []
+                for group in groups:
+                    children = tuple(i for i, m in zip(distinct, group) for _ in range(m))
+                    content = tuple(map(sum, zip(*(content_of[i] for i in children))))
+                    roots.append(node(content, children))
+                coarser.append(tuple(sorted(roots)))
+        forests = coarser
 
-    return frozenset(ChainType(shape, dual_levels, roots) for roots in partials)
+    return frozenset(ChainType(shape, dual_levels, store.nested_roots(ids)) for ids in forests)

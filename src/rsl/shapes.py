@@ -159,8 +159,10 @@ def multiset_partitions(c: Content, num_parts: int) -> Iterator[tuple]:
             if remaining <= max_part and rem_size >= 1:
                 yield (remaining,)
             return
+        # a part without the first letter left lies below the part holding it
+        first = next(i for i, x in enumerate(remaining) if x)
         for part in sub_contents_iter(remaining):
-            if part > max_part:
+            if part > max_part or not part[first]:
                 continue
             # each later part has size >= 1
             if rem_size - content_size(part) < parts_left - 1:

@@ -124,6 +124,13 @@ def _all_subsets(n):
     return out
 
 
+@pytest.mark.parametrize("n,shape", [(9, (9,)), (10, (10,)), (8, (7, 1))])
+def test_full_support_faces_are_the_facets(n, shape):
+    assert faces_with_support(n, shape, range(1, n - 1)) == set(
+        enumerate_facet_orbits(n, shape)
+    )
+
+
 def test_faces_against_chain_oracle():
     # counts must equal orbit counts of explicit chains under the group
     for n in (4, 5):

@@ -177,3 +177,22 @@ def test_hook_n8_stays_clean():
     shape = hook_shape(8)
     assert verify_partitioning(8, shape, distinguished(shape)).status == "verified"
     assert verify_partitioning(8, shape, length_lex()).status == "verified"
+
+
+def test_hook_n9_boundary_with_distinguished_order():
+    # at n=9 the first bar splits off the distinguished letter, which
+    # leaves eight identical letters: the hook then fails on three facets
+    # that make equal size-4 twin blocks at step 2, at the positions of the
+    # size-4 twin witnesses of the full shape at n=9
+    shape = hook_shape(9)
+    scheme = verify_partitioning(9, shape, distinguished(shape))
+    assert scheme.status == "failed"
+    assert {w.reason for w in scheme.failures} == {"non-unique-minimal"}
+    assert {scheme.facets[w.facet_index].positions for w in scheme.failures} == {
+        (1, 5, 2, 3, 6, 7, 8, 4),
+        (1, 5, 2, 6, 3, 7, 8, 4),
+        (1, 5, 3, 7, 2, 6, 8, 4),
+    }
+    for w in scheme.failures:
+        second = scheme.facets[w.facet_index].insertions[1]
+        assert second.left == second.right == (4, 0)

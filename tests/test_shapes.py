@@ -1,5 +1,6 @@
 import pytest
 
+from rsl import oracles
 from rsl.shapes import (
     RankSet,
     Shape,
@@ -59,6 +60,28 @@ def test_multiset_partitions_counts():
     parts = list(multiset_partitions((2, 2), 2))
     # distinct splits of the multiset {a,a,b,b} into two parts
     assert len(set(parts)) == len(parts) == 4
+
+
+@pytest.mark.parametrize("content", [(2, 1, 1), (2, 2, 1), (1, 1, 1, 1), (3, 2), (2, 2, 2)])
+def test_multiset_partitions_match_set_partition_oracle(content):
+    # label the elements by letter, partition them as a set, and read each
+    # block back as its content: the distinct results are the multiset
+    # partitions
+    letters = [i for i, x in enumerate(content) for _ in range(x)]
+
+    def block_content(block):
+        return tuple(sum(letters[e] == i for e in block) for i in range(len(content)))
+
+    for k in range(1, content_size(content) + 1):
+        expected = {
+            tuple(sorted((block_content(b) for b in p), reverse=True))
+            for p in oracles.set_partitions(range(len(letters)))
+            if len(p) == k
+        }
+        got = list(multiset_partitions(content, k))
+        assert all(list(p) == sorted(p, reverse=True) for p in got)
+        assert len(set(got)) == len(got)
+        assert set(got) == expected
 
 
 def test_rank_set_validation_and_views():
