@@ -7,19 +7,21 @@ block order goes left (ties broken by content), and of two equal blocks
 created together the left one is refined first.  Both live in one
 bar-insertion step: ``_splittable`` (the blocks the next bar may split),
 ``_oriented`` (which child goes left; ``_normalized`` makes the insertion)
-and ``_split_row`` (the row update).  The facet walk, the checked replay
-that builds every ``InsertionFacet`` and ``construct.facet_from_positions``
-take all three; ``min_extension`` orients its splits with ``_normalized``.
+and ``_split_row`` (the row update).  The facet walk
+(``enumerate_insertion_facets``), the checked replay that builds every
+``InsertionFacet`` and ``construct.facet_from_positions`` take all three;
+``min_extension`` orients its splits with ``_normalized``.
 
 Covering relation t carries a label: (position, word-of-positions, r) for
 the one-letter shape, and (bars-to-the-left, left-child word, prefix word,
 r) in general, where r is the corank at which the split block was created.
 Lexicographic comparison of label sequences orders the facets.
 
-A facet's canonical forest is assembled bottom-up from its row history
-straight into a ``ForestStore`` (``facet_root_ids``, ``InsertionFacet.
-root_ids``); a nested ``ChainType`` is built from those ids only when one
-is asked for.
+The walk and the labels serve the interval partitioning; flag tables
+take their facets from ``core.support_root_ids`` instead.  A facet's
+canonical forest is assembled bottom-up from its row history straight into
+a ``ForestStore`` (``InsertionFacet.root_ids``); a nested ``ChainType`` is
+built from those ids only when one is asked for.
 
 Corank t is a topological descent of a facet when any of:
   1. insertion t lands strictly right of insertion t+1;
@@ -31,7 +33,6 @@ Corank t is a topological descent of a facet when any of:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -46,6 +47,7 @@ from .shapes import (
     bipartitions,
     checked_shape,
     content_size,
+    multiset_partitions,
     unit_contents,
 )
 
@@ -55,7 +57,6 @@ __all__ = [
     "DescentWord",
     "InsertionFacet",
     "enumerate_insertion_facets",
-    "facet_root_ids",
     "facet_to_insertions",
     "cover_labels",
     "descent_set",
@@ -351,31 +352,27 @@ def _assemble_root_ids(store: ForestStore, row, splits) -> tuple:
     return tuple(sorted(store.node_ids(keys)))
 
 
-def _walk_facets(n: int, shape, order: BlockOrder, leaf, insertions: bool) -> None:
-    """Depth-first over the normalized facets, one per orbit: every
-    splittable block, every split of it, oriented.
-
-    Calls ``leaf(acc, splits, row)`` at every facet: its BarInsertion list
-    (empty unless ``insertions``), the (row index, content) of the block
-    each insertion split, and the final row.  The lists are reused; copy
-    what is kept.
+def enumerate_insertion_facets(n: int, shape, order: Optional[BlockOrder] = None):
+    """All normalized facets as InsertionFacets, one per orbit, depth first
+    over every splittable block and every split of it, oriented.
 
     A block content is split many times over, so each walk keeps a
     per-walk memo, ``halves``: content -> its bipartitions, each already
     oriented by ``_oriented`` and with the width of its left child, gone
     when the walk ends.
     """
+    shape = checked_shape(n, shape)
+    order = default_order(shape) if order is None else order
+    results = []
     acc = []
-    splits = []
     halves = {}
 
     def rec(row, t):
         if t == n:
-            leaf(acc, splits, row)
+            results.append(InsertionFacet(shape, order, acc))
             return
         for idx, start in _splittable(row):
             content, created, _ = row[idx]
-            splits.append((idx, content))
             pairs = halves.get(content)
             if pairs is None:
                 pairs = halves[content] = tuple(
@@ -383,78 +380,25 @@ def _walk_facets(n: int, shape, order: BlockOrder, leaf, insertions: bool) -> No
                     for left, right in (_oriented(order, a, b) for a, b in bipartitions(content))
                 )
             for left, right, width in pairs:
-                if insertions:
-                    acc.append(BarInsertion(start + width, left, right, created))
+                acc.append(BarInsertion(start + width, left, right, created))
                 rec(_split_row(row, idx, left, right, t), t + 1)
-                if insertions:
-                    acc.pop()
-            splits.pop()
+                acc.pop()
 
     rec([(shape.root_content, 0, None)], 1)
-
-
-def enumerate_insertion_facets(n: int, shape, order: Optional[BlockOrder] = None):
-    """All normalized facets as InsertionFacets, depth first."""
-    shape = checked_shape(n, shape)
-    order = default_order(shape) if order is None else order
-    results = []
-
-    def leaf(acc, splits, row):
-        results.append(InsertionFacet(shape, order, acc))
-
-    _walk_facets(n, shape, order, leaf, insertions=True)
     return results
-
-
-def facet_root_ids(n: int, shape, store: ForestStore) -> list:
-    """Every facet orbit as its sorted root ids in ``store``, in the order of
-    ``enumerate_insertion_facets``; no ChainType or BarInsertion is built.
-    The ids are canonical, so they do not depend on the block order.
-
-    Raises AssertionError if two facets intern to the same forest, which
-    would mean the normalization let one orbit through twice.
-    """
-    shape = checked_shape(n, shape)
-    ids = []
-
-    def leaf(acc, splits, row):
-        ids.append(_assemble_root_ids(store, [b[0] for b in row], splits))
-
-    _walk_facets(n, shape, default_order(shape), leaf, insertions=False)
-    if len(set(ids)) != len(ids):
-        raise AssertionError("facet enumeration produced a duplicate orbit")
-    return ids
 
 
 # -- the lex-least extension -----------------------------------------------------
 
 
 def _target_bipartitions(targets):
-    """Unordered splits of a target multiset into two nonempty parts."""
-    distinct = []
-    mult = []
-    for tgt in targets:
-        if distinct and distinct[-1] == tgt:
-            mult[-1] += 1
-        else:
-            distinct.append(tgt)
-            mult.append(1)
-    seen = set()
-    for combo in itertools.product(*[range(m + 1) for m in mult]):
-        if not any(combo) or all(c == m for c, m in zip(combo, mult)):
-            continue
-        t1 = tuple(
-            itertools.chain.from_iterable([d] * c for d, c in zip(distinct, combo))
-        )
-        t2 = tuple(
-            itertools.chain.from_iterable(
-                [d] * (m - c) for d, c, m in zip(distinct, combo, mult)
-            )
-        )
-        pair = (t1, t2) if t1 <= t2 else (t2, t1)
-        if pair not in seen:
-            seen.add(pair)
-            yield pair
+    """Unordered splits of a sorted target multiset into two nonempty parts,
+    the smaller part first."""
+    distinct = sorted(set(targets))
+    counts = tuple(targets.count(tgt) for tgt in distinct)
+    for groups in multiset_partitions(counts, 2):
+        t1, t2 = (tuple(d for d, m in zip(distinct, g) for _ in range(m)) for g in groups)
+        yield (t1, t2) if t1 <= t2 else (t2, t1)
 
 
 def _content_sum(targets, k) -> Content:

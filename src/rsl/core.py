@@ -36,6 +36,7 @@ __all__ = [
     "restrict",
     "enumerate_facet_orbits",
     "faces_with_support",
+    "support_root_ids",
     "block_orbits",
     "dualize",
 ]
@@ -394,43 +395,26 @@ def block_orbits(c: ChainType, level: int) -> tuple:
 
 
 def enumerate_facet_orbits(n: int, shape) -> tuple:
-    """All orbits of maximal chains, one canonical form each, sorted by roots.
-
-    Computed afresh on every call from the ids that ``bars.facet_root_ids``
-    interns (which also guards against duplicate orbits); subtrees shared
-    between facets share tuples.
-    """
-    from . import bars
-
-    shape = checked_shape(n, shape)
+    """All orbits of maximal chains, one canonical form each, sorted by roots:
+    the faces of the full support, computed afresh on every call."""
     if n < 2:
         raise ValueError("need n >= 2")
-    store = ForestStore()
-    levels = tuple(range(1, n - 1))
-    facets = [
-        ChainType(shape, levels, store.nested_roots(ids))
-        for ids in bars.facet_root_ids(n, shape, store)
-    ]
-    return tuple(sorted(facets, key=lambda ct: ct.roots))
+    return tuple(sorted(faces_with_support(n, shape, range(1, n - 1)), key=lambda ct: ct.roots))
 
 
-def faces_with_support(n: int, shape, ranks) -> frozenset:
-    """All orbit types with support exactly ``ranks``, built bottom-up on a
-    ``ForestStore`` without any facet.
+def support_root_ids(shape: Shape, dual_levels: tuple, store: ForestStore) -> list:
+    """Every orbit type on the strictly increasing coranks ``dual_levels``
+    as its sorted root ids in ``store``, built bottom-up without any facet.
 
     The finest level is every multiset partition of the ground content, as
     leaves.  Each coarser level groups the nodes below it: every multiset
     partition of their ids (a count vector over the distinct ids) into as
     many groups as the level has blocks, each group one node whose content
     sums its children's.  A forest's node ids fix every level's grouping,
-    so each orbit comes out exactly once.  ``oracles.faces_by_restriction``
-    is the oracle."""
-    shape = checked_shape(n, shape)
-    dual_levels = RankSet.primal(n, ranks).as_dual().sorted()
+    so each orbit comes out exactly once; AssertionError if one repeats.
+    No levels gives the one empty forest."""
     if not dual_levels:
-        return frozenset({empty_chain(shape)})
-
-    store = ForestStore()
+        return [()]
     content_of = {}
 
     def node(content, child_ids):
@@ -458,5 +442,19 @@ def faces_with_support(n: int, shape, ranks) -> frozenset:
                     roots.append(node(content, children))
                 coarser.append(tuple(sorted(roots)))
         forests = coarser
+    if len(set(forests)) != len(forests):
+        raise AssertionError("support enumeration produced a duplicate orbit")
+    return forests
 
-    return frozenset(ChainType(shape, dual_levels, store.nested_roots(ids)) for ids in forests)
+
+def faces_with_support(n: int, shape, ranks) -> frozenset:
+    """All orbit types with support exactly ``ranks``, from
+    ``support_root_ids`` on a fresh store.  ``oracles.faces_by_restriction``
+    is the oracle."""
+    shape = checked_shape(n, shape)
+    dual_levels = RankSet.primal(n, ranks).as_dual().sorted()
+    store = ForestStore()
+    return frozenset(
+        ChainType(shape, dual_levels, store.nested_roots(ids))
+        for ids in support_root_ids(shape, dual_levels, store)
+    )

@@ -7,10 +7,11 @@ multiplicity of the trivial character in the rank-selected homology
 representation.  The one-letter shape gives b_S(n); the hook shape
 (n-1, 1) gives b'_S(n).
 
-The full table is swept once per (n, shape).  The facet enumeration
-interns every facet straight into a ForestStore (``bars.facet_root_ids``;
-no ChainType is built), and the faces of each support are the level
-deletions of the faces of its canonical parent (``kernel.sweep_plan``).
+The full table is swept once per (n, shape).  The facets are the faces
+of the full support, built bottom-up straight into a ForestStore
+(``core.support_root_ids``; no ChainType is built), and the faces of each
+support are the level deletions of the faces of its canonical parent
+(``kernel.sweep_plan``).
 This is exact because every face with support S is the restriction of some
 face on any superset of S, so each support is reached by one deletion per
 parent face, and memoized deletion materializes each distinct face once.
@@ -36,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bars import facet_root_ids
+from .core import support_root_ids
 from .kernel import ForestStore, sweep_plan
 from .shapes import RankSet, Shape, checked_shape, full_shape, hook_shape
 
@@ -85,7 +86,7 @@ def _table_cache(n: int, parts: tuple) -> FlagTable:
     f_by_mask = {}
     for mask, parent, height in sweep_plan(m):
         if parent is None:
-            faces = set(facet_root_ids(n, shape, store))
+            faces = set(support_root_ids(shape, tuple(range(1, n - 1)), store))
         else:
             if parent == full:
                 store.release_drops_above(height)  # see the module docstring

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .core import enumerate_facet_orbits
+from .bars import enumerate_insertion_facets
 
 
 def set_partitions(elements):
@@ -113,12 +113,13 @@ def chains_equivalent(chain_a, chain_b, shape):
 
 @lru_cache(maxsize=1)
 def _facets(n, shape):
-    return enumerate_facet_orbits(n, shape)
+    return tuple(f.chain_type() for f in enumerate_insertion_facets(n, shape))
 
 
 def faces_by_restriction(n, shape, ranks):
-    """``core.faces_with_support`` as the restrictions of every facet orbit;
-    the last (n, shape)'s facets are kept for the next rank set."""
+    """``core.faces_with_support`` as the restrictions of every facet of the
+    bar-insertion walk; the last (n, shape)'s facets are kept for the next
+    rank set."""
     return frozenset(f.restrict(ranks) for f in _facets(n, shape))
 
 

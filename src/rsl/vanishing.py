@@ -99,6 +99,17 @@ def vanishing_predicates(ranks, n: int) -> frozenset:
     return frozenset(fired)
 
 
+def _tail_shape(ranks, n: int) -> Optional[RankSetShape]:
+    """The classification of S = {1..i, j_1..j_l} a witness search reads, or
+    None for an initial segment, which has no upper chain to carry one."""
+    shape = classify_rank_set(ranks, n)
+    if shape.kind == "initial-segment":
+        return None
+    if shape.kind != "initial-plus-tail":
+        raise ValueError("rank set must have the form {1..i, j_1..j_l} with i >= 1")
+    return shape
+
+
 def _beta_chains(js: tuple, n: int):
     return sorted(
         faces_with_support(n, full_shape(n), js),
@@ -144,11 +155,9 @@ def chain_condition_search(ranks, n: int) -> Optional[WitnessChain]:
     stabilizer orbits of nontrivial bottom blocks and room for i disjoint
     pair blocks.  Returns None when no orbit qualifies.
     """
-    shape = classify_rank_set(ranks, n)
-    if shape.kind == "initial-segment":
-        return None  # no upper chain to carry a witness
-    if shape.kind != "initial-plus-tail":
-        raise ValueError("rank set must have the form {1..i, j_1..j_l} with i >= 1")
+    shape = _tail_shape(ranks, n)
+    if shape is None:
+        return None
     i = shape.i
     for beta in _beta_chains(shape.js, n):
         j, capacity, nontrivial = _bottom_orbit_data(beta, shape.js[0])
@@ -179,11 +188,9 @@ def theorem31_witness(ranks, n: int) -> Optional[ChainType]:
     hypotheses: pair blocks in i distinct-orbit nontrivial blocks of the
     bottom upper element, a spare distinct orbit, and the strict non-equal
     block condition on the lex-least extension."""
-    shape = classify_rank_set(ranks, n)
-    if shape.kind == "initial-segment":
-        return None  # no upper chain to host the hypotheses
-    if shape.kind != "initial-plus-tail":
-        raise ValueError("rank set must have the form {1..i, j_1..j_l} with i >= 1")
+    shape = _tail_shape(ranks, n)
+    if shape is None:
+        return None
     i = shape.i
     for beta in _beta_chains(shape.js, n):
         j, capacity, nontrivial = _bottom_orbit_data(beta, shape.js[0])

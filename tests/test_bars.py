@@ -20,12 +20,14 @@ from rsl import (
     restrict,
 )
 from rsl import bars
-from rsl.bars import NotMaximalError, facet_root_ids
+from rsl import core
+from rsl.bars import NotMaximalError
 from rsl.construct import facet_from_positions
 from rsl.core import empty_chain
 from rsl.flags import full_table
 from rsl.kernel import ForestStore
 from rsl.orders import custom, distinguished, length_lex
+from rsl.partitioning import LabelTieError, order_facets
 from rsl.shapes import bipartitions, hook_shape
 
 
@@ -303,7 +305,7 @@ def test_root_ids_match_canonicalized_explicit_chains(n, shape):
     expected = [canonicalize(_explicit_chain(f), shape) for f in facets]
     assert [f.chain_type() for f in facets] == expected
     store = ForestStore()
-    ids = facet_root_ids(n, shape, store)
+    ids = [f.root_ids(store) for f in facets]
     nodes = store.size()
     assert ids == [store.intern_roots(ct.roots) for ct in expected]
     assert store.size() == nodes  # interning the oracle's forests adds nothing
@@ -311,9 +313,12 @@ def test_root_ids_match_canonicalized_explicit_chains(n, shape):
 
 def test_facet_orbit_edge_cases():
     assert enumerate_facet_orbits(2, full_shape(2)) == (empty_chain(full_shape(2)),)
-    assert facet_root_ids(2, full_shape(2), ForestStore()) == [()]
+    assert core.support_root_ids(full_shape(2), (), ForestStore()) == [()]
     assert len(enumerate_facet_orbits(3, full_shape(3))) == 1
-    assert len(facet_root_ids(3, full_shape(3), ForestStore())) == 1
+    assert len(core.support_root_ids(full_shape(3), (1,), ForestStore())) == 1
+    assert [f.chain_type() for f in enumerate_insertion_facets(2, full_shape(2))] == [
+        empty_chain(full_shape(2))
+    ]
 
 
 @pytest.fixture
@@ -324,6 +329,24 @@ def fresh_caches():
 
 
 def test_duplicate_orbit_guard(monkeypatch, fresh_caches):
+    """A repeated grouping in the bottom-up builder is caught by the builder
+    itself, for flag tables and for the facet orbits alike."""
+    real = core.multiset_partitions
+
+    def first_partition_twice(content, num_parts):
+        parts = list(real(content, num_parts))
+        return parts[:1] + parts
+
+    monkeypatch.setattr(core, "multiset_partitions", first_partition_twice)
+    with pytest.raises(AssertionError, match="duplicate orbit"):
+        full_table(5, full_shape(5))
+    with pytest.raises(AssertionError, match="duplicate orbit"):
+        enumerate_facet_orbits(5, full_shape(5))
+
+
+def test_doubled_split_is_a_label_tie(monkeypatch):
+    """A split the bar walk takes twice yields two facets with one label
+    sequence, which the facet order refuses."""
     real = bars.bipartitions
 
     def first_split_twice(content):
@@ -331,10 +354,8 @@ def test_duplicate_orbit_guard(monkeypatch, fresh_caches):
         return splits[:1] + splits
 
     monkeypatch.setattr(bars, "bipartitions", first_split_twice)
-    with pytest.raises(AssertionError, match="duplicate orbit"):
-        full_table(5, full_shape(5))
-    with pytest.raises(AssertionError, match="duplicate orbit"):
-        enumerate_facet_orbits(5, full_shape(5))
+    with pytest.raises(LabelTieError):
+        order_facets(5, full_shape(5))
 
 
 def test_walk_splits_each_content_once(monkeypatch):
@@ -351,7 +372,7 @@ def test_walk_splits_each_content_once(monkeypatch):
     splittable = {c for c in itertools.product(range(5), repeat=2) if sum(c) >= 2}
     for _ in range(2):
         calls.clear()
-        facet_root_ids(8, (4, 4), ForestStore())
+        enumerate_insertion_facets(8, (4, 4))
         assert set(calls) == splittable
         assert set(calls.values()) == {1}
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -229,6 +230,33 @@ def test_cache_keyed_on_code(tmp_path, capsys, monkeypatch):
     assert code == 0 and not doc["cache_hit"]
     code, again = run_json(capsys, "--cache-dir", str(tmp_path), "table", "--n", "6")
     assert code == 0 and again["cache_hit"] and again["results"] == doc["results"]
+
+
+def _relative_imports(name):
+    """The rsl modules that module ``name`` imports relatively, anywhere in
+    its source, functions included."""
+    with open(os.path.join(os.path.dirname(cache.__file__), name + ".py")) as fh:
+        tree = ast.parse(fh.read())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:  # from . import a, b
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_fingerprint_covers_every_module_a_table_reads():
+    """A module that ``flags`` reaches but the fingerprint skips could change
+    a table while the cache still served the old one."""
+    reached, todo = set(), ["flags"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(_relative_imports(name))
+    assert reached <= set(cache.COMPUTING_MODULES), reached - set(cache.COMPUTING_MODULES)
 
 
 QUERIES = (

@@ -11,6 +11,7 @@ from rsl import (
     canonicalize,
     dualize,
     enumerate_facet_orbits,
+    enumerate_insertion_facets,
     faces_with_support,
     full_shape,
     restrict,
@@ -124,11 +125,21 @@ def _all_subsets(n):
     return out
 
 
-@pytest.mark.parametrize("n,shape", [(9, (9,)), (10, (10,)), (8, (7, 1))])
+def _cross_check_shapes():
+    yield from [(9, (9,)), (10, (10,)), (8, (7, 1))]
+    yield from ((n, (n,)) for n in range(2, 9))
+    yield from ((n, (n - 1, 1)) for n in range(2, 8))
+    yield from [(7, (4, 3)), (8, (4, 4)), (6, (3, 2, 1))]
+
+
+@pytest.mark.parametrize("n,shape", list(_cross_check_shapes()))
 def test_full_support_faces_are_the_facets(n, shape):
-    assert faces_with_support(n, shape, range(1, n - 1)) == set(
-        enumerate_facet_orbits(n, shape)
-    )
+    """The bottom-up faces of the full support against the bar-insertion
+    walk's facets: two enumerations that share no code."""
+    orbits = enumerate_facet_orbits(n, shape)
+    facets = [f.chain_type() for f in enumerate_insertion_facets(n, shape)]
+    assert len(facets) == len(orbits)
+    assert set(facets) == set(orbits)
 
 
 def test_faces_against_chain_oracle():

@@ -4,8 +4,7 @@ structure of the sweep plan."""
 import random
 
 from rsl import RankSet, enumerate_facet_orbits, full_shape, restrict
-from rsl.bars import facet_root_ids
-from rsl.core import _drop_depth
+from rsl.core import _drop_depth, support_root_ids
 from rsl.kernel import IMPL, ForestStore, sweep_plan
 
 
@@ -67,7 +66,8 @@ def test_drop_memo_reused_across_forests():
     second sweep makes no call, also for hits that return node id 0."""
     n = 7
     store = _CountingStore()
-    forests = [(rid, n - 3) for rid in facet_root_ids(n, full_shape(n), store)]
+    facets = support_root_ids(full_shape(n), tuple(range(1, n - 1)), store)
+    forests = [(rid, n - 3) for rid in facets]
     # every interned subtree as a one-root forest too: some drop to node 0
     forests += [((nid,), _height(store, nid)) for nid in range(store.size())]
     expected = {

@@ -13,7 +13,7 @@ from rsl import (
     theorem31_witness,
     vanishing_predicates,
 )
-from rsl import bars
+from rsl import bars, core
 
 
 def test_classification():
@@ -69,11 +69,18 @@ def test_chain_condition_necessity():
 def test_witness_searches_reach_n16(monkeypatch):
     """The searches build only the faces of the tail support, never a facet
     (E_15 of them at n = 16), and answer in milliseconds."""
+    real = core.support_root_ids
 
     def no_facets(*args):
         raise AssertionError("a witness search enumerated facets")
 
-    monkeypatch.setattr(bars, "_walk_facets", no_facets)
+    def tail_only(shape, dual_levels, store):
+        if dual_levels == tuple(range(1, shape.n - 1)):
+            no_facets()
+        return real(shape, dual_levels, store)
+
+    monkeypatch.setattr(bars, "enumerate_insertion_facets", no_facets)
+    monkeypatch.setattr(core, "support_root_ids", tail_only)
     t0 = time.perf_counter()
     found = chain_condition_search({1, 2, 5, 7}, 16)
     strong = theorem31_witness({1, 4, 7}, 12)
