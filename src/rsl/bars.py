@@ -345,11 +345,11 @@ def _assemble_root_ids(store: ForestStore, row, splits) -> tuple:
     cids[idx : idx + 2] = [cid(content)]
     keys = [(c, ()) for c in cids]
     for idx, content in reversed(splits[1:-1]):
-        ids = store.node_ids(keys)
+        ids = [store.node(*k) for k in keys]
         a, b = ids[idx], ids[idx + 1]
         keys = [(k[0], (i,)) for k, i in zip(keys, ids)]
         keys[idx : idx + 2] = [(cid(content), (a, b) if a <= b else (b, a))]
-    return tuple(sorted(store.node_ids(keys)))
+    return tuple(sorted(store.node(*k) for k in keys))
 
 
 def enumerate_insertion_facets(n: int, shape, order: Optional[BlockOrder] = None):

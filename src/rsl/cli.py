@@ -127,9 +127,7 @@ def cmd_partition_verify(args):
     except partitioning.LengtheningError as exc:
         raise UsageError(str(exc)) from exc
     facets = []
-    for facet, min_face, dsup in zip(
-        scheme.facets, scheme.minimal_faces or [], scheme.min_dual_supports or []
-    ):
+    for facet, min_face, dsup in zip(scheme.facets, scheme.minimal_faces, scheme.min_dual_supports):
         strict, relaxed = facet_block_conditions(facet)
         facets.append(
             {
@@ -148,7 +146,7 @@ def cmd_partition_verify(args):
         "order": str(order),
         "status": scheme.status,
         "facet_count": len(scheme.facets),
-        "interval_size_sum": scheme.interval_size_sum() if scheme.new_face_counts else None,
+        "interval_size_sum": scheme.interval_size_sum(),
         "failures": [f.detail for f in scheme.failures],
         "h_via_partitioning": sorted(
             [[sorted(k), v] for k, v in (scheme.h_via_partitioning or {}).items()]

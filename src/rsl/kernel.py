@@ -67,15 +67,6 @@ class ForestStore:
             self._nodes.append(key)
         return nid
 
-    def node_ids(self, keys) -> list:
-        """The ids of the nodes (content id, sorted child ids) in ``keys``.
-        Most are already interned, so all are looked up in one pass before
-        any new one is made."""
-        ids = list(map(self._node_ids.get, keys))
-        if None in ids:
-            ids = [self.node(*k) if i is None else i for k, i in zip(keys, ids)]
-        return ids
-
     def intern_nested(self, nested):
         """Intern a (content, children) nested tuple; children in any order."""
         content, children = nested

@@ -1,11 +1,12 @@
 """Lexicographic ordering of facets and the interval partitioning check.
 
-Facets are sorted by their label sequences.  Sweeping them in order, the
-faces of each facet that belong to no earlier facet must form a boolean
-interval [G_i, F_i]; G_i is read off the codimension-one faces.  The sweep
-never trusts descent sets: the minimal face is always computed from actual
-membership, and the descent characterization is a statement to verify
-afterwards.
+Facets are sorted by their label sequences.  In that order, the faces of
+each facet that belong to no earlier facet must form a boolean interval
+[G_i, F_i]; G_i is read off the codimension-one faces.  Each face is new to
+the first facet containing it, its owner, so one sweep of the supports
+from the ordered facets reads off every interval.  The sweep never trusts
+descent sets: the minimal face is always computed from actual membership,
+and the descent characterization is a statement to verify afterwards.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ class PartitionScheme:
     status: str = "ordered"  # ordered | partitioned | verified | failed
     failures: tuple = ()
     h_via_partitioning: Optional[dict] = None  # frozenset of coranks -> count
+    face_counts: Optional[dict] = None  # frozenset of lattice ranks -> distinct faces
     total_faces: Optional[int] = None
 
     def interval_size_sum(self) -> int:
@@ -92,62 +94,74 @@ def order_facets(n: int, shape, order: Optional[BlockOrder] = None) -> Partition
 def minimal_new_faces(scheme: PartitionScheme) -> tuple:
     """Per-facet minimal new faces G_i, computed from the facet order.
 
-    For each facet, a corank belongs to supp(G) exactly when the
-    codimension-one face omitting it already occurred; the faces new to the
-    facet must then be precisely the supersets of supp(G).  Violations are
-    recorded as failure witnesses, not patched.
+    One walk of ``kernel.sweep_plan`` from the ordered facets, keeping the
+    ancestor path of ``flags.full_table``.  Each support's faces are a
+    {root ids: owner} dict filled with ``setdefault`` from its parent's,
+    whose owners ascend, so a face keeps the least facet containing it.  A
+    corank belongs to supp(G_i) exactly when facet i's codimension-one face
+    omitting it has an earlier owner; the faces facet i owns must then be
+    precisely the supersets of supp(G_i).  Violations are recorded as
+    failure witnesses, not patched.  Also fills ``face_counts``, the
+    distinct faces of each support.
     """
     m = scheme.n - 2
-    store = ForestStore()  # shared by every facet, so no memo height is ever dead
-    plan = sweep_plan(m)
     full = (1 << m) - 1
-    seen = {}
+    store = ForestStore()
+    tops = [facet.root_ids(store) for facet in scheme.facets]
+    d_masks = [0] * len(tops)
+    owned = [[] for _ in tops]  # masks of the faces each facet owns
+    face_counts = {}
+    path = []  # face dicts of the current mask and its ancestors, full first
+    for mask, parent, height in sweep_plan(m):
+        faces = {}
+        if parent is None:
+            for j, ids in enumerate(tops):
+                faces.setdefault(ids, j)
+        else:
+            if parent == full:
+                store.release_drops_above(height)  # as in flags.full_table
+            del path[m - mask.bit_count() :]
+            top = parent.bit_count() - 1
+            bit = full ^ mask if parent == full else 0  # only there is every facet an owner
+            for face, owner in path[-1].items():
+                if faces.setdefault(store.drop_roots(face, height, top), owner) != owner:
+                    d_masks[owner] |= bit
+        path.append(faces)
+        for owner in faces.values():
+            owned[owner].append(mask)
+        face_counts[frozenset(m - i for i in range(m) if mask >> i & 1)] = len(faces)
     minimal_faces = []
     min_supports = []
-    new_counts = []
     failures = []
-    for j, facet in enumerate(scheme.facets):
-        ids = {full: facet.root_ids(store)}
-        for mask, parent, height in plan:
-            if parent is not None:
-                ids[mask] = store.drop_roots(ids[parent], height, parent.bit_count() - 1)
-        new_masks = [mask for mask in ids if (mask, ids[mask]) not in seen]
-        d_mask = 0
-        for i in range(m):
-            codim = full & ~(1 << i)
-            if (codim, ids[codim]) in seen:
-                d_mask |= 1 << i
-        supersets = 1 << (m - bin(d_mask).count("1"))
-        new_set = set(new_masks)
-        ok = len(new_set) == supersets and all(
-            (mask & d_mask) == d_mask for mask in new_set
-        )
-        if not ok:
-            bad = sorted(
-                mask for mask in new_set if (mask & d_mask) != d_mask
-            )
+    for j, (facet, face, d_mask, masks) in enumerate(zip(scheme.facets, tops, d_masks, owned)):
+        supersets = 1 << (m - d_mask.bit_count())
+        bad = sorted(mask for mask in masks if (mask & d_mask) != d_mask)
+        if len(masks) != supersets or bad:
             failures.append(
                 PartitionFailure(
                     facet_index=j,
                     reason="non-unique-minimal",
                     detail=(
-                        f"facet {facet.positions}: {len(new_set)} new faces, "
+                        f"facet {facet.positions}: {len(masks)} new faces, "
                         f"expected {supersets} over corank set "
                         f"{sorted(i + 1 for i in range(m) if d_mask >> i & 1)}; "
                         f"offending masks {bad[:4]}"
                     ),
                 )
             )
-        for mask in new_masks:
-            seen[(mask, ids[mask])] = j
+        top = m - 1
+        for c in range(m - 1, -1, -1):  # finest first: level c then has top - c below it
+            if not d_mask >> c & 1:
+                face = store.drop_roots(face, top - c, top)
+                top -= 1
         levels = tuple(i + 1 for i in range(m) if d_mask >> i & 1)
         min_supports.append(frozenset(levels))
-        minimal_faces.append(ChainType(scheme.shape, levels, store.nested_roots(ids[d_mask])))
-        new_counts.append(len(new_set))
+        minimal_faces.append(ChainType(scheme.shape, levels, store.nested_roots(face)))
     scheme.minimal_faces = tuple(minimal_faces)
     scheme.min_dual_supports = tuple(min_supports)
-    scheme.new_face_counts = tuple(new_counts)
-    scheme.total_faces = len(seen)
+    scheme.new_face_counts = tuple(map(len, owned))
+    scheme.face_counts = face_counts
+    scheme.total_faces = sum(face_counts.values())
     scheme.failures = tuple(failures)
     scheme.status = "failed" if failures else "partitioned"
     return scheme.minimal_faces
@@ -163,33 +177,22 @@ def verify_partitioning(n: int, shape, order: Optional[BlockOrder] = None) -> Pa
     if scheme.status == "failed":
         return scheme
 
-    # Coverage against the independent face count: intervals are disjoint by
-    # construction (each face keyed by first owner), so matching totals per
-    # support means every orbit is covered exactly once.
-    table = full_table(scheme.n, scheme.shape)
-    expected_total = sum(table.f.values())
-    failures = []
-    if scheme.interval_size_sum() != expected_total:
-        failures.append(
-            PartitionFailure(
-                facet_index=-1,
-                reason="coverage",
-                detail=(
-                    f"sum of interval sizes {scheme.interval_size_sum()} != "
-                    f"total face orbits {expected_total}"
-                ),
-            )
+    # Coverage against the independent face count: each face swept has one
+    # owner, so the intervals are disjoint and their sizes sum to the faces
+    # swept; matching the count of every support means every orbit is
+    # covered exactly once.
+    expected = full_table(scheme.n, scheme.shape).f
+    failures = tuple(
+        PartitionFailure(
+            facet_index=-1,
+            reason="coverage",
+            detail=f"support {sorted(s)}: {scheme.face_counts[s]} faces swept, expected {count}",
         )
-    if scheme.total_faces != expected_total:
-        failures.append(
-            PartitionFailure(
-                facet_index=-1,
-                reason="coverage",
-                detail=f"{scheme.total_faces} distinct faces swept, expected {expected_total}",
-            )
-        )
-    scheme.failures = scheme.failures + tuple(failures)
+        for s, count in expected.items()
+        if scheme.face_counts[s] != count
+    )
     if failures:
+        scheme.failures = failures
         scheme.status = "failed"
         return scheme
     scheme.h_via_partitioning = dict(Counter(scheme.min_dual_supports))

@@ -1,3 +1,7 @@
+import dataclasses
+import itertools
+from collections import Counter
+
 import pytest
 
 from rsl import (
@@ -11,7 +15,9 @@ from rsl import (
     restrict,
     reverse_length,
 )
+from rsl import partitioning
 from rsl.bars import InsertionFacet
+from rsl.kernel import sweep_plan
 from rsl.partitioning import (
     LabelTieError,
     LengtheningError,
@@ -196,3 +202,92 @@ def test_hook_n9_boundary_with_distinguished_order():
     for w in scheme.failures:
         second = scheme.facets[w.facet_index].insertions[1]
         assert second.left == second.right == (4, 0)
+
+
+def _dual_key(n, dual):
+    """The FlagTable.f key of the support with these coranks."""
+    return RankSet.of_dual(n, dual).as_primal().ranks
+
+
+def _owner_oracle(scheme):
+    """The first-owner partitioning by brute force: every facet restricted
+    with ``core.restrict`` to every support, the first facet index winning.
+    Returns (new face counts, minimal dual supports, failing facet indices,
+    faces per support)."""
+    n, m = scheme.n, scheme.n - 2
+    coranks = range(1, m + 1)
+    duals = [frozenset(d) for k in range(m + 1) for d in itertools.combinations(coranks, k)]
+    owner = {}
+    for j, facet in enumerate(scheme.facets):
+        for dual in duals:
+            owner.setdefault((dual, restrict(facet.chain_type(), RankSet.of_dual(n, dual))), j)
+    owned = [set() for _ in scheme.facets]
+    for (dual, _), j in owner.items():
+        owned[j].add(dual)
+    full = frozenset(coranks)
+    supports, failing = [], set()
+    for j, facet in enumerate(scheme.facets):
+        d = frozenset(
+            c for c in coranks
+            if owner[full - {c}, restrict(facet.chain_type(), RankSet.of_dual(n, full - {c}))] < j
+        )
+        supports.append(d)
+        if owned[j] != {dual for dual in duals if d <= dual}:
+            failing.add(j)
+    per_support = Counter(_dual_key(n, dual) for dual, _ in owner)
+    return tuple(map(len, owned)), tuple(supports), failing, dict(per_support)
+
+
+@pytest.mark.parametrize(
+    "n,parts,order",
+    [(8, (8,), None), (7, (6, 1), distinguished(Shape((6, 1)))), (6, (2, 2, 2), None)],
+    ids=str,
+)
+def test_owner_sweep_matches_restriction_oracle(n, parts, order):
+    scheme = order_facets(n, Shape(parts), order)
+    minimal_new_faces(scheme)
+    counts, supports, failing, per_support = _owner_oracle(scheme)
+    assert scheme.new_face_counts == counts
+    assert scheme.min_dual_supports == supports
+    assert {f.facet_index for f in scheme.failures} == failing
+    assert len(failing) == (3 if parts == (8,) else 0)
+    assert scheme.face_counts == per_support
+    assert scheme.total_faces == sum(per_support.values())
+
+
+def test_coverage_is_checked_support_by_support(monkeypatch):
+    # a table with one face moved between two supports keeps the total, so
+    # only a comparison per support can tell it from the true one
+    true = full_table(6, full_shape(6))
+    f = dict(true.f)
+    a, b = frozenset({1}), frozenset({2})
+    f[a], f[b] = f[a] - 1, f[b] + 1
+    monkeypatch.setattr(partitioning, "full_table", lambda n, shape: dataclasses.replace(true, f=f))
+    scheme = verify_partitioning(6, full_shape(6))
+    assert scheme.status == "failed"
+    assert [w.reason for w in scheme.failures] == ["coverage", "coverage"]
+    assert scheme.h_via_partitioning is None
+
+
+@pytest.mark.parametrize("n,parts", [(8, (8,)), (7, (6, 1))], ids=str)
+def test_minimal_new_faces_drops_once_per_parent_face(monkeypatch, n, parts):
+    # one deletion per distinct face of each support's parent, plus at most
+    # one per missing level of each G_i; restricting every facet to every
+    # support would make facets * (2^m - 1)
+    calls = []
+
+    class CountingStore(partitioning.ForestStore):
+        def drop_roots(self, *args):
+            calls.append(args)
+            return super().drop_roots(*args)
+
+    monkeypatch.setattr(partitioning, "ForestStore", CountingStore)
+    scheme = order_facets(n, Shape(parts))
+    minimal_new_faces(scheme)
+    m = n - 2
+
+    def faces(mask):
+        return scheme.face_counts[_dual_key(n, {i + 1 for i in range(m) if mask >> i & 1})]
+
+    sweep = sum(faces(parent) for _, parent, _ in sweep_plan(m) if parent is not None)
+    assert sweep < len(calls) <= sweep + m * len(scheme.facets)
