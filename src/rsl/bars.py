@@ -221,7 +221,7 @@ class InsertionFacet:
     normalized facet raises ValueError.
     """
 
-    __slots__ = ("shape", "order", "insertions", "_replay", "_chain", "_labels", "_descents")
+    __slots__ = ("shape", "order", "insertions", "_replay", "_chain", "_descents")
 
     def __init__(self, shape, order: BlockOrder, insertions):
         self.shape = as_shape(shape)
@@ -231,7 +231,6 @@ class InsertionFacet:
             raise ValueError("a facet of the order complex needs n-1 insertions")
         self._replay = _replay(self.shape, order, self.insertions)
         self._chain = None
-        self._labels = None
         self._descents = None
 
     @property
@@ -268,13 +267,11 @@ class InsertionFacet:
         return self._chain
 
     def labels(self) -> tuple:
-        if self._labels is None:
-            positions = self.positions
-            self._labels = tuple(
-                _cover_label(positions[:t], ins.position, ins.left, prefix, ins.parent_rank)
-                for t, (ins, prefix) in enumerate(zip(self.insertions, self._replay.prefixes))
-            )
-        return self._labels
+        positions = self.positions
+        return tuple(
+            _cover_label(positions[:t], ins.position, ins.left, prefix, ins.parent_rank)
+            for t, (ins, prefix) in enumerate(zip(self.insertions, self._replay.prefixes))
+        )
 
     def sort_key(self):
         general = not self.shape.is_full()

@@ -93,7 +93,10 @@ def _h_values(n, shape, cache_dir):
 def _table_results(n, shape, dual, cache_dir):
     entries, hit = _table(n, shape, cache_dir)
     if cache_dir and not hit:
-        cache.store_table(cache_dir, flags.full_table(n, shape))  # computed above
+        try:
+            cache.store_table(cache_dir, flags.full_table(n, shape))  # computed above
+        except OSError as exc:
+            raise UsageError(f"cannot write the cache: {exc}") from exc
     out = []
     for s, f, h in entries:
         key = tuple(sorted(n - 1 - r for r in s)) if dual else s

@@ -7,29 +7,14 @@ multiplicity of the trivial character in the rank-selected homology
 representation.  The one-letter shape gives b_S(n); the hook shape
 (n-1, 1) gives b'_S(n).
 
-The full table is swept once per (n, shape).  The facets are the faces
-of the full support, built bottom-up straight into a ForestStore
-(``core.support_root_ids``; no ChainType is built), and the faces of each
-support are the level deletions of the faces of its canonical parent
-(``kernel.sweep_plan``).
-This is exact because every face with support S is the restriction of some
-face on any superset of S, so each support is reached by one deletion per
-parent face, and memoized deletion materializes each distinct face once.
-
-The sweep walks the canonical-parent tree depth first.  Only the face sets
-of the current support and its ancestors stay alive, one per popcount, so
-at most m + 1 sets over the m = n - 2 coranks are held at once instead of
-all 2^m; each set is counted and dropped once its subtree is done.
-
-The drop memo, keyed by the height of the deleted level, is freed as the
-sweep goes.  The children of the full support come at heights m-1, ..., 0.
-A mask in the subtree of the child at height h lacks the level at h and
-only levels finer than it beyond that, so every deletion in the subtree is
-at a height <= h, and so is every deletion in the later children's
-subtrees.  On reaching that child no lookup can hit the memo above h again,
-and the memo of every height above h is freed.  The memo at h itself is
-kept: the child's own deletion walks the facets' nodes, which earlier
-subtrees met at height h too.
+The full table is swept once per (n, shape) by ``kernel.sweep``.  Its top
+faces are the faces of the full support, built bottom-up straight into a
+ForestStore (``core.support_root_ids``; no ChainType is built), and the
+faces of each support are the level deletions of the faces of its
+canonical parent.  This is exact because every face with support S is the
+restriction of some face on any superset of S, so each support is reached
+by one deletion per parent face, and memoized deletion materializes each
+distinct face once.
 """
 
 from __future__ import annotations
@@ -38,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import support_root_ids
-from .kernel import ForestStore, sweep_plan
+from .kernel import ForestStore, sweep
 from .shapes import RankSet, Shape, checked_shape, full_shape, hook_shape
 
 __all__ = [
@@ -80,21 +65,9 @@ def _table_cache(n: int, parts: tuple) -> FlagTable:
     m = n - 2
     if m < 0:
         raise ValueError("need n >= 2")
-    full = (1 << m) - 1
     store = ForestStore()
-    path = []  # face sets of the current mask and its ancestors, full first
-    f_by_mask = {}
-    for mask, parent, height in sweep_plan(m):
-        if parent is None:
-            faces = set(support_root_ids(shape, tuple(range(1, n - 1)), store))
-        else:
-            if parent == full:
-                store.release_drops_above(height)  # see the module docstring
-            del path[m - mask.bit_count() :]  # keep the ancestors; the parent is last
-            top = parent.bit_count() - 1
-            faces = {store.drop_roots(r, height, top) for r in path[-1]}
-        path.append(faces)
-        f_by_mask[mask] = len(faces)
+    tops = support_root_ids(shape, tuple(range(1, n - 1)), store)
+    f_by_mask = {mask: len(faces) for mask, faces in sweep(store, m, tops)}
     # Moebius transform over subsets, one bit at a time
     h_by_mask = dict(f_by_mask)
     for bit in (1 << i for i in range(m)):

@@ -8,23 +8,24 @@ leaves, leaves at 0) and a level is named by its height, whatever forest
 holds it.  The deletion memo holds one dict per deleted height, keyed by
 node id, so a lookup builds no key and the whole recursion of one deletion
 reads one dict.  The memo lives as long as its store, which may serve many
-masks and facets, unless the caller frees the heights it will not reach
-again (``release_drops_above``).  A memo hit is answered at the lookup, in
-the loop over a forest's roots or a node's children, with no call; only a
-miss calls ``drop_node``.  This is the hot core of the package.
+masks and facets, unless ``sweep`` frees the heights it will not reach
+again.  A memo hit is answered at the lookup, in the loop over a forest's
+roots or a node's children, with no call; only a miss calls
+``drop_node``.  This is the hot core of the package.
 
 ``sweep_plan`` fixes the order in which faces are reached from a facet:
 each support is the restriction of its canonical parent, the support plus
 its finest missing level, so one level deletion per face suffices.  The
-plan is a depth-first preorder of the canonical-parent tree, so a caller
-needs only the face sets of the current mask's ancestors.
+plan is a depth-first preorder of the canonical-parent tree.  ``sweep``
+walks it: flag tables and the partitioning both reach their faces through
+it, and nothing else walks the plan.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
-__all__ = ["ForestStore", "IMPL", "sweep_plan"]
+__all__ = ["ForestStore", "IMPL", "sweep", "sweep_plan"]
 
 # The kernel implementation's name, recorded with every benchmark run.
 IMPL = "python"
@@ -173,3 +174,43 @@ def sweep_plan(m: int) -> list:
         high = (full & ~mask).bit_length()  # one above the highest missing bit
         stack.extend((mask & ~(1 << c), mask, m - 1 - c) for c in range(m - 1, high - 1, -1))
     return plan
+
+
+def sweep(store: ForestStore, m: int, tops):
+    """Yield (mask, faces) for every mask of ``sweep_plan(m)``, in plan order.
+
+    ``tops`` are the root ids in ``store`` of the faces on the full mask.
+    ``faces`` is a {root ids: owner} dict of the distinct faces on the mask;
+    the owner is the least index in ``tops`` of a top face containing the
+    face.  A mask's dict is filled with ``setdefault``, one deletion per
+    face of its parent's dict, whose owners ascend in insertion order, so
+    the first owner to reach a face is the least.  Only the dicts of the
+    current mask and its ancestors stay alive, one per popcount, so at most
+    m + 1 instead of all 2^m; a caller reads them and must not change them.
+
+    The drop memo, keyed by the height of the deleted level, is freed as the
+    sweep goes.  The children of the full mask come at heights m-1, ..., 0.
+    A mask in the subtree of the child at height h lacks the level at h and
+    only levels finer than it beyond that, so every deletion in the subtree
+    is at a height <= h, and so is every deletion in the later children's
+    subtrees.  On reaching that child no lookup can hit the memo above h
+    again, and the memo of every height above h is freed.  The memo at h
+    itself is kept: the child's own deletion walks the top faces' nodes,
+    which earlier subtrees met at height h too.
+    """
+    full = (1 << m) - 1
+    path = []  # face dicts of the current mask and its ancestors, full first
+    for mask, parent, height in sweep_plan(m):
+        faces = {}
+        if parent is None:
+            for owner, face in enumerate(tops):
+                faces.setdefault(face, owner)
+        else:
+            if parent == full:
+                store.release_drops_above(height)
+            del path[m - mask.bit_count() :]  # keep the ancestors; the parent is last
+            top = parent.bit_count() - 1
+            for face, owner in path[-1].items():
+                faces.setdefault(store.drop_roots(face, height, top), owner)
+        path.append(faces)
+        yield mask, faces

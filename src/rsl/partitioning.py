@@ -3,8 +3,8 @@
 Facets are sorted by their label sequences.  In that order, the faces of
 each facet that belong to no earlier facet must form a boolean interval
 [G_i, F_i]; G_i is read off the codimension-one faces.  Each face is new to
-the first facet containing it, its owner, so one sweep of the supports
-from the ordered facets reads off every interval.  The sweep never trusts
+the first facet containing it, its owner, so one ``kernel.sweep`` from
+the ordered facets reads off every interval.  The sweep never trusts
 descent sets: the minimal face is always computed from actual membership,
 and the descent characterization is a statement to verify afterwards.
 """
@@ -19,7 +19,7 @@ from typing import Optional
 from .bars import InsertionFacet, enumerate_insertion_facets
 from .core import ChainType
 from .flags import full_table
-from .kernel import ForestStore, sweep_plan
+from .kernel import ForestStore, sweep
 from .orders import BlockOrder, default_order, verify_lengthening
 from .shapes import Shape, as_shape
 
@@ -94,46 +94,29 @@ def order_facets(n: int, shape, order: Optional[BlockOrder] = None) -> Partition
 def minimal_new_faces(scheme: PartitionScheme) -> tuple:
     """Per-facet minimal new faces G_i, computed from the facet order.
 
-    One walk of ``kernel.sweep_plan`` from the ordered facets, keeping the
-    ancestor path of ``flags.full_table``.  Each support's faces are a
-    {root ids: owner} dict filled with ``setdefault`` from its parent's,
-    whose owners ascend, so a face keeps the least facet containing it.  A
-    corank belongs to supp(G_i) exactly when facet i's codimension-one face
-    omitting it has an earlier owner; the faces facet i owns must then be
-    precisely the supersets of supp(G_i).  Violations are recorded as
-    failure witnesses, not patched.  Also fills ``face_counts``, the
-    distinct faces of each support.
+    One ``kernel.sweep`` from the ordered facets, so each face's owner is
+    the least facet containing it.  Corank c belongs to supp(G_i) exactly
+    when facet i owns no face on the support that omits c alone: its
+    codimension-one face there has an earlier owner.  The faces facet i owns
+    must then be precisely the supersets of supp(G_i).  Violations are
+    recorded as failure witnesses, not patched.  Also fills
+    ``face_counts``, the distinct faces of each support.
     """
     m = scheme.n - 2
     full = (1 << m) - 1
     store = ForestStore()
     tops = [facet.root_ids(store) for facet in scheme.facets]
-    d_masks = [0] * len(tops)
     owned = [[] for _ in tops]  # masks of the faces each facet owns
     face_counts = {}
-    path = []  # face dicts of the current mask and its ancestors, full first
-    for mask, parent, height in sweep_plan(m):
-        faces = {}
-        if parent is None:
-            for j, ids in enumerate(tops):
-                faces.setdefault(ids, j)
-        else:
-            if parent == full:
-                store.release_drops_above(height)  # as in flags.full_table
-            del path[m - mask.bit_count() :]
-            top = parent.bit_count() - 1
-            bit = full ^ mask if parent == full else 0  # only there is every facet an owner
-            for face, owner in path[-1].items():
-                if faces.setdefault(store.drop_roots(face, height, top), owner) != owner:
-                    d_masks[owner] |= bit
-        path.append(faces)
+    for mask, faces in sweep(store, m, tops):
         for owner in faces.values():
             owned[owner].append(mask)
         face_counts[frozenset(m - i for i in range(m) if mask >> i & 1)] = len(faces)
     minimal_faces = []
     min_supports = []
     failures = []
-    for j, (facet, face, d_mask, masks) in enumerate(zip(scheme.facets, tops, d_masks, owned)):
+    for j, (facet, face, masks) in enumerate(zip(scheme.facets, tops, owned)):
+        d_mask = sum(1 << c for c in range(m) if full ^ (1 << c) not in masks)
         supersets = 1 << (m - d_mask.bit_count())
         bad = sorted(mask for mask in masks if (mask & d_mask) != d_mask)
         if len(masks) != supersets or bad:

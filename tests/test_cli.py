@@ -143,6 +143,14 @@ def test_table_cache_cold_vs_warm(tmp_path, capsys):
     assert warm["cache_hit"] and not cold["cache_hit"]
 
 
+def test_table_with_unwritable_cache_dir_is_usage_error(tmp_path, capsys):
+    # a regular file cannot hold the cache: exit 2 with an error, not a traceback
+    path = tmp_path / "not-a-dir"
+    path.write_text("")
+    code, doc = run_json(capsys, "--cache-dir", str(path), "table", "--n", "5")
+    assert code == 2 and "cannot write the cache" in doc["error"]
+
+
 def test_cache_dir_from_environment(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RSL_CACHE_DIR", str(tmp_path))
     code, doc = run_json(capsys, "table", "--n", "5")

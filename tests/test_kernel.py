@@ -1,11 +1,18 @@
 """The forest store against the direct nested-tuple restriction, and the
-structure of the sweep plan."""
+structure of the sweep plan and of the sweep that walks it."""
 
+import ast
+import glob
+import os
 import random
+from itertools import combinations
 
-from rsl import RankSet, enumerate_facet_orbits, full_shape, restrict
-from rsl.core import _drop_depth, support_root_ids
-from rsl.kernel import IMPL, ForestStore, sweep_plan
+import pytest
+
+from rsl import RankSet, enumerate_facet_orbits, full_shape, kernel, restrict
+from rsl.core import ChainType, _drop_depth, support_root_ids
+from rsl.kernel import IMPL, ForestStore, sweep, sweep_plan
+from rsl.shapes import Shape
 
 
 def test_intern_extract_round_trip():
@@ -118,3 +125,69 @@ def test_sweep_plan_structure():
             # each mask's children come in decreasing height
             assert last_child_height.get(parent, m) > height
             last_child_height[parent] = height
+
+
+def _sub_support(dual_levels, mask):
+    """The coranks of ``dual_levels`` a sweep mask keeps: bit c is depth c."""
+    return tuple(d for c, d in enumerate(dual_levels) if mask >> c & 1)
+
+
+def test_sweep_reaches_every_sub_support():
+    """Started from the faces of any support S, the sweep yields every mask
+    once, in plan order, with exactly the faces of that sub-support, and
+    each dict's owners ascend in insertion order."""
+    store = ForestStore()
+    pairs = 0
+    for parts in ((9,), (8, 1), (4, 4), (3, 2, 1)):
+        shape = Shape(parts)
+        expected = {}  # sub-support -> its faces, built once
+        for k in range(5):
+            for levels in combinations(range(1, shape.n - 1), k):
+                tops = support_root_ids(shape, levels, store)
+                masks = []
+                for mask, faces in sweep(store, k, tops):
+                    masks.append(mask)
+                    sub = _sub_support(levels, mask)
+                    if sub not in expected:
+                        expected[sub] = set(support_root_ids(shape, sub, store))
+                    assert set(faces) == expected[sub], (parts, levels, mask)
+                    owners = list(faces.values())
+                    assert owners == sorted(owners), (parts, levels, mask)
+                assert masks == [mask for mask, _, _ in sweep_plan(k)]
+                pairs += len(masks)
+    assert pairs == 2432
+
+
+@pytest.mark.parametrize("parts", [(7,), (6, 1)], ids=str)
+def test_sweep_owner_is_least_top_containing_the_face(parts):
+    """The owner of each face is the least top whose direct nested-tuple
+    restriction (``core.restrict``, no store) gives that face."""
+    shape = Shape(parts)
+    n = shape.n
+    store = ForestStore()
+    for k in range(n - 1):
+        for levels in combinations(range(1, n - 1), k):
+            tops = support_root_ids(shape, levels, store)
+            chains = [ChainType(shape, levels, store.nested_roots(t)) for t in tops]
+            for mask, faces in sweep(store, k, tops):
+                sub = RankSet.of_dual(n, _sub_support(levels, mask))
+                first = {}
+                for owner, chain in enumerate(chains):
+                    first.setdefault(restrict(chain, sub).roots, owner)
+                got = {store.nested_roots(face): owner for face, owner in faces.items()}
+                assert got == first, (parts, levels, mask)
+
+
+def test_only_the_kernel_walks_the_sweep_plan():
+    """Flag tables and the partitioning reach their faces through
+    ``kernel.sweep``; a module that named the plan or the memo release
+    would be a second walk, with its own ancestor path and release rule."""
+    walkers = set()
+    for path in glob.glob(os.path.join(os.path.dirname(kernel.__file__), "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name in ("sweep_plan", "release_drops_above"):
+                walkers.add(os.path.splitext(os.path.basename(path))[0])
+    assert walkers == {"kernel"}
