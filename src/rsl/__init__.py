@@ -87,6 +87,7 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty the in-process cache of flag tables, so the next call computes
-    afresh and the memory it holds can be freed.  Nothing else is cached:
-    ``enumerate_facet_orbits`` builds its facets on every call."""
+    afresh and the memory it holds can be freed.  ``enumerate_facet_orbits``
+    builds its facets on every call.  The named block orders' keys stay
+    cached: they are pure, and there is one per block content asked about."""
     flags._table_cache.cache_clear()

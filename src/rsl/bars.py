@@ -5,17 +5,24 @@ n-1 bar insertions, the t-th at corank t.  Two conventions make each orbit
 appear once: when a block splits, the child that is smaller in the active
 block order goes left (ties broken by content), and of two equal blocks
 created together the left one is refined first.  Both live in one
-bar-insertion step: ``_splittable`` (the blocks the next bar may split),
-``_oriented`` (which child goes left; ``_normalized`` makes the insertion)
-and ``_split_row`` (the row update).  The facet walk
-(``enumerate_insertion_facets``), the checked replay that builds every
-``InsertionFacet`` and ``construct.facet_from_positions`` take all three;
-``min_extension`` orients its splits with ``_normalized``.
+bar-insertion step, ``_Walk.push``: it finds the splittable block
+(``_splittable``), checks that the children sum to it and that the
+insertion is its oriented split (``_oriented``; ``_normalized`` makes the
+insertion), and records the split (``_split_row`` is the row update).  The
+facet walk (``enumerate_insertion_facets``) takes that step once per edge
+and undoes it on backtrack, and each facet it finds keeps a copy of the
+walk's record; the public ``InsertionFacet`` constructor replays a list
+through the same step.  ``construct.facet_from_positions`` searches with
+``_splittable``, ``_normalized`` and ``_split_row``; ``min_extension``
+orients its splits with ``_normalized``.
 
 Covering relation t carries a label: (position, word-of-positions, r) for
 the one-letter shape, and (bars-to-the-left, left-child word, prefix word,
 r) in general, where r is the corank at which the split block was created.
-Lexicographic comparison of label sequences orders the facets.
+Lexicographic comparison of label sequences orders the facets.  The labels
+(``CoverLabel``, ``cover_labels``) are the definition; the sort keys of
+``InsertionFacet.sort_key`` and ``min_extension`` come from ``_label_key``,
+which reads the same data from a facet's record without building a label.
 
 The walk and the labels serve the interval partitioning; flag tables
 take their facets from ``core.support_root_ids`` instead.  A facet's
@@ -125,25 +132,31 @@ def _cover_label(earlier, position: int, left: Content, prefix: tuple, r: int) -
     )
 
 
-def _label_key(label: CoverLabel, order: BlockOrder, general: bool):
-    if general:
-        return (
-            label.bars_left,
-            order.key(label.w_b),
-            tuple(order.key(b) for b in label.prefix),
-            label.r,
-        )
-    return (label.position, label.w, label.r)
+def _label_key(earlier, position: int, left: Content, prefix: tuple, r: int, order: BlockOrder):
+    """The sort key of ``_cover_label(earlier, position, left, prefix, r)``,
+    built without the label: (position, w, r) for one-letter contents (the
+    shape (n)), else (bars_left, key of w_b, keys of the prefix, r)."""
+    if len(left) == 1:
+        return (position, tuple(sorted((*earlier, position))), r)
+    key = order.key
+    left_key = key(left)
+    return (
+        sum(1 for p in earlier if p < position),
+        left_key,
+        (*map(key, prefix), left_key),
+        r,
+    )
 
 
-class _Replay(NamedTuple):
-    """The checked replay of a facet's insertions; entry t-1 of each list is
-    insertion t."""
+class _Record(NamedTuple):
+    """What the bar-insertion steps of a facet leave; entry t-1 of each
+    tuple is insertion t.  Every view of the facet (labels, sort key,
+    forest, descents, diagram) reads it."""
 
     row: tuple  # contents of the final, fully refined row
-    splits: list  # (row index, content) of the split block
-    prefixes: list  # contents of the blocks left of the split block
-    left_split: list  # step at which insertion t's left child is split
+    splits: tuple  # (row index, content) of the split block
+    prefixes: tuple  # contents of the blocks left of the split block
+    left_split: tuple  # step at which insertion t's left child is split
 
 
 # -- the one bar-insertion step ----------------------------------------------------
@@ -186,15 +199,29 @@ def _split_row(row, idx: int, left: Content, right: Content, t: int) -> list:
     return row[:idx] + [(left, t, gid), (right, t, gid)] + row[idx + 1 :]
 
 
-def _replay(shape, order: BlockOrder, insertions) -> _Replay:
-    """Replay the insertions on the walker's rows, checking that each one is
-    the normalized split of a splittable block; every view of the facet
-    (labels, forest, descents, diagram) reads the record."""
-    row = [(shape.root_content, 0, None)]
-    splits = []
-    prefixes = []
-    left_split = [None] * len(insertions)
-    for t, ins in enumerate(insertions, start=1):
+class _Walk:
+    """A row refined by checked bar insertions, one step at a time.
+
+    ``push`` is the one bar-insertion step.  It finds the splittable block
+    the bar falls in, checks that the children sum to that block and that
+    the insertion is its ``_normalized`` split, then appends to the record.
+    ``pop`` undoes the last step, so the facet walk backtracks on a single
+    walk; ``record`` copies the record of a finished facet.
+    """
+
+    __slots__ = ("order", "rows", "insertions", "splits", "prefixes", "left_split")
+
+    def __init__(self, shape, order: BlockOrder):
+        self.order = order
+        self.rows = [[(shape.root_content, 0, None)]]  # rows[t]: the row after t steps
+        self.insertions = []
+        self.splits = []
+        self.prefixes = []
+        self.left_split = [None] * (shape.n - 1)
+
+    def push(self, ins: BarInsertion) -> None:
+        row = self.rows[-1]
+        t = len(self.insertions) + 1
         for idx, start in _splittable(row):
             if start < ins.position < start + content_size(row[idx][0]):
                 break
@@ -203,33 +230,69 @@ def _replay(shape, order: BlockOrder, insertions) -> _Replay:
         content, created, _ = row[idx]
         if add_contents(ins.left, ins.right) != content or min(ins.left + ins.right) < 0:
             raise ValueError(f"insertion {t} children do not sum to the block")
-        expected = _normalized(order, start, created, ins.left, ins.right)
+        expected = _normalized(self.order, start, created, ins.left, ins.right)
         if ins != expected:
             raise ValueError(f"insertion {t} is {ins}, not the normalized split {expected}")
-        if created and start != insertions[created - 1].position:
-            left_split[created - 1] = t  # a right child starts at its parent's bar
-        splits.append((idx, content))
-        prefixes.append(tuple(b[0] for b in row[:idx]))
-        row = _split_row(row, idx, ins.left, ins.right, t)
-    return _Replay(tuple(b[0] for b in row), splits, prefixes, left_split)
+        if created and start != self.insertions[created - 1].position:
+            self.left_split[created - 1] = t  # a right child starts at its parent's bar
+        self.insertions.append(ins)
+        self.splits.append((idx, content))
+        self.prefixes.append(tuple(b[0] for b in row[:idx]))
+        self.rows.append(_split_row(row, idx, ins.left, ins.right, t))
+
+    def pop(self) -> None:
+        t = len(self.insertions)
+        self.insertions.pop()
+        self.prefixes.pop()
+        self.rows.pop()
+        idx, _ = self.splits.pop()
+        created = self.rows[-1][idx][1]
+        if created and self.left_split[created - 1] == t:
+            self.left_split[created - 1] = None
+
+    def record(self) -> _Record:
+        return _Record(
+            tuple(b[0] for b in self.rows[-1]),
+            tuple(self.splits),
+            tuple(self.prefixes),
+            tuple(self.left_split),
+        )
 
 
 class InsertionFacet:
     """A maximal chain orbit as a normalized bar-insertion sequence.
 
-    Building one replays and checks the insertions; a list that is not a
-    normalized facet raises ValueError.
+    The constructor replays the insertions from the root through the
+    bar-insertion step, which checks each one; a list that is not a
+    normalized facet raises ValueError.  The facet walk builds its facets
+    with ``_walked`` instead: its steps already checked every insertion, so
+    each facet takes a copy of the walk's record and is not replayed.
     """
 
-    __slots__ = ("shape", "order", "insertions", "_replay", "_chain", "_descents")
+    __slots__ = ("shape", "order", "insertions", "_record", "_chain", "_descents")
 
     def __init__(self, shape, order: BlockOrder, insertions):
-        self.shape = as_shape(shape)
-        self.order = order
-        self.insertions = tuple(insertions)
-        if len(self.insertions) != self.n - 1:
+        shape = as_shape(shape)
+        insertions = tuple(insertions)
+        if len(insertions) != shape.n - 1:
             raise ValueError("a facet of the order complex needs n-1 insertions")
-        self._replay = _replay(self.shape, order, self.insertions)
+        walk = _Walk(shape, order)
+        for ins in insertions:
+            walk.push(ins)
+        self._adopt(shape, walk)
+
+    @classmethod
+    def _walked(cls, shape, walk: _Walk) -> "InsertionFacet":
+        """The facet a walk of n-1 steps has built, from a copy of its record."""
+        self = cls.__new__(cls)
+        self._adopt(shape, walk)
+        return self
+
+    def _adopt(self, shape, walk: _Walk) -> None:
+        self.shape = shape
+        self.order = walk.order
+        self.insertions = tuple(walk.insertions)
+        self._record = walk.record()
         self._chain = None
         self._descents = None
 
@@ -257,7 +320,7 @@ class InsertionFacet:
 
     def root_ids(self, store: ForestStore) -> tuple:
         """The facet's canonical forest interned in ``store``: sorted root ids."""
-        return _assemble_root_ids(store, self._replay.row, self._replay.splits)
+        return _assemble_root_ids(store, self._record.row, self._record.splits)
 
     def chain_type(self) -> ChainType:
         if self._chain is None:
@@ -270,19 +333,23 @@ class InsertionFacet:
         positions = self.positions
         return tuple(
             _cover_label(positions[:t], ins.position, ins.left, prefix, ins.parent_rank)
-            for t, (ins, prefix) in enumerate(zip(self.insertions, self._replay.prefixes))
+            for t, (ins, prefix) in enumerate(zip(self.insertions, self._record.prefixes))
         )
 
     def sort_key(self):
-        general = not self.shape.is_full()
-        return tuple(_label_key(lb, self.order, general) for lb in self.labels())
+        """The facet's label sequence as sort keys, read from the record."""
+        positions, order = self.positions, self.order
+        return tuple(
+            _label_key(positions[:t], ins.position, ins.left, prefix, ins.parent_rank, order)
+            for t, (ins, prefix) in enumerate(zip(self.insertions, self._record.prefixes))
+        )
 
     # -- descents --------------------------------------------------------------
 
     def descent_dual_set(self) -> frozenset:
         if self._descents is not None:
             return self._descents
-        splits, left_split = self._replay.splits, self._replay.left_split
+        splits, left_split = self._record.splits, self._record.left_split
         key = self.order.key
         out = set()
         for t in range(1, self.n - 1):
@@ -312,7 +379,7 @@ class InsertionFacet:
             letters = ["o"] * self.n
         else:
             symbols = "abcdefghij"
-            letters = [symbols[content.index(1)] for content in self._replay.row]
+            letters = [symbols[content.index(1)] for content in self._record.row]
         out = []
         for i, ch in enumerate(letters, start=1):
             out.append(ch)
@@ -353,21 +420,25 @@ def enumerate_insertion_facets(n: int, shape, order: Optional[BlockOrder] = None
     """All normalized facets as InsertionFacets, one per orbit, depth first
     over every splittable block and every split of it, oriented.
 
-    A block content is split many times over, so each walk keeps a
-    per-walk memo, ``halves``: content -> its bipartitions, each already
-    oriented by ``_oriented`` and with the width of its left child, gone
-    when the walk ends.
+    Each edge of the walk is one bar-insertion step (``_Walk.push``, with
+    its checks), undone on backtrack; each leaf's facet takes a copy of the
+    walk's record, so no facet is replayed and facets share the walk's
+    prefix tuples.  A block content is split many times over, so each walk
+    keeps a per-walk memo, ``halves``: content -> its bipartitions, each
+    already oriented by ``_oriented`` and with the width of its left child,
+    gone when the walk ends.
     """
     shape = checked_shape(n, shape)
     order = default_order(shape) if order is None else order
     results = []
-    acc = []
+    walk = _Walk(shape, order)
     halves = {}
 
-    def rec(row, t):
+    def rec(t):
         if t == n:
-            results.append(InsertionFacet(shape, order, acc))
+            results.append(InsertionFacet._walked(shape, walk))
             return
+        row = walk.rows[-1]
         for idx, start in _splittable(row):
             content, created, _ = row[idx]
             pairs = halves.get(content)
@@ -377,11 +448,11 @@ def enumerate_insertion_facets(n: int, shape, order: Optional[BlockOrder] = None
                     for left, right in (_oriented(order, a, b) for a, b in bipartitions(content))
                 )
             for left, right, width in pairs:
-                acc.append(BarInsertion(start + width, left, right, created))
-                rec(_split_row(row, idx, left, right, t), t + 1)
-                acc.pop()
+                walk.push(BarInsertion(start + width, left, right, created))
+                rec(t + 1)
+                walk.pop()
 
-    rec([(shape.root_content, 0, None)], 1)
+    rec(1)
     return results
 
 
@@ -418,7 +489,6 @@ def min_extension(c: ChainType, order: Optional[BlockOrder] = None) -> Insertion
     n = shape.n
     if order is None:
         order = default_order(shape)
-    general = not shape.is_full()
 
     def leaf_targets(content):
         return tuple((u, ()) for u in unit_contents(content))
@@ -450,8 +520,7 @@ def min_extension(c: ChainType, order: Optional[BlockOrder] = None) -> Insertion
                             placements = [(t1, t2) if ins.left == s1 else (t2, t1)]
                         else:  # equal contents: either subtree may go left
                             placements = [(t1, t2), (t2, t1)]
-                        label = _cover_label(positions, ins.position, ins.left, prefix, created)
-                        key = _label_key(label, order, general)
+                        key = _label_key(positions, ins.position, ins.left, prefix, created, order)
                         if best_key is None or key < best_key:
                             best_key = key
                             chosen = []
@@ -517,7 +586,7 @@ def facet_block_conditions(facet: InsertionFacet) -> tuple:
     """(non-equal, nontrivial non-equal) for a facet itself: no equal blocks
     created from one parent in a single step or in consecutive steps, of
     size >= 2 (strict) resp. >= 3 (relaxed)."""
-    splits = facet._replay.splits
+    splits = facet._record.splits
     worst = 0  # largest size of an offending equal pair
     for t, ins in enumerate(facet.insertions):
         if ins.left == ins.right:

@@ -8,6 +8,7 @@ lexicographically earlier chains.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -19,6 +20,9 @@ class BlockOrderDomainError(ValueError):
     """Raised when a comparison is outside the order's domain."""
 
 
+# The named orders' keys are pure functions of the content, and label keys
+# ask for the same few hundred contents many times, so they are cached.
+@functools.cache
 def _length_lex_key(c: Content) -> tuple:
     return (content_size(c), content_word(c))
 
@@ -65,6 +69,7 @@ def distinguished(shape) -> BlockOrder:
         raise ValueError("distinguished order needs a shape with last part 1")
     s = shape.k - 1
 
+    @functools.cache
     def key(c: Content) -> tuple:
         return (0 if c[s] else 1,) + _length_lex_key(c)
 

@@ -402,3 +402,71 @@ def test_walk_memo_keeps_facet_order(n):
         facets = enumerate_insertion_facets(n, shape)
         want = _walk_without_memo(n, shape, facets[0].order)
         assert [f.insertions for f in facets] == want
+
+
+# -- the walk's record and the label keys against the checked replay -------------
+
+
+def _record_cases():
+    yield 7, full_shape(7), length_lex()
+    yield 7, hook_shape(7), length_lex()
+    yield 7, hook_shape(7), distinguished(hook_shape(7))
+    yield 7, Shape((4, 3)), length_lex()
+    yield 8, Shape((5, 2, 1)), distinguished(Shape((5, 2, 1)))
+
+
+@pytest.mark.parametrize("n,shape,order", list(_record_cases()), ids=str)
+def test_walked_records_equal_the_checked_replay(n, shape, order):
+    """Each facet of the walk keeps a copy of the walk's record instead of
+    being replayed; that record equals the one the public constructor
+    builds by replaying the facet's insertions from the root."""
+    facets = enumerate_insertion_facets(n, shape, order)
+    for f in facets:
+        replayed = bars.InsertionFacet(shape, order, f.insertions)
+        assert f._record == replayed._record
+    if shape == Shape((5, 2, 1)):
+        assert len(facets) == 15_621
+    # facets that share their first two steps share the walk's prefix tuples
+    shared = {}
+    for f in facets:
+        shared.setdefault(f.insertions[:2], set()).add(id(f._record.prefixes[1]))
+    assert all(len(ids) == 1 for ids in shared.values())
+
+
+def test_walk_checks_each_step_against_the_normalized_split(monkeypatch):
+    real = bars._normalized
+
+    def swapped(order, start, created, a, b):
+        ins = real(order, start, created, a, b)
+        return bars.BarInsertion(start + sum(ins.right), ins.right, ins.left, created)
+
+    monkeypatch.setattr(bars, "_normalized", swapped)
+    with pytest.raises(ValueError, match="not the normalized split"):
+        enumerate_insertion_facets(7, full_shape(7))
+
+
+def _key_of_label(label, order, general):
+    """The sort key of one cover label, read from its documented fields."""
+    if general:
+        return (
+            label.bars_left,
+            order.key(label.w_b),
+            tuple(order.key(b) for b in label.prefix),
+            label.r,
+        )
+    return (label.position, label.w, label.r)
+
+
+@pytest.mark.parametrize(
+    "n,shape,order",
+    [
+        (9, full_shape(9), length_lex()),
+        (8, hook_shape(8), distinguished(hook_shape(8))),
+        (7, Shape((4, 3)), length_lex()),
+    ],
+    ids=str,
+)
+def test_sort_key_is_the_key_of_the_cover_labels(n, shape, order):
+    general = not shape.is_full()
+    for f in enumerate_insertion_facets(n, shape, order):
+        assert f.sort_key() == tuple(_key_of_label(lb, order, general) for lb in cover_labels(f))

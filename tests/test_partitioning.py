@@ -177,6 +177,29 @@ def test_full_shape_n8_boundary_of_verbatim_labels():
         assert first.left == first.right == (4,)
 
 
+def test_full_shape_n9_boundary_of_verbatim_labels():
+    # at n=9 the full shape fails on nine facets: the three size-4 twin
+    # witnesses of the hook at n=9, and six that make size-3 twins at step 2
+    scheme = verify_partitioning(9, full_shape(9))
+    assert scheme.status == "failed"
+    assert {w.reason for w in scheme.failures} == {"non-unique-minimal"}
+    assert {scheme.facets[w.facet_index].positions for w in scheme.failures} == {
+        (1, 5, 2, 3, 6, 7, 8, 4),
+        (1, 5, 2, 6, 3, 7, 8, 4),
+        (1, 5, 3, 7, 2, 6, 8, 4),
+        (3, 6, 1, 4, 5, 2, 7, 8),
+        (3, 6, 1, 4, 5, 7, 2, 8),
+        (3, 6, 1, 4, 5, 7, 8, 2),
+        (3, 6, 1, 4, 7, 5, 2, 8),
+        (3, 6, 1, 4, 7, 5, 8, 2),
+        (3, 6, 1, 4, 7, 8, 5, 2),
+    }
+    for w in scheme.failures:
+        facet = scheme.facets[w.facet_index]
+        second = facet.insertions[1]
+        assert second.left == second.right == ((4,) if facet.positions[0] == 1 else (3,))
+
+
 def test_hook_n8_stays_clean():
     # two disjoint equal blocks of size four need eight identical letters,
     # which the hook shape lacks: both orders stay partitioning-clean at n=8
