@@ -16,7 +16,7 @@ from . import bars, construct, core, flags, oracles, orders, partitioning, vanis
 from .shapes import RankSet, full_shape, hook_shape, multiset_partitions
 
 FULL_SHAPE_PARTITION_MAX_N = 7
-HOOK_PARTITION_MAX_N = 6
+HOOK_PARTITION_MAX_N = 8
 
 
 def _report(num, name, passed, detail, t0):
@@ -316,6 +316,50 @@ def criterion_13(max_n=8):
     return _report(13, "lengthening condition", not bad, f"violations: {bad}", t0)
 
 
+def _initial(s) -> bool:
+    return s == frozenset(range(1, len(s) + 1))
+
+
+def criterion_14():
+    """Criteria 1, 2, 4, 5 and 9 beyond the whole tables, at n = 10..20, read
+    from ``flags.support_table``, which sweeps only the subsets of one S.
+
+    Size: at each n, the tables of (n) over the 15 four-subsets of {1..6}
+    give h on every S inside {1..6} with |S| <= 4 (57 sets), and the table
+    of the hook (n-1, 1) over {1..4} gives b' on its 16 subsets.  Budget:
+    5 s, reported in ``seconds`` but not failed on, since hosts differ;
+    2.1-2.6 s on 2 vCPUs.  Checks, at every n:
+    - Hanlon: h = 0 on {1..i}, 1 <= i <= 4;
+    - Sundaram: h >= 1 when 1 is not in S;
+    - every fired vanishing predicate gives h = 0;
+    - h is the same at every n > 2 max S;
+    - b' = 1 on initial segments, including the empty one, and b' >= 2
+      on every other S.
+    """
+    t0 = time.perf_counter()
+    bad = []
+    stable = {}  # S -> (n, h) at the least n above 2 max S
+    for n in range(10, 21):
+        h = {}
+        for top in itertools.combinations(range(1, 7), 4):
+            h.update(flags.support_table(n, full_shape(n), top).h)
+        for s, v in h.items():
+            if s and _initial(s) and v != 0:
+                bad.append((n, sorted(s), "Hanlon", v))
+            if 1 not in s and v < 1:
+                bad.append((n, sorted(s), "Sundaram", v))
+            if vanishing.vanishing_predicates(s, n) and v != 0:
+                bad.append((n, sorted(s), "predicates", v))
+            if n > 2 * max(s, default=0):
+                first_n, first_h = stable.setdefault(s, (n, v))
+                if first_h != v:
+                    bad.append((sorted(s), "stability", {first_n: first_h, n: v}))
+        for s, v in flags.support_table(n, hook_shape(n), range(1, 5)).h.items():
+            if v != 1 if _initial(s) else v < 2:
+                bad.append((n, sorted(s), "b'", v))
+    return _report(14, "one-support tables to n = 20", not bad, f"{len(stable)} sets; violations: {bad}", t0)
+
+
 CRITERIA = [
     criterion_1,
     criterion_2,
@@ -330,6 +374,7 @@ CRITERIA = [
     criterion_11,
     criterion_12,
     criterion_13,
+    criterion_14,
 ]
 
 

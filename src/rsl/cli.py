@@ -11,6 +11,13 @@ stability read flag tables from the disk cache, and report cache_hit
 (for stability, true only when both of its tables were stored).  Only
 table writes the cache: run ``rsl table`` once for an (n, shape), and
 later queries of that table read it instead of recomputing.
+
+b, bprime and stability ask about one rank set S.  Without a stored
+table they sweep only the subsets of S (``flags.support_table``), never
+the whole table, so ``rsl b --n 16 --ranks 2,3`` answers in milliseconds.
+table and vanish read every S and build the whole table.  No size is
+refused before a sweep starts: a query whose S has most of the n-2 ranks
+(say ``rsl b --n 30 --ranks 1,...,28``) starts a sweep that cannot finish.
 """
 
 from __future__ import annotations
@@ -84,10 +91,16 @@ def _table(n, shape, cache_dir):
     return flags.full_table(n, shape).entries(), False
 
 
-def _h_values(n, shape, cache_dir):
-    """{frozenset of lattice ranks: h} and whether it came from the cache."""
-    entries, hit = _table(n, shape, cache_dir)
-    return {frozenset(s): h for s, _, h in entries}, hit
+def _h_value(n, shape, ranks, cache_dir):
+    """h of the one rank set ``ranks`` (a frozenset of lattice ranks) and
+    whether it came from the cache.  A stored table is read; otherwise only
+    the subsets of ``ranks`` are swept.  Never writes the cache."""
+    if cache_dir:
+        entries = cache.load_table(cache_dir, n, shape)
+        if entries is not None:
+            key = tuple(sorted(ranks))
+            return next(h for s, _, h in entries if s == key), True
+    return flags.support_table(n, shape, ranks).h[ranks], False
 
 
 def _table_results(n, shape, dual, cache_dir):
@@ -112,14 +125,14 @@ def cmd_table(args):
 
 def cmd_b(args):
     ranks = _parse_ranks(args.ranks, args.n)
-    h, hit = _h_values(args.n, full_shape(args.n), args.cache_dir)
-    return {"n": args.n, "S": sorted(ranks), "b": h[ranks]}, {"cache_hit": hit}, 0
+    h, hit = _h_value(args.n, full_shape(args.n), ranks, args.cache_dir)
+    return {"n": args.n, "S": sorted(ranks), "b": h}, {"cache_hit": hit}, 0
 
 
 def cmd_bprime(args):
     ranks = _parse_ranks(args.ranks, args.n)
-    h, hit = _h_values(args.n, hook_shape(args.n), args.cache_dir)
-    return {"n": args.n, "S": sorted(ranks), "bprime": h[ranks]}, {"cache_hit": hit}, 0
+    h, hit = _h_value(args.n, hook_shape(args.n), ranks, args.cache_dir)
+    return {"n": args.n, "S": sorted(ranks), "bprime": h}, {"cache_hit": hit}, 0
 
 
 def cmd_partition_verify(args):
@@ -194,13 +207,14 @@ def cmd_vanish(args):
     import itertools
 
     n = args.n
-    h_of, hit = _h_values(n, full_shape(n), args.cache_dir)
+    entries, hit = _table(n, full_shape(n), args.cache_dir)
+    h_of = {s: h for s, _, h in entries}
     rows = []
     consistent = True
     for size in range(0, n - 1):
         for s in itertools.combinations(range(1, n - 1), size):
             rules = sorted(vanishing.vanishing_predicates(set(s), n))
-            h = h_of[frozenset(s)]
+            h = h_of[s]
             ok = h == 0 if rules else True
             consistent = consistent and ok
             rows.append({"S": list(s), "h": h, "rules": rules, "consistent": ok})
@@ -214,15 +228,15 @@ def cmd_stability(args):
         s = flags.stability_ranks(ranks, args.n, args.m)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    h_n, hit_n = _h_values(args.n, full_shape(args.n), args.cache_dir)
-    h_m, hit_m = _h_values(args.m, full_shape(args.m), args.cache_dir)
-    same = h_n[s] == h_m[s]
+    h_n, hit_n = _h_value(args.n, full_shape(args.n), s, args.cache_dir)
+    h_m, hit_m = _h_value(args.m, full_shape(args.m), s, args.cache_dir)
+    same = h_n == h_m
     results = {
         "S": sorted(ranks),
         "n": args.n,
         "m": args.m,
         "equal": same,
-        "values": {str(args.n): h_n[s], str(args.m): h_m[s]},
+        "values": {str(args.n): h_n, str(args.m): h_m},
     }
     return results, {"cache_hit": hit_n and hit_m}, 0 if same else 1
 

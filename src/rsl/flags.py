@@ -7,14 +7,17 @@ multiplicity of the trivial character in the rank-selected homology
 representation.  The one-letter shape gives b_S(n); the hook shape
 (n-1, 1) gives b'_S(n).
 
-The full table is swept once per (n, shape) by ``kernel.sweep``.  Its top
-faces are the faces of the full support, built bottom-up straight into a
-ForestStore (``core.support_root_ids``; no ChainType is built), and the
-faces of each support are the level deletions of the faces of its
-canonical parent.  This is exact because every face with support S is the
-restriction of some face on any superset of S, so each support is reached
-by one deletion per parent face, and memoized deletion materializes each
-distinct face once.
+``support_table`` is the one table builder: one ``kernel.sweep`` from the
+faces of a support S, then the Moebius transform, giving f and h on every
+subset of S.  Its top faces are built bottom-up straight into a ForestStore
+(``core.support_root_ids``; no ChainType is built), and the faces of each
+subset are the level deletions of the faces of its canonical parent.  This
+is exact because every face with support T is the restriction of some face
+on any superset of T, so each subset is reached by one deletion per parent
+face, and memoized deletion materializes each distinct face once.  Since
+h_S reads only the f_T with T inside S, a query about one S needs only
+this table.  ``full_table`` is its cached special case S = {1..n-2}, which
+every question about all supports reads.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "flag_h",
     "b_prime",
     "full_table",
+    "support_table",
     "check_stability",
     "stability_ranks",
     "reduced_euler",
@@ -59,14 +63,15 @@ class FlagTable:
         return True
 
 
-@lru_cache(maxsize=None)
-def _table_cache(n: int, parts: tuple) -> FlagTable:
-    shape = Shape(parts)
-    m = n - 2
-    if m < 0:
-        raise ValueError("need n >= 2")
+def support_table(n: int, shape, ranks) -> FlagTable:
+    """The flag table over the subsets of one support S = ``ranks``: f and
+    h keyed by every T inside S, from one sweep of the faces of S.  Not
+    memoized; ``full_table`` keeps the tables of every support."""
+    shape = checked_shape(n, shape)
+    dual_levels = RankSet.primal(n, ranks).as_dual().sorted()
+    m = len(dual_levels)
     store = ForestStore()
-    tops = support_root_ids(shape, tuple(range(1, n - 1)), store)
+    tops = support_root_ids(shape, dual_levels, store)
     f_by_mask = {mask: len(faces) for mask, faces in sweep(store, m, tops)}
     # Moebius transform over subsets, one bit at a time
     h_by_mask = dict(f_by_mask)
@@ -75,12 +80,17 @@ def _table_cache(n: int, parts: tuple) -> FlagTable:
             if mask & bit:
                 h_by_mask[mask] -= h_by_mask[mask ^ bit]
 
-    def to_primal(mask) -> frozenset:
-        return frozenset(n - 1 - (i + 1) for i in range(m) if mask >> i & 1)
+    def to_primal(mask) -> frozenset:  # bit i stands for corank dual_levels[i]
+        return frozenset(n - 1 - d for i, d in enumerate(dual_levels) if mask >> i & 1)
 
     f = {to_primal(mask): v for mask, v in f_by_mask.items()}
     h = {to_primal(mask): v for mask, v in h_by_mask.items()}
     return FlagTable(n, shape, f, h)
+
+
+@lru_cache(maxsize=None)
+def _table_cache(n: int, parts: tuple) -> FlagTable:
+    return support_table(n, parts, range(1, n - 1))
 
 
 def full_table(n: int, shape) -> FlagTable:

@@ -64,3 +64,7 @@ def test_criterion_12_oracle_checks():
 
 def test_criterion_13_lengthening_condition():
     _run(acceptance.criterion_13)
+
+
+def test_criterion_14_one_support_tables():
+    _run(acceptance.criterion_14)

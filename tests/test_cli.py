@@ -115,7 +115,7 @@ def test_verify_all_quick(capsys):
     code, doc = run_json(capsys, "verify-all", "--max-n", "5", "--quiet")
     assert code == 0
     assert doc["results"]["passed"]
-    assert len(doc["results"]["criteria"]) == 13
+    assert len(doc["results"]["criteria"]) == 14
 
 
 def test_cli_import_leaves_the_battery_out():
@@ -301,10 +301,11 @@ def test_queries_read_stored_tables(tmp_path, capsys, monkeypatch):
     cache.store_table(str(tmp_path), full_table(7, full_shape(7)))
     cache.store_table(str(tmp_path), full_table(7, (6, 1)))
 
-    def no_sweep(n, shape):
+    def no_sweep(*args):
         raise AssertionError("a stored table was recomputed")
 
     monkeypatch.setattr(cli.flags, "full_table", no_sweep)
+    monkeypatch.setattr(cli.flags, "support_table", no_sweep)
     got = _query_answers(capsys, str(tmp_path))
     assert got == {cmd: (value, True) for cmd, value in want.items()}
 
@@ -335,13 +336,54 @@ def test_stability_reads_stored_tables(tmp_path, capsys, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == stored
     cache.store_table(str(tmp_path), full_table(8, full_shape(8)))
 
-    def no_sweep(n, shape):
+    def no_sweep(*args):
         raise AssertionError("a stored table was recomputed")
 
     monkeypatch.setattr(cli.flags, "full_table", no_sweep)
+    monkeypatch.setattr(cli.flags, "support_table", no_sweep)
     code, doc = run_json(capsys, *argv)
     assert code == 0 and doc["results"]["values"] == want and doc["cache_hit"]
     assert doc["results"]["equal"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("b", "--n", "7", "--ranks", "2,4"),
+        ("bprime", "--n", "7", "--ranks", "2,3"),
+        ("stability", "--ranks", "1,3", "--n", "7", "--m", "8"),
+    ],
+)
+def test_query_miss_sweeps_only_the_subsets_of_its_ranks(tmp_path, capsys, monkeypatch, argv):
+    want = {
+        "b": flag_h(7, (7,), {2, 4}),
+        "bprime": b_prime(7, {2, 3}),
+        "stability": {"7": flag_h(7, (7,), {1, 3}), "8": flag_h(8, (8,), {1, 3})},
+    }[argv[0]]
+
+    def no_full_table(*args):
+        raise AssertionError("a one-S query built the whole table")
+
+    monkeypatch.setattr(cli.flags, "full_table", no_full_table)
+    code, doc = run_json(capsys, "--cache-dir", str(tmp_path), *argv)
+    assert code == 0 and doc["cache_hit"] is False
+    assert doc["results"]["values" if argv[0] == "stability" else argv[0]] == want
+    assert os.listdir(tmp_path) == []
+
+
+def test_b_beyond_any_whole_table(tmp_path, capsys, monkeypatch):
+    """The whole n = 16 table would walk E_15 = 1,903,757,312 facets; the
+    subsets of {2, 3} are four supports.  Building the whole table fails at
+    once here, instead of running out of memory."""
+
+    def no_full_table(*args):
+        raise AssertionError("rsl b built the whole n = 16 table")
+
+    monkeypatch.setattr(cli.flags, "full_table", no_full_table)
+    code, doc = run_json(capsys, "--cache-dir", str(tmp_path), "b", "--n", "16", "--ranks", "2,3")
+    assert code == 0
+    assert doc["results"]["b"] == 1 and doc["cache_hit"] is False
+    assert os.listdir(tmp_path) == []
 
 
 def test_construct_infeasible_ranks(capsys):

@@ -102,6 +102,31 @@ def test_table_matches_face_enumeration(n):
             assert faces == oracles.faces_by_restriction(n, shape, s)
 
 
+@pytest.mark.parametrize("n, shape", [(7, (7,)), (8, (8,)), (8, (7, 1)), (8, (4, 4)), (7, (3, 2, 2))])
+def test_support_table_is_the_full_table_on_the_subsets(n, shape):
+    """From every support S, the table over the subsets of S equals the
+    whole table read on those subsets."""
+    table = full_table(n, shape)
+    for top in _subsets(n):
+        top = frozenset(top)
+        got = flags.support_table(n, shape, top)
+        assert set(got.f) == {s for s in table.f if s <= top}
+        assert got.f == {s: table.f[s] for s in got.f}, sorted(top)
+        assert got.h == {s: table.h[s] for s in got.h}, sorted(top)
+
+
+@pytest.mark.parametrize(
+    "n, shape, top", [(6, (6,), {1, 3, 4}), (7, (7,), {2, 3, 5}), (7, (6, 1), {1, 2, 4, 5}), (7, (4, 3), {2, 4})]
+)
+def test_support_table_counts_the_restrictions_of_every_facet(n, shape, top):
+    """f from one support's sweep against the facets' restrictions, an
+    oracle that builds no face bottom-up and walks no sweep plan."""
+    got = flags.support_table(n, shape, top).f
+    assert set(got) == {frozenset(s) for k in range(len(top) + 1) for s in itertools.combinations(top, k)}
+    for s, count in got.items():
+        assert count == len(oracles.faces_by_restriction(n, shape, s)), sorted(s)
+
+
 def test_full_shape_equals_quotiented_chain_count():
     # quotienting explicit chains by the symmetric group reproduces f
     from rsl import canonicalize
