@@ -7,6 +7,7 @@ All checks are exact integer statements at the ranges fixed below.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import sys
@@ -125,6 +126,10 @@ def criterion_5():
 
 
 def _schemes():
+    """The partitionings that criteria 6-8 read: (n) through
+    FULL_SHAPE_PARTITION_MAX_N and the hook with its distinguished order
+    through HOOK_PARTITION_MAX_N.  ``run_all`` builds them once per run and
+    hands the same list to each of the three."""
     out = []
     for n in range(3, FULL_SHAPE_PARTITION_MAX_N + 1):
         out.append(partitioning.verify_partitioning(n, full_shape(n)))
@@ -135,11 +140,11 @@ def _schemes():
     return out
 
 
-def criterion_6():
+def criterion_6(schemes=_schemes):
     """Partitioning verified: intervals disjoint, cover everything, sizes add up."""
     t0 = time.perf_counter()
     bad = []
-    for scheme in _schemes():
+    for scheme in schemes():
         if scheme.status != "verified":
             bad.append((scheme.n, str(scheme.shape), [f.detail for f in scheme.failures[:2]]))
             continue
@@ -149,11 +154,11 @@ def criterion_6():
     return _report(6, "partitioning verified", not bad, f"violations: {bad}", t0)
 
 
-def criterion_7():
+def criterion_7(schemes=_schemes):
     """h via minimal-face counts equals flag_h after dualizing, everywhere."""
     t0 = time.perf_counter()
     bad = []
-    for scheme in _schemes():
+    for scheme in schemes():
         if scheme.status != "verified":
             bad.append((scheme.n, str(scheme.shape), "not verified"))
             continue
@@ -167,12 +172,12 @@ def criterion_7():
     return _report(7, "partitioning h agreement", not bad, f"violations: {bad}", t0)
 
 
-def criterion_8():
+def criterion_8(schemes=_schemes):
     """supp(G) equals the descent set on nontrivial-non-equal facets."""
     t0 = time.perf_counter()
     bad = []
     checked = 0
-    for scheme in _schemes():
+    for scheme in schemes():
         for facet, dsup in zip(scheme.facets, scheme.min_dual_supports):
             if not bars.facet_block_conditions(facet)[1]:
                 continue
@@ -388,11 +393,15 @@ def run_all(max_n=None, verbose=False):
     if max_n is not None and max_n < 5:
         raise ValueError(f"max_n must be at least 5, got {max_n}")
     reports = []
+    schemes = functools.cache(_schemes)  # built by the first criterion that reads them
     for num, fn in enumerate(CRITERIA, start=1):
         kwargs = {}
-        if max_n is not None and "max_n" in fn.__code__.co_varnames[: fn.__code__.co_argcount]:
+        params = fn.__code__.co_varnames[: fn.__code__.co_argcount]
+        if max_n is not None and "max_n" in params:
             default = fn.__defaults__[0]
             kwargs["max_n"] = min(max_n, default)
+        if "schemes" in params:
+            kwargs["schemes"] = schemes
         try:
             rep = fn(**kwargs)
         except Exception as exc:  # a crash is a failure, not an abort

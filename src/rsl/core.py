@@ -402,45 +402,82 @@ def enumerate_facet_orbits(n: int, shape) -> tuple:
     return tuple(sorted(faces_with_support(n, shape, range(1, n - 1)), key=lambda ct: ct.roots))
 
 
+def _position_groupings(counts: tuple, num_groups: int) -> tuple:
+    """Every multiset partition of ``counts`` into ``num_groups`` groups,
+    each group a tuple of positions into a sorted tuple whose runs of equal
+    entries have the lengths ``counts``: a run's first position, once per
+    copy the group takes."""
+    starts = [0]
+    for c in counts[:-1]:
+        starts.append(starts[-1] + c)
+    return tuple(
+        tuple(tuple(s for s, m in zip(starts, group) for _ in range(m)) for group in groups)
+        for groups in multiset_partitions(counts, num_groups)
+    )
+
+
 def support_root_ids(shape: Shape, dual_levels: tuple, store: ForestStore) -> list:
     """Every orbit type on the strictly increasing coranks ``dual_levels``
     as its sorted root ids in ``store``, built bottom-up without any facet.
 
     The finest level is every multiset partition of the ground content, as
     leaves.  Each coarser level groups the nodes below it: every multiset
-    partition of their ids (a count vector over the distinct ids) into as
-    many groups as the level has blocks, each group one node whose content
-    sums its children's.  A forest's node ids fix every level's grouping,
-    so each orbit comes out exactly once; AssertionError if one repeats.
-    No levels gives the one empty forest."""
+    partition of a forest's ids into as many groups as the level has
+    blocks, each group one node whose content sums its children's.  The
+    ids are sorted, so the lengths of their runs are the count vector that
+    fixes the partitions; each level computes those once per count vector,
+    as position groupings (tuples of positions into the forest), and a
+    group's children are the ids at its positions.  A memo from children
+    to node id makes the content sum and the interning run once per
+    distinct node, so ``store.node`` is called once per node created.  A
+    forest's node ids fix every level's grouping, so each orbit comes out
+    exactly once; AssertionError if one repeats.  No levels gives the one
+    empty forest."""
     if not dual_levels:
         return [()]
-    content_of = {}
+    content_of = {}  # node id -> content
+    leaf_of = {}  # content -> leaf id
+    node_of = {}  # sorted children ids -> node id
 
-    def node(content, child_ids):
-        nid = store.node(store.content_id(content), child_ids)
-        content_of[nid] = content
+    def leaf(content):
+        nid = leaf_of.get(content)
+        if nid is None:
+            nid = leaf_of[content] = store.node(store.content_id(content), ())
+            content_of[nid] = content
         return nid
 
     forests = [
-        tuple(sorted(node(p, ()) for p in parts))
+        tuple(sorted(map(leaf, parts)))
         for parts in multiset_partitions(shape.root_content, dual_levels[-1] + 1)
     ]
     for d in reversed(dual_levels[:-1]):
         coarser = []
-        groupings = {}  # count vector -> its multiset partitions, for this level
+        groupings = {}  # count vector -> its position groupings, for this level
         for ids in forests:
-            distinct = sorted(set(ids))
-            counts = tuple(ids.count(i) for i in distinct)
-            if counts not in groupings:
-                groupings[counts] = tuple(multiset_partitions(counts, d + 1))
-            for groups in groupings[counts]:
+            counts = []
+            prev = None
+            for i in ids:
+                if i == prev:
+                    counts[-1] += 1
+                else:
+                    counts.append(1)
+                    prev = i
+            counts = tuple(counts)
+            grouping = groupings.get(counts)
+            if grouping is None:
+                grouping = groupings[counts] = _position_groupings(counts, d + 1)
+            for groups in grouping:
                 roots = []
-                for group in groups:
-                    children = tuple(i for i, m in zip(distinct, group) for _ in range(m))
-                    content = tuple(map(sum, zip(*(content_of[i] for i in children))))
-                    roots.append(node(content, children))
-                coarser.append(tuple(sorted(roots)))
+                for positions in groups:
+                    children = tuple([ids[p] for p in positions])
+                    nid = node_of.get(children)
+                    if nid is None:
+                        content = tuple(map(sum, zip(*[content_of[i] for i in children])))
+                        nid = node_of[children] = store.node(store.content_id(content), children)
+                        content_of[nid] = content
+                    roots.append(nid)
+                roots.sort()
+                coarser.append(tuple(roots))
         forests = coarser
     if len(set(forests)) != len(forests):
         raise AssertionError("support enumeration produced a duplicate orbit")

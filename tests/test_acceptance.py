@@ -68,3 +68,25 @@ def test_criterion_13_lengthening_condition():
 
 def test_criterion_14_one_support_tables():
     _run(acceptance.criterion_14)
+
+
+def test_run_all_builds_the_partitionings_once(monkeypatch):
+    """Criteria 6-8 read one list of partitionings per ``run_all``; a second
+    run builds it again, so nothing outlives a run."""
+    builds = []
+    build = acceptance._schemes
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(acceptance, "_schemes", counted)
+    monkeypatch.setattr(
+        acceptance,
+        "CRITERIA",
+        [acceptance.criterion_6, acceptance.criterion_7, acceptance.criterion_8],
+    )
+    for run in (1, 2):
+        reports = acceptance.run_all()
+        assert [r["passed"] for r in reports] == [True] * 3, reports
+        assert len(builds) == run

@@ -116,6 +116,19 @@ def test_faces_both_routes_agree_small():
             )
 
 
+def test_faces_both_routes_agree_three_letters():
+    """Shapes with three letters and repeated contents: every support of
+    (2,2,2) at n = 6 and every fourth support of (3,2,2) at n = 7."""
+    for n, shape, supports in [
+        (6, (2, 2, 2), _all_subsets(6)),
+        (7, (3, 2, 2), _all_subsets(7)[::4]),
+    ]:
+        for ranks in supports:
+            assert faces_with_support(n, shape, ranks) == (
+                oracles.faces_by_restriction(n, shape, ranks)
+            ), (shape, ranks)
+
+
 def _all_subsets(n):
     import itertools
 

@@ -95,6 +95,16 @@ def test_drop_memo_reused_across_forests():
     assert any(0 in got for (_, height, top), got in results.items() if height < top)
 
 
+@pytest.mark.parametrize("shape", [full_shape(10), Shape((4, 4))])
+def test_support_builder_interns_each_node_once(shape):
+    """The builder memoizes nodes by their children (leaves by content),
+    so on a fresh store it calls ``node`` once per node it creates."""
+    store = _CountingStore()
+    tops = support_root_ids(shape, tuple(range(1, shape.n - 1)), store)
+    assert len(tops) == len(set(tops)) > 1
+    assert store.node_calls == store.size()
+
+
 def test_interning_shares_ids():
     store = ForestStore()
     x = store.intern_nested(((3,), (((1,), ()), ((2,), ()))))

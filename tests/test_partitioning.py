@@ -177,27 +177,43 @@ def test_full_shape_n8_boundary_of_verbatim_labels():
         assert first.left == first.right == (4,)
 
 
+N9_WITNESSES = {
+    (1, 5, 2, 3, 6, 7, 8, 4),
+    (1, 5, 2, 6, 3, 7, 8, 4),
+    (1, 5, 3, 7, 2, 6, 8, 4),
+    (3, 6, 1, 4, 5, 2, 7, 8),
+    (3, 6, 1, 4, 5, 7, 2, 8),
+    (3, 6, 1, 4, 5, 7, 8, 2),
+    (3, 6, 1, 4, 7, 5, 2, 8),
+    (3, 6, 1, 4, 7, 5, 8, 2),
+    (3, 6, 1, 4, 7, 8, 5, 2),
+}
+
+
 def test_full_shape_n9_boundary_of_verbatim_labels():
     # at n=9 the full shape fails on nine facets: the three size-4 twin
     # witnesses of the hook at n=9, and six that make size-3 twins at step 2
     scheme = verify_partitioning(9, full_shape(9))
     assert scheme.status == "failed"
     assert {w.reason for w in scheme.failures} == {"non-unique-minimal"}
-    assert {scheme.facets[w.facet_index].positions for w in scheme.failures} == {
-        (1, 5, 2, 3, 6, 7, 8, 4),
-        (1, 5, 2, 6, 3, 7, 8, 4),
-        (1, 5, 3, 7, 2, 6, 8, 4),
-        (3, 6, 1, 4, 5, 2, 7, 8),
-        (3, 6, 1, 4, 5, 7, 2, 8),
-        (3, 6, 1, 4, 5, 7, 8, 2),
-        (3, 6, 1, 4, 7, 5, 2, 8),
-        (3, 6, 1, 4, 7, 5, 8, 2),
-        (3, 6, 1, 4, 7, 8, 5, 2),
-    }
+    assert {scheme.facets[w.facet_index].positions for w in scheme.failures} == N9_WITNESSES
     for w in scheme.failures:
         facet = scheme.facets[w.facet_index]
         second = facet.insertions[1]
         assert second.left == second.right == ((4,) if facet.positions[0] == 1 else (3,))
+
+
+def test_full_shape_n10_boundary_contains_the_lifted_n9_witnesses():
+    # at n=10 the full shape fails on 133 of its 7,936 facets; each n=9
+    # witness, with a first bar at position 1 and its positions shifted up
+    # by one, is among them
+    scheme = verify_partitioning(10, full_shape(10))
+    assert scheme.status == "failed"
+    assert len(scheme.facets) == 7936
+    assert {w.reason for w in scheme.failures} == {"non-unique-minimal"}
+    witnesses = {scheme.facets[w.facet_index].positions for w in scheme.failures}
+    assert len(witnesses) == len(scheme.failures) == 133
+    assert {(1,) + tuple(p + 1 for p in pos) for pos in N9_WITNESSES} <= witnesses
 
 
 def test_hook_n8_stays_clean():
