@@ -12,9 +12,9 @@ insertion), and records the split (``_split_row`` is the row update).  The
 facet walk (``enumerate_insertion_facets``) takes that step once per edge
 and undoes it on backtrack, and each facet it finds keeps a copy of the
 walk's record; the public ``InsertionFacet`` constructor replays a list
-through the same step.  ``construct.facet_from_positions`` searches with
-``_splittable``, ``_normalized`` and ``_split_row``; ``min_extension``
-orients its splits with ``_normalized``.
+through the same step.  ``construct.facet_from_positions`` pushes the one
+split a walk offers at each position (``_Walk.splits_at``) and keeps the
+walk's record; ``min_extension`` orients its splits with ``_normalized``.
 
 Covering relation t carries a label: (position, word-of-positions, r) for
 the one-letter shape, and (bars-to-the-left, left-child word, prefix word,
@@ -206,7 +206,9 @@ class _Walk:
     the bar falls in, checks that the children sum to that block and that
     the insertion is its ``_normalized`` split, then appends to the record.
     ``pop`` undoes the last step, so the facet walk backtracks on a single
-    walk; ``record`` copies the record of a finished facet.
+    walk; ``record`` copies the record of a finished facet.  ``splits_at``
+    lists the insertions the next step could make at one gap, for builders
+    that choose bars by position.
     """
 
     __slots__ = ("order", "rows", "insertions", "splits", "prefixes", "left_split")
@@ -240,6 +242,20 @@ class _Walk:
         self.prefixes.append(tuple(b[0] for b in row[:idx]))
         self.rows.append(_split_row(row, idx, ins.left, ins.right, t))
 
+    def splits_at(self, position: int) -> list:
+        """The normalized insertions whose bar falls at ``position``: the
+        oriented splits, at that gap, of the splittable block holding it."""
+        row = self.rows[-1]
+        for idx, start in _splittable(row):
+            content, created, _ = row[idx]
+            if start < position < start + content_size(content):
+                return [
+                    ins
+                    for a, b in bipartitions(content)
+                    if (ins := _normalized(self.order, start, created, a, b)).position == position
+                ]
+        return []
+
     def pop(self) -> None:
         t = len(self.insertions)
         self.insertions.pop()
@@ -264,9 +280,10 @@ class InsertionFacet:
 
     The constructor replays the insertions from the root through the
     bar-insertion step, which checks each one; a list that is not a
-    normalized facet raises ValueError.  The facet walk builds its facets
-    with ``_walked`` instead: its steps already checked every insertion, so
-    each facet takes a copy of the walk's record and is not replayed.
+    normalized facet raises ValueError.  The facet walk and
+    ``construct.facet_from_positions`` build their facets with ``_walked``
+    instead: their steps already checked every insertion, so each facet
+    takes a copy of the walk's record and is not replayed.
     """
 
     __slots__ = ("shape", "order", "insertions", "_record", "_chain", "_descents")

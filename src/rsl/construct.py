@@ -18,9 +18,9 @@ returning; a mismatch raises instead of returning a wrong facet.
 
 from __future__ import annotations
 
-from .bars import DescentWord, InsertionFacet, _normalized, _split_row, _splittable, descent_word
+from .bars import DescentWord, InsertionFacet, _Walk, descent_word
 from .orders import default_order, distinguished
-from .shapes import RankSet, bipartitions, checked_shape, hook_shape
+from .shapes import RankSet, checked_shape, hook_shape
 from .vanishing import classify_rank_set
 
 __all__ = [
@@ -52,27 +52,22 @@ def _word_of(word) -> str:
 def facet_from_positions(n: int, positions, shape=None, order=None) -> InsertionFacet:
     """Rebuild a facet of ``shape`` (default (n)) from bare gap positions.
 
-    Bar t takes the one normalized split (``bars._normalized``) of a
-    splittable block whose bar falls at the t-th position; ValueError when
-    no split or more than one fits.
+    Bar t takes the one normalized split of a splittable block whose bar
+    falls at the t-th position (``bars._Walk.splits_at``), pushed on one
+    walk, whose record the facet keeps; ValueError when no split or more
+    than one fits.
     """
     shape = checked_shape(n, n if shape is None else shape)
-    order = order or default_order(shape)
-    row = [(shape.root_content, 0, None)]
-    out = []
+    positions = tuple(positions)
+    if len(positions) != shape.n - 1:
+        raise ValueError("a facet of the order complex needs n-1 insertions")
+    walk = _Walk(shape, order or default_order(shape))
     for t, p in enumerate(positions, start=1):
-        fits = [
-            (idx, ins)
-            for idx, start in _splittable(row)
-            for a, b in bipartitions(row[idx][0])
-            if (ins := _normalized(order, start, row[idx][1], a, b)).position == p
-        ]
+        fits = walk.splits_at(p)
         if len(fits) != 1:
             raise ValueError(f"{len(fits)} normalized splits put bar {t} at {p}, not one")
-        idx, ins = fits[0]
-        out.append(ins)
-        row = _split_row(row, idx, ins.left, ins.right, t)
-    return InsertionFacet(shape, order, out)
+        walk.push(fits[0])
+    return InsertionFacet._walked(shape, walk)
 
 
 def _verified(facet: InsertionFacet, word: str, what: str) -> InsertionFacet:

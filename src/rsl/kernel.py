@@ -1,8 +1,10 @@
 """The kernel: interned canonical leveled forests and the face-sweep plan.
 
-Every distinct subtree gets a small integer id; a node is (content id,
-sorted child ids).  Equal subtrees share ids, so orbit equality is id
-equality and level deletion memoizes across the whole enumeration.  A
+Every distinct subtree gets a small integer id; a node is one flat tuple
+(content id, *sorted child ids), which is both its entry in the node list
+and its key in the node index, so a node costs one tuple; its children are
+``node[1:]``.  Equal subtrees share ids, so orbit equality is id equality
+and level deletion memoizes across the whole enumeration.  A
 forest is leveled, so every node has one height (levels between it and the
 leaves, leaves at 0) and a level is named by its height, whatever forest
 holds it.  The deletion memo holds one dict per deleted height, keyed by
@@ -11,7 +13,10 @@ reads one dict.  The memo lives as long as its store, which may serve many
 masks and facets, unless ``sweep`` frees the heights it will not reach
 again.  A memo hit is answered at the lookup, in the loop over a forest's
 roots or a node's children, with no call; only a miss calls
-``drop_node``.  This is the hot core of the package.
+``drop_node``.  Below the roots each root maps to one new root, so a
+two-root forest, most faces of a sweep (127,824 of the 165,874 of (10)),
+is answered with two lookups and one comparison, with no list or sort.
+This is the hot core of the package.
 
 ``sweep_plan`` fixes the order in which faces are reached from a facet:
 each support is the restriction of its canonical parent, the support plus
@@ -60,7 +65,9 @@ class ForestStore:
         return cid
 
     def node(self, cid, child_ids):
-        key = (cid, child_ids)
+        """The id of the node with content id ``cid`` and the sorted
+        sequence ``child_ids``, interned as one flat tuple."""
+        key = (cid, *child_ids)
         nid = self._node_ids.get(key)
         if nid is None:
             nid = len(self._nodes)
@@ -72,7 +79,7 @@ class ForestStore:
         """Intern a (content, children) nested tuple; children in any order."""
         content, children = nested
         ids = sorted(self.intern_nested(ch) for ch in children)
-        return self.node(self.content_id(content), tuple(ids))
+        return self.node(self.content_id(content), ids)
 
     def intern_roots(self, roots):
         return tuple(sorted(self.intern_nested(r) for r in roots))
@@ -83,10 +90,10 @@ class ForestStore:
         """Canonical (content, children) form, children sorted by tuple order."""
         out = self._nested_memo.get(nid)
         if out is None:
-            cid, child_ids = self._nodes[nid]
+            node = self._nodes[nid]
             out = (
-                self._contents[cid],
-                tuple(sorted(self.nested(c) for c in child_ids)),
+                self._contents[node[0]],
+                tuple(sorted(self.nested(c) for c in node[1:])),
             )
             self._nested_memo[nid] = out
         return out
@@ -103,21 +110,22 @@ class ForestStore:
         ``height``.  The loop over the children repeats ``drop_roots``
         instead of calling it, so ``drop_roots`` stays one call per forest a
         caller deletes."""
-        cid, child_ids = self._nodes[nid]
+        node = self._nodes[nid]
         memo = self._drop_memo[height]
         merged = []
         if own - 1 == height:
-            for c in child_ids:
-                merged.extend(self._nodes[c][1])
+            nodes = self._nodes
+            for c in node[1:]:
+                merged.extend(nodes[c][1:])
         else:
             get = memo.get
-            for c in child_ids:
+            for c in node[1:]:
                 out = get(c)
                 if out is None:  # node id 0 is a valid result
                     out = self.drop_node(c, height, own - 1)
                 merged.append(out)
         merged.sort()
-        out = memo[nid] = self.node(cid, tuple(merged))
+        out = memo[nid] = self.node(node[0], merged)
         return out
 
     def release_drops_above(self, height):
@@ -129,13 +137,26 @@ class ForestStore:
 
     def drop_roots(self, root_ids, height, top):
         """Delete the level at ``height`` from a forest whose roots have
-        height ``top`` (height <= top; height == top deletes the roots)."""
-        merged = []
+        height ``top`` (height <= top; height == top deletes the roots).
+        Below the roots each root maps to one new root, so a two-root
+        forest, the common case, is two lookups and one comparison."""
         if height == top:
+            nodes = self._nodes
+            merged = []
             for r in root_ids:
-                merged.extend(self._nodes[r][1])
+                merged.extend(nodes[r][1:])
         else:
             get = self._drop_memo[height].get
+            if len(root_ids) == 2:
+                a, b = root_ids
+                a2 = get(a)
+                if a2 is None:  # node id 0 is a valid result
+                    a2 = self.drop_node(a, height, top)
+                b2 = get(b)
+                if b2 is None:
+                    b2 = self.drop_node(b, height, top)
+                return (a2, b2) if a2 <= b2 else (b2, a2)
+            merged = []
             for r in root_ids:
                 out = get(r)
                 if out is None:  # node id 0 is a valid result
@@ -210,7 +231,8 @@ def sweep(store: ForestStore, m: int, tops):
                 store.release_drops_above(height)
             del path[m - mask.bit_count() :]  # keep the ancestors; the parent is last
             top = parent.bit_count() - 1
+            drop, add = store.drop_roots, faces.setdefault
             for face, owner in path[-1].items():
-                faces.setdefault(store.drop_roots(face, height, top), owner)
+                add(drop(face, height, top), owner)
         path.append(faces)
         yield mask, faces

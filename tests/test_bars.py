@@ -132,12 +132,40 @@ def test_facet_from_positions_rejects_at_once():
         facet_from_positions(4, [2, 1, 3], (2, 2))  # (2,0)|(0,2) and (1,1)|(1,1)
 
 
-def test_facet_from_positions_round_trip():
+def test_facet_from_positions_round_trip(monkeypatch):
+    """Positions give back each facet of the walk, record and all, with one
+    checked step per bar: the facet keeps the walk's record instead of
+    being replayed through the constructor."""
     cases = [(n, full_shape(n), length_lex()) for n in range(2, 9)]
     cases += [(n, hook_shape(n), distinguished(hook_shape(n))) for n in range(2, 8)]
-    for n, shape, order in cases:
-        for f in enumerate_insertion_facets(n, shape, order):
-            assert facet_from_positions(n, f.positions, shape, order) == f
+    facets = [(n, shape, order, enumerate_insertion_facets(n, shape, order)) for n, shape, order in cases]
+
+    def replay(*args):
+        raise AssertionError("facet_from_positions replayed its insertions")
+
+    pushes = []
+    real_push = bars._Walk.push
+    monkeypatch.setattr(bars._Walk, "push", lambda walk, ins: pushes.append(ins) or real_push(walk, ins))
+    monkeypatch.setattr(bars.InsertionFacet, "__init__", replay)
+    for n, shape, order, walked in facets:
+        for f in walked:
+            pushes.clear()
+            g = facet_from_positions(n, f.positions, shape, order)
+            assert g == f and g._record == f._record
+            assert pushes == list(f.insertions)
+
+
+@pytest.mark.parametrize("shape", [hook_shape(7), Shape((4, 3))], ids=str)
+def test_facet_from_positions_refuses_ambiguous_positions(shape):
+    """Where the order does not tell a split's contents from its sizes, as
+    length-lex on (6,1) and (4,3), positions do not determine the facet:
+    84 position lists for 272 and 935 facets.  Each facet is refused at a
+    bar with several splits, never rebuilt as another facet."""
+    facets = enumerate_insertion_facets(shape.n, shape, length_lex())
+    for f in facets:
+        with pytest.raises(ValueError, match="[2-9] normalized splits put bar"):
+            facet_from_positions(shape.n, f.positions, shape, length_lex())
+    assert len({f.positions for f in facets}) == 84
 
 
 def test_facet_to_insertions_rejects_faces():

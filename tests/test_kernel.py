@@ -2,9 +2,11 @@
 structure of the sweep plan and of the sweep that walks it."""
 
 import ast
+import gc
 import glob
 import os
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -42,8 +44,9 @@ def test_drop_matches_direct_restriction():
 def _height(store, nid):
     """Levels below a node: the length of any path down to a leaf."""
     h = 0
-    while store._nodes[nid][1]:
-        nid = store._nodes[nid][1][0]
+    children = store.nested(nid)[1]
+    while children:
+        children = children[0][1]
         h += 1
     return h
 
@@ -70,13 +73,20 @@ def test_drop_memo_reused_across_forests():
     partitioning sweep, so a second use of the per-height memo must answer
     exactly as the first, and from the memo alone.  A hit is answered at
     the lookup: ``drop_node`` runs once per memo entry it creates, and the
-    second sweep makes no call, also for hits that return node id 0."""
+    second sweep makes no call, also for hits that return node id 0, and
+    also in the two-root step of ``drop_roots``."""
     n = 7
     store = _CountingStore()
     facets = support_root_ids(full_shape(n), tuple(range(1, n - 1)), store)
     forests = [(rid, n - 3) for rid in facets]
     # every interned subtree as a one-root forest too: some drop to node 0
-    forests += [((nid,), _height(store, nid)) for nid in range(store.size())]
+    by_height = {}
+    for nid in range(store.size()):
+        by_height.setdefault(_height(store, nid), []).append(nid)
+    forests += [((nid,), h) for h, nids in by_height.items() for nid in nids]
+    # and every pair of subtrees of one height, so that two-root forests
+    # have roots that drop to node 0, first or second
+    forests += [((a, b), h) for h, nids in by_height.items() for a in nids for b in nids if a <= b]
     expected = {
         (rid, height, top): _drop_depth(store.nested_roots(rid), top - height)
         for rid, top in forests
@@ -93,6 +103,9 @@ def test_drop_memo_reused_across_forests():
         else:  # each call is a miss: it adds exactly one memo entry
             assert store.drop_node_calls == sum(map(len, store._drop_memo.values()))
     assert any(0 in got for (_, height, top), got in results.items() if height < top)
+    assert any(
+        0 in got for (rid, height, top), got in results.items() if len(rid) == 2 and height < top
+    )
 
 
 @pytest.mark.parametrize("shape", [full_shape(10), Shape((4, 4))])
@@ -103,6 +116,37 @@ def test_support_builder_interns_each_node_once(shape):
     tops = support_root_ids(shape, tuple(range(1, shape.n - 1)), store)
     assert len(tops) == len(set(tops)) > 1
     assert store.node_calls == store.size()
+
+
+def test_store_bytes_per_node():
+    """Each node is one flat tuple (content id, *child ids), which is also
+    its key in the node index, so the store holds one tuple per node.  The
+    bytes freed with the store after the sweep of (9), over its node count,
+    read 166 on Python 3.11; a (content id, child ids) pair holding a second
+    tuple reads 214.  The bound sits between the two."""
+    n = 9
+    levels = tuple(range(1, n - 1))
+    gc.collect()  # empties the free lists, so every tuple below is traced
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        store = ForestStore()
+        tops = support_root_ids(full_shape(n), levels, store)
+        for _ in sweep(store, len(levels), tops):
+            pass
+        del tops
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        size = store.size()
+        del store
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert size == 8_703
+    assert freed / size < 190, freed / size
 
 
 def test_interning_shares_ids():
