@@ -27,8 +27,9 @@ which reads the same data from a facet's record without building a label.
 The walk and the labels serve the interval partitioning; flag tables
 take their facets from ``core.support_root_ids`` instead.  A facet's
 canonical forest is assembled bottom-up from its row history straight into
-a ``ForestStore`` (``InsertionFacet.root_ids``); a nested ``ChainType`` is
-built from those ids only when one is asked for.
+a ``ForestStore`` (``facet_root_ids``, sharing the levels that facets
+have in common); a nested ``ChainType`` is built from those ids only when
+one is asked for.
 
 Corank t is a topological descent of a facet when any of:
   1. insertion t lands strictly right of insertion t+1;
@@ -64,6 +65,7 @@ __all__ = [
     "DescentWord",
     "InsertionFacet",
     "enumerate_insertion_facets",
+    "facet_root_ids",
     "facet_to_insertions",
     "cover_labels",
     "descent_set",
@@ -337,7 +339,7 @@ class InsertionFacet:
 
     def root_ids(self, store: ForestStore) -> tuple:
         """The facet's canonical forest interned in ``store``: sorted root ids."""
-        return _assemble_root_ids(store, self._record.row, self._record.splits)
+        return facet_root_ids(store, [self])[0]
 
     def chain_type(self) -> ChainType:
         if self._chain is None:
@@ -408,29 +410,48 @@ class InsertionFacet:
 # -- enumeration ----------------------------------------------------------------
 
 
-def _assemble_root_ids(store: ForestStore, row, splits) -> tuple:
-    """Intern a facet's canonical forest bottom-up from its row history.
+def facet_root_ids(store: ForestStore, facets) -> list:
+    """Each facet's canonical forest, interned bottom-up from its row
+    history: its sorted root ids in ``store``, in the order of ``facets``.
 
-    ``row`` holds the contents of the fully refined row, left to right;
-    ``splits[t-1]`` is the row index and content of the block that insertion
-    t split.  Undoing the last insertion gives the finest level of the
-    chain, whose blocks are leaves.  Going up one level, an unsplit block
-    becomes a node with its one child and the block split at that step a
-    node with the sorted pair.  Returns the sorted root ids.
+    Undoing the last insertion gives the finest level, whose blocks are
+    leaves.  Going up one level, an unsplit block becomes a node with its
+    one child and the block split at that step a node with the sorted pair.
+    A level's node ids fix the merged block's content, so one memo per call,
+    from (level ids, split index) to the next level's (content ids, ids),
+    answers the levels that facets share (the leaves are keyed by the final
+    row).  A miss interns its level in row order, so nodes are created in
+    the order one call per facet would create them: 10,649 ``store.node``
+    calls on the 1,385 facets of (9), against 48,475.
     """
-    if len(splits) < 2:
-        return ()
     cid = store.content_id
-    cids = [cid(c) for c in row]
-    idx, content = splits[-1]
-    cids[idx : idx + 2] = [cid(content)]
-    keys = [(c, ()) for c in cids]
-    for idx, content in reversed(splits[1:-1]):
-        ids = [store.node(*k) for k in keys]
-        a, b = ids[idx], ids[idx + 1]
-        keys = [(k[0], (i,)) for k, i in zip(keys, ids)]
-        keys[idx : idx + 2] = [(cid(content), (a, b) if a <= b else (b, a))]
-    return tuple(sorted(store.node(*k) for k in keys))
+    node = store.node
+    memo = {}  # (level ids or final row, split index) -> (content ids, ids) one level up
+    out = []
+    for facet in facets:
+        row, splits = facet._record.row, facet._record.splits
+        if len(splits) < 2:
+            out.append(())
+            continue
+        idx, content = splits[-1]
+        level = memo.get((row, idx))
+        if level is None:
+            cids = [cid(c) for c in row]
+            cids[idx : idx + 2] = [cid(content)]
+            level = memo[row, idx] = (tuple(cids), tuple([node(c, ()) for c in cids]))
+        cids, ids = level
+        for idx, content in reversed(splits[1:-1]):
+            above = memo.get((ids, idx))
+            if above is None:
+                a, b = ids[idx], ids[idx + 1]
+                merged = cid(content)
+                up = [node(c, (i,)) for c, i in zip(cids[:idx], ids[:idx])]
+                up.append(node(merged, (a, b) if a <= b else (b, a)))
+                up += [node(c, (i,)) for c, i in zip(cids[idx + 2 :], ids[idx + 2 :])]
+                above = memo[ids, idx] = (cids[:idx] + (merged,) + cids[idx + 2 :], tuple(up))
+            cids, ids = above
+        out.append(tuple(sorted(ids)))
+    return out
 
 
 def enumerate_insertion_facets(n: int, shape, order: Optional[BlockOrder] = None):

@@ -142,20 +142,6 @@ def cmd_partition_verify(args):
         scheme = partitioning.verify_partitioning(args.n, shape, order)
     except partitioning.LengtheningError as exc:
         raise UsageError(str(exc)) from exc
-    facets = []
-    for facet, min_face, dsup in zip(scheme.facets, scheme.minimal_faces, scheme.min_dual_supports):
-        strict, relaxed = facet_block_conditions(facet)
-        facets.append(
-            {
-                "facet": facet.chain_type().serialize(),
-                "positions": list(facet.positions),
-                "min_face": min_face.serialize(),
-                "min_support_coranks": sorted(dsup),
-                "descent_word": str(descent_word(facet)),
-                "non_equal": strict,
-                "nontrivial_non_equal": relaxed,
-            }
-        )
     results = {
         "n": args.n,
         "lambda": list(shape.parts),
@@ -167,9 +153,28 @@ def cmd_partition_verify(args):
         "h_via_partitioning": sorted(
             [[sorted(k), v] for k, v in (scheme.h_via_partitioning or {}).items()]
         ),
-        "facets": facets if args.facets else None,
+        "facets": _facet_records(scheme) if args.facets else None,
     }
     return results, {}, 0 if scheme.status == "verified" else 1
+
+
+def _facet_records(scheme) -> list:
+    """The per-facet report of ``partition-verify --facets``."""
+    records = []
+    for facet, min_face, dsup in zip(scheme.facets, scheme.minimal_faces, scheme.min_dual_supports):
+        strict, relaxed = facet_block_conditions(facet)
+        records.append(
+            {
+                "facet": facet.chain_type().serialize(),
+                "positions": list(facet.positions),
+                "min_face": min_face.serialize(),
+                "min_support_coranks": sorted(dsup),
+                "descent_word": str(descent_word(facet)),
+                "non_equal": strict,
+                "nontrivial_non_equal": relaxed,
+            }
+        )
+    return records
 
 
 def cmd_construct(args):

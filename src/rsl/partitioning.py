@@ -7,6 +7,7 @@ the first facet containing it, its owner, so one ``kernel.sweep`` from
 the ordered facets reads off every interval.  The sweep never trusts
 descent sets: the minimal face is always computed from actual membership,
 and the descent characterization is a statement to verify afterwards.
+Coverage is orbit identity with the facet orbits of ``core.support_root_ids``.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
-from .bars import InsertionFacet, enumerate_insertion_facets
-from .core import ChainType
-from .flags import full_table
+from .bars import InsertionFacet, enumerate_insertion_facets, facet_root_ids
+from .core import ChainType, support_root_ids
 from .kernel import ForestStore, sweep
 from .orders import BlockOrder, default_order, verify_lengthening
 from .shapes import Shape, as_shape
@@ -102,10 +102,16 @@ def minimal_new_faces(scheme: PartitionScheme) -> tuple:
     recorded as failure witnesses, not patched.  Also fills
     ``face_counts``, the distinct faces of each support.
     """
+    _owner_sweep(scheme, ForestStore())
+    return scheme.minimal_faces
+
+
+def _owner_sweep(scheme: PartitionScheme, store: ForestStore) -> list:
+    """The work of ``minimal_new_faces``, in ``store``; returns the facets'
+    root ids there."""
     m = scheme.n - 2
     full = (1 << m) - 1
-    store = ForestStore()
-    tops = [facet.root_ids(store) for facet in scheme.facets]
+    tops = facet_root_ids(store, scheme.facets)
     owned = [[] for _ in tops]  # masks of the faces each facet owns
     face_counts = {}
     for mask, faces in sweep(store, m, tops):
@@ -147,35 +153,32 @@ def minimal_new_faces(scheme: PartitionScheme) -> tuple:
     scheme.total_faces = sum(face_counts.values())
     scheme.failures = tuple(failures)
     scheme.status = "failed" if failures else "partitioned"
-    return scheme.minimal_faces
+    return tops
 
 
 def verify_partitioning(n: int, shape, order: Optional[BlockOrder] = None) -> PartitionScheme:
     """Disjointness and coverage of the intervals over all face orbits: the
     whole pipeline from ``order_facets``.  On success fills
     ``h_via_partitioning``: corank support of G_i -> number of intervals.
+
+    Each face swept has one owner, so the intervals are disjoint.  Coverage
+    is orbit identity: the facet orbits that ``core.support_root_ids``
+    builds without the walk, interned in the sweep's store, must be the
+    facets' root ids, each once.  A sweep is a function of its top faces,
+    so every support's face count then equals the flag table's f, with no
+    second sweep; a walk that repeats one orbit and misses another matches
+    every count but fails here.
     """
     scheme = order_facets(n, shape, order)
-    minimal_new_faces(scheme)
+    store = ForestStore()
+    tops = _owner_sweep(scheme, store)
     if scheme.status == "failed":
         return scheme
-
-    # Coverage against the independent face count: each face swept has one
-    # owner, so the intervals are disjoint and their sizes sum to the faces
-    # swept; matching the count of every support means every orbit is
-    # covered exactly once.
-    expected = full_table(scheme.n, scheme.shape).f
-    failures = tuple(
-        PartitionFailure(
-            facet_index=-1,
-            reason="coverage",
-            detail=f"support {sorted(s)}: {scheme.face_counts[s]} faces swept, expected {count}",
-        )
-        for s, count in expected.items()
-        if scheme.face_counts[s] != count
-    )
-    if failures:
-        scheme.failures = failures
+    built = sorted(support_root_ids(scheme.shape, tuple(range(1, n - 1)), store))
+    if built != sorted(tops):
+        want, have = Counter(built), Counter(tops)
+        detail = f"facet orbits: {(want - have).total()} missing, {(have - want).total()} extra"
+        scheme.failures = (PartitionFailure(-1, "coverage", detail),)
         scheme.status = "failed"
         return scheme
     scheme.h_via_partitioning = dict(Counter(scheme.min_dual_supports))

@@ -77,6 +77,16 @@ def test_partition_verify(capsys):
     assert doc["results"]["facets"]
 
 
+def test_partition_verify_builds_facet_records_only_when_asked(capsys, monkeypatch):
+    def refuse(facet):
+        raise AssertionError("per-facet report built without --facets")
+
+    monkeypatch.setattr(cli, "facet_block_conditions", refuse)
+    code, doc = run_json(capsys, "partition-verify", "--n", "6")
+    assert code == 0
+    assert doc["results"]["facets"] is None
+
+
 def test_vanish_consistency(capsys):
     code, doc = run_json(capsys, "vanish", "--n", "6")
     assert code == 0

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from collections import Counter
 
@@ -294,18 +293,34 @@ def test_owner_sweep_matches_restriction_oracle(n, parts, order):
     assert scheme.total_faces == sum(per_support.values())
 
 
-def test_coverage_is_checked_support_by_support(monkeypatch):
-    # a table with one face moved between two supports keeps the total, so
-    # only a comparison per support can tell it from the true one
-    true = full_table(6, full_shape(6))
-    f = dict(true.f)
-    a, b = frozenset({1}), frozenset({2})
-    f[a], f[b] = f[a] - 1, f[b] + 1
-    monkeypatch.setattr(partitioning, "full_table", lambda n, shape: dataclasses.replace(true, f=f))
+def test_coverage_is_checked_by_orbit_identity(monkeypatch):
+    # a builder that drops one facet orbit and repeats another keeps the
+    # count, so only a comparison of the orbits themselves can tell it from
+    # the true one
+    real = partitioning.support_root_ids
+
+    def one_swapped(shape, dual_levels, store):
+        orbits = real(shape, dual_levels, store)
+        return orbits[:-1] + orbits[:1]
+
+    monkeypatch.setattr(partitioning, "support_root_ids", one_swapped)
     scheme = verify_partitioning(6, full_shape(6))
     assert scheme.status == "failed"
-    assert [w.reason for w in scheme.failures] == ["coverage", "coverage"]
+    assert [w.reason for w in scheme.failures] == ["coverage"]
+    assert scheme.failures[0].detail == "facet orbits: 1 missing, 1 extra"
     assert scheme.h_via_partitioning is None
+
+
+def test_face_counts_equal_the_flag_table():
+    # the sweep of the verified facets reaches exactly the faces of the
+    # bottom-up flag table, support by support
+    cases = [(n, full_shape(n), None) for n in range(3, 8)]
+    cases += [(n, hook_shape(n), distinguished(hook_shape(n))) for n in range(3, 9)]
+    cases.append((6, Shape((2, 2, 2)), None))
+    for n, shape, order in cases:
+        scheme = verify_partitioning(n, shape, order)
+        assert scheme.status == "verified", (n, shape)
+        assert scheme.face_counts == full_table(n, shape).f, (n, shape)
 
 
 @pytest.mark.parametrize("n,parts", [(8, (8,)), (7, (6, 1))], ids=str)
