@@ -8,13 +8,14 @@ created together the left one is refined first.  Both live in one
 bar-insertion step, ``_Walk.push``: it finds the splittable block
 (``_splittable``), checks that the children sum to it and that the
 insertion is its oriented split (``_oriented``; ``_normalized`` makes the
-insertion), and records the split (``_split_row`` is the row update).  The
-facet walk (``enumerate_insertion_facets``) takes that step once per edge
-and undoes it on backtrack, and each facet it finds keeps a copy of the
-walk's record; the public ``InsertionFacet`` constructor replays a list
-through the same step.  ``construct.facet_from_positions`` pushes the one
-split a walk offers at each position (``_Walk.splits_at``) and keeps the
-walk's record; ``min_extension`` orients its splits with ``_normalized``.
+insertion), and records the split (``_split_row`` is the row update).
+Every facet builder steps on a ``_Walk`` and its facets keep a copy of the
+walk's record (``InsertionFacet._walked``).  The facet walk
+(``enumerate_insertion_facets``) takes the step once per edge and undoes it
+on backtrack; ``construct.facet_from_positions`` pushes the one split a
+walk offers at each position (``_Walk.splits_at``); ``min_extension``
+pushes the splits with the least label key that its face allows.  Only the
+public ``InsertionFacet`` constructor replays a list through the step.
 
 Covering relation t carries a label: (position, word-of-positions, r) for
 the one-letter shape, and (bars-to-the-left, left-child word, prefix word,
@@ -22,7 +23,8 @@ r) in general, where r is the corank at which the split block was created.
 Lexicographic comparison of label sequences orders the facets.  The labels
 (``CoverLabel``, ``cover_labels``) are the definition; the sort keys of
 ``InsertionFacet.sort_key`` and ``min_extension`` come from ``_label_key``,
-which reads the same data from a facet's record without building a label.
+which reads the same data from a facet's record, or from a walk's row,
+without building a label.
 
 The walk and the labels serve the interval partitioning; flag tables
 take their facets from ``core.support_root_ids`` instead.  A facet's
@@ -208,9 +210,10 @@ class _Walk:
     the bar falls in, checks that the children sum to that block and that
     the insertion is its ``_normalized`` split, then appends to the record.
     ``pop`` undoes the last step, so the facet walk backtracks on a single
-    walk; ``record`` copies the record of a finished facet.  ``splits_at``
-    lists the insertions the next step could make at one gap, for builders
-    that choose bars by position.
+    walk; ``fork`` copies a walk whose next step branches; ``record``
+    copies the record of a finished facet.  ``splits_at`` lists the
+    insertions the next step could make at one gap, for builders that
+    choose bars by position.
     """
 
     __slots__ = ("order", "rows", "insertions", "splits", "prefixes", "left_split")
@@ -268,6 +271,14 @@ class _Walk:
         if created and self.left_split[created - 1] == t:
             self.left_split[created - 1] = None
 
+    def fork(self) -> "_Walk":
+        """A second walk with this one's steps, to push a different next step."""
+        twin = _Walk.__new__(_Walk)
+        twin.order = self.order
+        for name in ("rows", "insertions", "splits", "prefixes", "left_split"):
+            setattr(twin, name, getattr(self, name)[:])  # a push adds a new row, changes none
+        return twin
+
     def record(self) -> _Record:
         return _Record(
             tuple(b[0] for b in self.rows[-1]),
@@ -280,12 +291,13 @@ class _Walk:
 class InsertionFacet:
     """A maximal chain orbit as a normalized bar-insertion sequence.
 
-    The constructor replays the insertions from the root through the
-    bar-insertion step, which checks each one; a list that is not a
-    normalized facet raises ValueError.  The facet walk and
-    ``construct.facet_from_positions`` build their facets with ``_walked``
-    instead: their steps already checked every insertion, so each facet
-    takes a copy of the walk's record and is not replayed.
+    The constructor, for callers outside this package, replays the
+    insertions from the root through the bar-insertion step, which checks
+    each one; a list that is not a normalized facet raises ValueError.
+    Every builder in the package (the facet walk,
+    ``construct.facet_from_positions`` and ``min_extension``) uses
+    ``_walked`` instead: its steps already checked every insertion, so each
+    facet takes a copy of the walk's record and is not replayed.
     """
 
     __slots__ = ("shape", "order", "insertions", "_record", "_chain", "_descents")
@@ -498,8 +510,8 @@ def enumerate_insertion_facets(n: int, shape, order: Optional[BlockOrder] = None
 
 
 def _target_bipartitions(targets):
-    """Unordered splits of a sorted target multiset into two nonempty parts,
-    the smaller part first."""
+    """Unordered splits of a target multiset into two nonempty parts, each
+    sorted, the smaller part first."""
     distinct = sorted(set(targets))
     counts = tuple(targets.count(tgt) for tgt in distinct)
     for groups in multiset_partitions(counts, 2):
@@ -507,94 +519,77 @@ def _target_bipartitions(targets):
         yield (t1, t2) if t1 <= t2 else (t2, t1)
 
 
-def _content_sum(targets, k) -> Content:
-    total = [0] * k
-    for tgt in targets:
-        for i, x in enumerate(tgt[0]):
-            total[i] += x
-    return tuple(total)
-
-
 def min_extension(c: ChainType, order: Optional[BlockOrder] = None) -> InsertionFacet:
     """Lexicographically least facet containing the face, under the label order.
 
-    Greedy over coranks: at each step every slot may split its pinned
-    subtrees in any way; the move with the least label wins.  Ties (same
-    label, different subtree matchings) are kept as parallel branches until
-    later labels separate them.
+    A greedy search over coranks on ``_Walk``s.  Each walk carries target
+    rows: for each block, the face's subtrees it must still split into.
+    Every step pushes the least-keyed splits of those targets over the
+    ``_splittable`` blocks; tied placements of equal children stay rows of
+    one walk, and a walk forks only when distinct insertions tie.  More
+    than one walk at the end raises ``ExtensionTieError``.
     """
     shape = c.shape
-    n = shape.n
-    if order is None:
-        order = default_order(shape)
+    order = default_order(shape) if order is None else order
 
-    def leaf_targets(content):
-        return tuple((u, ()) for u in unit_contents(content))
+    balls = {}  # content -> its balls, the targets below the face's last level
 
-    if c.is_empty():
-        init_targets = leaf_targets(shape.root_content)
-    else:
-        init_targets = tuple(sorted(c.roots))
+    def below(node):  # the targets of a block anchored at a node of the face
+        content, kids = node
+        if kids:
+            return kids
+        if content not in balls:
+            balls[content] = tuple((u, ()) for u in unit_contents(content))
+        return balls[content]
+
     support = set(c.dual_levels)
-
-    # state: (row, insertions); row slot = (content, created, sorted targets)
-    states = [(((shape.root_content, 0, init_targets),), ())]
-
-    for t in range(1, n):
-        best_key = None
-        chosen = []
-        for state in states:
-            row, done = state
-            positions = [ins.position for ins in done]
-            start = 0
-            for idx, (content, created, targets) in enumerate(row):
-                width = content_size(content)
-                if len(targets) >= 2:
-                    prefix = tuple(r[0] for r in row[:idx])
-                    for t1, t2 in _target_bipartitions(targets):
-                        s1 = _content_sum(t1, shape.k)
-                        ins = _normalized(order, start, created, s1, _content_sum(t2, shape.k))
-                        if ins.left != ins.right:
-                            placements = [(t1, t2) if ins.left == s1 else (t2, t1)]
-                        else:  # equal contents: either subtree may go left
-                            placements = [(t1, t2), (t2, t1)]
-                        key = _label_key(positions, ins.position, ins.left, prefix, created, order)
-                        if best_key is None or key < best_key:
-                            best_key = key
-                            chosen = []
-                        if key == best_key:
-                            chosen.extend((state, idx, ins, lt, rt) for lt, rt in placements)
-                start += width
+    branches = [(_Walk(shape, order), [(below((shape.root_content, c.roots)),)])]
+    for t in range(1, shape.n):
+        best, chosen = None, []
+        for walk, target_rows in branches:
+            row = walk.rows[-1]
+            earlier = [ins.position for ins in walk.insertions]
+            blocks = list(_splittable(row))
+            for targets in target_rows:
+                for idx, start in blocks:
+                    if len(targets[idx]) < 2:
+                        continue
+                    content, created, _ = row[idx]
+                    prefix = tuple(b[0] for b in row[:idx])
+                    for t1, t2 in _target_bipartitions(targets[idx]):
+                        s1 = tuple(map(sum, zip(*[tgt[0] for tgt in t1])))
+                        s2 = tuple(map(int.__sub__, content, s1))
+                        ins = _normalized(order, start, created, s1, s2)
+                        key = _label_key(earlier, ins.position, ins.left, prefix, created, order)
+                        if best is None or key < best:
+                            best, chosen = key, []
+                        if key == best:
+                            if ins.left != ins.right:
+                                placed = [(t1, t2) if ins.left == s1 else (t2, t1)]
+                            else:  # equal contents: either subtree may go left
+                                placed = [(t1, t2), (t2, t1)]
+                            chosen += [
+                                (walk, ins, targets[:idx] + p + targets[idx + 1 :]) for p in placed
+                            ]
         if not chosen:
             raise AssertionError("extension search stalled")
-        new_states = {}
-        for state, idx, ins, lt, rt in chosen:
-            row, done = state
-            left_slot = (ins.left, t, tuple(sorted(lt)))
-            right_slot = (ins.right, t, tuple(sorted(rt)))
-            new_row = row[:idx] + (left_slot, right_slot) + row[idx + 1 :]
+        moves = {}  # walk -> {insertion: {target row: None}}
+        for walk, ins, targets in chosen:
             if t in support:
-                reanchored = []
-                ok = True
-                for content2, created2, targets2 in new_row:
-                    if len(targets2) != 1 or targets2[0][0] != content2:
-                        ok = False
-                        break
-                    kids = targets2[0][1]
-                    new_targets = tuple(sorted(kids)) if kids else leaf_targets(content2)
-                    reanchored.append((content2, created2, new_targets))
-                if not ok:  # pragma: no cover - step counting forbids this
-                    continue
-                new_row = tuple(reanchored)
-            new_states[(new_row, done + (ins,))] = None
-        states = list(new_states)
+                targets = tuple(below(node) for (node,) in targets)
+            moves.setdefault(walk, {}).setdefault(ins, {})[targets] = None
+        branches = []
+        for walk, by_ins in moves.items():
+            walks = [walk] + [walk.fork() for _ in range(len(by_ins) - 1)]
+            for w, (ins, target_rows) in zip(walks, by_ins.items()):
+                w.push(ins)
+                branches.append((w, list(target_rows)))
 
-    sequences = {st[1] for st in states}
-    if len(sequences) != 1:
+    if len(branches) != 1:
         raise ExtensionTieError(
             "distinct facets share a full label sequence; orbit uniqueness violated"
         )
-    return InsertionFacet(shape, order, sequences.pop())
+    return InsertionFacet._walked(shape, branches[0][0])
 
 
 def facet_to_insertions(c: ChainType, order: Optional[BlockOrder] = None) -> InsertionFacet:

@@ -1,4 +1,7 @@
+import ast
+import glob
 import itertools
+import os
 from collections import Counter
 
 import pytest
@@ -187,14 +190,18 @@ def test_min_extension_of_maximal_chain_is_identity():
 
 
 def test_min_extension_is_lex_least_containing_facet():
-    for n in (4, 5, 6):
-        shape = full_shape(n)
+    """Every face's extension is the first facet, in label order, that
+    contains it.  (3,3) and (2,2,1) have equal two-letter children, so
+    their searches keep tied placements as target rows of one walk."""
+    for shape in (full_shape(4), full_shape(5), full_shape(6), Shape((3, 3)), Shape((2, 2, 1))):
+        n = shape.n
         facets = sorted(enumerate_insertion_facets(n, shape), key=lambda f: f.sort_key())
+        chains = [f.chain_type() for f in facets]
         seen = set()
         faces = []
-        for f in facets:
-            for ranks in _subsets(f.chain_type().support):
-                face = restrict(f.chain_type(), RankSet.primal(n, ranks))
+        for ct in chains:
+            for ranks in _subsets(ct.support):
+                face = restrict(ct, RankSet.primal(n, ranks))
                 if face not in seen:
                     seen.add(face)
                     faces.append(face)
@@ -202,10 +209,66 @@ def test_min_extension_is_lex_least_containing_facet():
             ext = min_extension(face)
             best = next(
                 f
-                for f in facets
-                if restrict(f.chain_type(), RankSet.primal(n, face.support)) == face
+                for f, ct in zip(facets, chains)
+                if restrict(ct, RankSet.primal(n, face.support)) == face
             )
             assert ext == best, (face.serialize(), ext.positions, best.positions)
+        if shape == Shape((3, 3)):
+            assert (len(facets), len(faces)) == (152, 621)
+
+
+def test_min_extension_steps_on_one_walk(monkeypatch):
+    """Under a named order each face's extension takes n-1 checked steps on
+    one walk and keeps its record: the constructor never replays it."""
+    pushes = []
+    real_push = bars._Walk.push
+    monkeypatch.setattr(bars._Walk, "push", lambda walk, ins: pushes.append(ins) or real_push(walk, ins))
+
+    def replay(*args):
+        raise AssertionError("min_extension replayed its insertions")
+
+    monkeypatch.setattr(bars.InsertionFacet, "__init__", replay)
+    count = 0
+    for shape, order in ((full_shape(7), length_lex()), (hook_shape(7), distinguished(hook_shape(7)))):
+        for size in range(6):
+            for ranks in itertools.combinations(range(1, 6), size):
+                for face in core.faces_with_support(7, shape, ranks):
+                    pushes.clear()
+                    ext = min_extension(face, order)
+                    assert pushes == list(ext.insertions)
+                    count += 1
+    assert count == 2_229
+
+
+def test_min_extension_forks_on_distinct_tied_insertions(monkeypatch):
+    """A key that sees only a block's size ties distinct insertions.  The
+    search then forks its walk and lets later labels decide; where none
+    decides, distinct facets share a label sequence."""
+    size = custom("size", lambda c: (sum(c),))
+    forks = []
+    real_fork = bars._Walk.fork
+    monkeypatch.setattr(bars._Walk, "fork", lambda walk: forks.append(walk) or real_fork(walk))
+    face = core.ChainType.deserialize("02@3(01@2,01@2),11@3(11@2),20@3(20@2)", Shape((3, 3)))
+    assert min_extension(face, size).positions == (2, 4, 1, 3, 5)
+    assert forks
+    with pytest.raises(bars.ExtensionTieError, match="distinct facets share a full label sequence"):
+        min_extension(empty_chain(Shape((2, 1))), size)
+
+
+def test_no_module_replays_a_facet():
+    """Every builder in the package keeps its walk's record through
+    ``InsertionFacet._walked``; the checked constructor is for callers
+    outside it."""
+    callers = set()
+    for path in glob.glob(os.path.join(os.path.dirname(bars.__file__), "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name == "InsertionFacet":
+                    callers.add(os.path.splitext(os.path.basename(path))[0])
+    assert callers == set()
 
 
 def _subsets(ranks):

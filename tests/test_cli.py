@@ -400,3 +400,17 @@ def test_construct_infeasible_ranks(capsys):
     code, doc = run_json(capsys, "construct", "--ranks", "1,2", "--n", "6")
     assert code == 2
     assert "error" in doc
+
+
+def test_readme_commands_parse():
+    """Every ``rsl`` line of the README's shell blocks, with its optional
+    brackets opened and its comment cut, is a command the parser accepts."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        blocks = fh.read().split("```sh\n")[1:]
+    lines = [line for block in blocks for line in block.split("```")[0].splitlines()]
+    commands = [line.split("#")[0].replace("[", "").replace("]", "").split() for line in lines]
+    commands = [argv[1:] for argv in commands if argv[:1] == ["rsl"]]
+    assert len(commands) == 13
+    for argv in commands:
+        cli.build_parser().parse_args(argv)
