@@ -13,7 +13,8 @@ Every facet builder steps on a ``_Walk`` and its facets keep a copy of the
 walk's record (``InsertionFacet._walked``).  The facet walk
 (``enumerate_insertion_facets``) takes the step once per edge and undoes it
 on backtrack; ``construct.facet_from_positions`` pushes the one split a
-walk offers at each position (``_Walk.splits_at``); ``min_extension``
+walk offers at each position (``_Walk.splits_at``); the peel search of
+``construct`` pushes and pops the splits its word allows; ``min_extension``
 pushes the splits with the least label key that its face allows.  Only the
 public ``InsertionFacet`` constructor replays a list through the step.
 
@@ -39,6 +40,10 @@ Corank t is a topological descent of a facet when any of:
      (in the block order) than t+1's;
   3. t+1 splits the right child of t, both left children have size two, and
      the latter is refined before the former.
+The conditions are evaluated in one place, ``_descent``, which reads a
+facet's record (``InsertionFacet.descent_dual_set``) or a walk in progress
+(the peel search of ``construct``); on a walk, condition 3 stays open until
+one of the two left children it compares is split.
 """
 
 from __future__ import annotations
@@ -203,6 +208,28 @@ def _split_row(row, idx: int, left: Content, right: Content, t: int) -> list:
     return row[:idx] + [(left, t, gid), (right, t, gid)] + row[idx + 1 :]
 
 
+def _descent(insertions, splits, left_split, key, t: int) -> Optional[bool]:
+    """Whether corank t is a topological descent, read from the record of
+    a facet or of a walk past step t+1: the three conditions of the module
+    docstring.  None while condition 3 is open, that is while both size-two
+    left children it compares are still unsplit."""
+    ins_t, ins_u = insertions[t - 1], insertions[t]
+    if ins_t.position > ins_u.position:
+        return True
+    if splits[t][0] != splits[t - 1][0] + 1:  # t+1 does not split t's right child
+        return False
+    if key(ins_t.left) > key(ins_u.left):
+        return True
+    # equal contents are required: only interchangeable blocks admit the
+    # order-swapping exchange behind condition 3
+    if ins_t.left != ins_u.left or content_size(ins_t.left) != 2:
+        return False
+    later, earlier = left_split[t], left_split[t - 1]
+    if later is None:
+        return None if earlier is None else False
+    return earlier is None or later < earlier
+
+
 class _Walk:
     """A row refined by checked bar insertions, one step at a time.
 
@@ -295,7 +322,8 @@ class InsertionFacet:
     insertions from the root through the bar-insertion step, which checks
     each one; a list that is not a normalized facet raises ValueError.
     Every builder in the package (the facet walk,
-    ``construct.facet_from_positions`` and ``min_extension``) uses
+    ``construct.facet_from_positions``, the peel search and
+    ``min_extension``) uses
     ``_walked`` instead: its steps already checked every insertion, so each
     facet takes a copy of the walk's record and is not replayed.
     """
@@ -378,29 +406,12 @@ class InsertionFacet:
     # -- descents --------------------------------------------------------------
 
     def descent_dual_set(self) -> frozenset:
-        if self._descents is not None:
-            return self._descents
-        splits, left_split = self._record.splits, self._record.left_split
-        key = self.order.key
-        out = set()
-        for t in range(1, self.n - 1):
-            ins_t, ins_u = self.insertions[t - 1], self.insertions[t]
-            if ins_t.position > ins_u.position:
-                out.add(t)
-                continue
-            if splits[t][0] == splits[t - 1][0] + 1:  # t+1 splits t's right child
-                if key(ins_t.left) > key(ins_u.left):
-                    out.add(t)
-                    continue
-                # equal contents are required: only interchangeable blocks
-                # admit the order-swapping exchange behind condition 3
-                if (
-                    content_size(ins_t.left) == 2
-                    and ins_t.left == ins_u.left
-                    and left_split[t] < left_split[t - 1]
-                ):
-                    out.add(t)
-        self._descents = frozenset(out)
+        if self._descents is None:
+            insertions, key = self.insertions, self.order.key
+            splits, left_split = self._record.splits, self._record.left_split
+            self._descents = frozenset(
+                [t for t in range(1, self.n - 1) if _descent(insertions, splits, left_split, key, t)]
+            )
         return self._descents
 
     def render(self) -> str:

@@ -4,10 +4,11 @@ Three families:
 
 * descending runs and their concatenation realize any corank word ending
   in an ascent (the 1-not-in-S case);
-* a peel search realizes words of shape {1..i, j_1..j_l} with i <= l:
-  blocks of size one or two are peeled off the remainder left to right and
-  the pair blocks are refined on a schedule, the final i+1 of them right to
-  left;
+* a peel search realizes words of shape {1..i, j_1..j_l} with i <= l: a
+  depth-first search on one ``bars._Walk`` whose splits leave one or two
+  balls in the left child (blocks of size one or two peeled off the
+  remainder, pair blocks refined), cut as soon as a letter decided by
+  ``bars._descent`` disagrees with the word;
 * the hook-shape greedy fills, for each ascent-run-plus-descent, the
   rightmost vacant gaps, and a one-step shift of a descent bar gives the
   second facet whenever the rank set is not an initial segment.
@@ -18,7 +19,15 @@ returning; a mismatch raises instead of returning a wrong facet.
 
 from __future__ import annotations
 
-from .bars import DescentWord, InsertionFacet, _Walk, descent_word
+from .bars import (
+    BarInsertion,
+    DescentWord,
+    InsertionFacet,
+    _descent,
+    _splittable,
+    _Walk,
+    descent_word,
+)
 from .orders import default_order, distinguished
 from .shapes import RankSet, checked_shape, hook_shape
 from .vanishing import classify_rank_set
@@ -179,111 +188,51 @@ def build_descending_run(n: int) -> InsertionFacet:
 
 
 def _search_peel_facet(word: str) -> InsertionFacet:
-    """A facet achieving ``word`` using only unit and pair peels plus pair
-    refinements.
+    """A facet achieving ``word`` whose every split leaves one or two balls
+    in its left child.
 
-    Letters are forced move-to-move: a peel followed by a smaller-left
-    peel, any refinement after a peel, and right-to-left refinements are
-    descents; everything else is an ascent except two pair peels in a row,
-    which descend exactly when the later block is refined first.  The DFS
-    prunes on those rules and on the deferred pair-pair constraints, and
-    keeps the first leaf that is a normalized facet.
+    Depth first on one ``_Walk``: at each step the remainder (the rightmost
+    block, of three or more balls) peeled by one, then by two balls, then
+    the pair blocks refined right to left.  After each push,
+    ``bars._descent`` reads the letters the push can decide: corank t-1,
+    and coranks c-1 and c when it splits the left child of step c (the
+    children condition 3 compares).  A decided letter that disagrees with
+    ``word`` cuts the branch, so the first leaf is the facet.
     """
     n = len(word) + 2
+    shape = checked_shape(n, n)
+    walk = _Walk(shape, default_order(shape))
+    key = walk.order.key
+    wanted = (None, *(ch == "D" for ch in word))  # wanted[r]: is corank r a descent
 
-    seq = []
-    found = []
+    def agrees(t: int, created: int) -> bool:
+        split_left = created and walk.left_split[created - 1] == t
+        for r in (t - 1, created - 1, created) if split_left else (t - 1,):
+            if r >= 1:
+                got = _descent(walk.insertions, walk.splits, walk.left_split, key, r)
+                if got is not None and got != wanted[r]:
+                    return False
+        return True
 
-    def letter_ok(rank, value):
-        return word[rank - 1] == value
-
-    def rec(t, rem_start, rem, live, prev, pending):
-        # prev: ("peel", pos, left_size) | ("refine", pos) | None
-        # live: start balls of the unrefined pair blocks
-        if found:
-            return
+    def rec(t: int) -> bool:
         if t == n:
-            if rem == 0 and not live:
-                try:
-                    found.append(facet_from_positions(n, seq))
-                except ValueError:
-                    pass  # refines the right one of two twins first
-            return
-        rank = t - 1  # letter decided by the pair (t-1, t)
-        moves = []
-        if rem >= 2:
-            moves.append(("peel", 1))
-        if rem >= 4:
-            moves.append(("peel", 2))
-        moves.extend(("refine", start) for start in sorted(live, reverse=True))
-        for kind, arg in moves:
-            if kind == "peel":
-                pos = rem_start + arg - 1
-                if prev is not None and rank >= 1:
-                    if prev[0] == "refine":
-                        if not letter_ok(rank, "A"):
-                            continue
-                    else:
-                        _, ppos, pleft = prev
-                        if pleft > arg:
-                            need = "D"
-                        elif pleft == 2 and arg == 2:
-                            need = None  # deferred to refinement order
-                        else:
-                            need = "A"
-                        if need and not letter_ok(rank, need):
-                            continue
-                new_pending = pending
-                if prev is not None and prev[0] == "peel" and prev[2] == 2 == arg:
-                    # blocks [ppos-1, rem_start+? ]: earlier block starts prev pos-1
-                    new_pending = pending + (((prev[1] - 1), rem_start, rank),)
-                new_live = live | {rem_start} if arg == 2 else live
-                new_rem_start, new_rem = rem_start + arg, rem - arg
-                if new_rem == 2:
-                    # remainder becomes an ordinary pair block
-                    new_live = new_live | {new_rem_start}
-                    new_rem_start, new_rem = new_rem_start + 2, 0
-                elif new_rem == 1 or new_rem < 0:
-                    continue  # a lone ball or overdraw can never complete
-                seq.append(pos)
-                rec(t + 1, new_rem_start, new_rem, new_live, ("peel", pos, arg), new_pending)
-                seq.pop()
-            else:
-                start = arg
-                pos = start
-                if prev is not None and rank >= 1:
-                    if prev[0] == "peel":
-                        if pos < prev[1]:
-                            need = "D"
-                        else:
-                            # the converted remainder pair is the peel's own
-                            # right child; descent only under a pair left child
-                            need = "D" if prev[2] == 2 else "A"
-                    else:
-                        need = "D" if prev[1] > pos else "A"
-                    if not letter_ok(rank, need):
-                        continue
-                ok = True
-                for first_start, second_start, prank in pending:
-                    if word[prank - 1] == "D":
-                        # later block must be refined before the earlier one
-                        if start == first_start and second_start in live:
-                            ok = False
-                            break
-                    else:
-                        if start == second_start and first_start in live:
-                            ok = False
-                            break
-                if not ok:
-                    continue
-                seq.append(pos)
-                rec(t + 1, rem_start, rem, live - {start}, ("refine", pos), pending)
-                seq.pop()
+            return True
+        row = walk.rows[-1]
+        for idx, start in reversed(list(_splittable(row))):
+            ((width,), created, _) = row[idx]
+            for k in (1, 2):
+                if 2 * k > width:
+                    break
+                # the smaller child goes left: the normalized split, as push checks
+                walk.push(BarInsertion(start + k, (k,), (width - k,), created))
+                if agrees(t, created) and rec(t + 1):
+                    return True
+                walk.pop()
+        return False
 
-    rec(1, 1, n, frozenset(), None, ())
-    if not found:
+    if not rec(1):
         raise ConstructionError(f"no peel facet achieves word {word}")
-    return found[0]
+    return InsertionFacet._walked(shape, walk)
 
 
 def build_theorem22(ranks, n: int) -> InsertionFacet:

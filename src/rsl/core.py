@@ -203,16 +203,18 @@ def _parse_node(text: str, pos: int, shape: Shape):
         raise MalformedChainError(f"missing '@' after position {start}")
     raw = text[start:pos]
     if "." in raw:
-        content = tuple(int(x) for x in raw.split("."))
+        content = tuple(_count(x) for x in raw.split("."))
+    elif shape.k == 1:
+        content = (_count(raw),)  # one letter: its count, whatever its digits
     else:
-        content = tuple(int(ch) for ch in raw)
+        content = tuple(_count(ch) for ch in raw)
     if len(content) != shape.k:
         raise MalformedChainError(f"content {raw!r} has wrong letter count")
     pos += 1
     num_start = pos
     while pos < len(text) and text[pos].isdigit():
         pos += 1
-    rank = int(text[num_start:pos])
+    rank = _count(text[num_start:pos])
     children = []
     if pos < len(text) and text[pos] == "(":
         children, pos = _parse_node_list(text, pos + 1, shape)
@@ -222,13 +224,19 @@ def _parse_node(text: str, pos: int, shape: Shape):
     return (content, rank, children), pos
 
 
+def _count(digits: str) -> int:
+    if not (digits.isascii() and digits.isdigit()):
+        raise MalformedChainError(f"expected a number, got {digits!r}")
+    return int(digits)
+
+
 def empty_chain(shape) -> ChainType:
     return ChainType(as_shape(shape), (), ())
 
 
 def _validate_forest(c: ChainType) -> None:
     n = c.n
-    if tuple(sorted(c.dual_levels)) != c.dual_levels:
+    if any(a >= b for a, b in zip(c.dual_levels, c.dual_levels[1:])):
         raise MalformedChainError("levels not increasing")
     if any(not 1 <= d <= n - 2 for d in c.dual_levels):
         raise MalformedChainError("level out of range")

@@ -595,3 +595,26 @@ def test_sort_key_is_the_key_of_the_cover_labels(n, shape, order):
     general = not shape.is_full()
     for f in enumerate_insertion_facets(n, shape, order):
         assert f.sort_key() == tuple(_key_of_label(lb, order, general) for lb in cover_labels(f))
+
+
+def test_descent_letters_are_final_once_decided():
+    """``bars._descent`` on a walk in progress: replayed step by step, every
+    facet's letters, once decided, are its final letters, and none is open
+    when the facet is complete."""
+    cases = [(full_shape(n), length_lex()) for n in range(3, 9)]
+    cases += [(hook_shape(n), distinguished(hook_shape(n))) for n in range(3, 8)]
+    cases += [(Shape((3, 3)), length_lex()), (Shape((2, 2, 2)), length_lex())]
+    count = 0
+    for shape, order in cases:
+        for f in enumerate_insertion_facets(shape.n, shape, order):
+            final = f.descent_dual_set()
+            walk = bars._Walk(shape, order)
+            for t, ins in enumerate(f.insertions, start=1):
+                walk.push(ins)
+                for r in range(1, t):
+                    got = bars._descent(walk.insertions, walk.splits, walk.left_split, order.key, r)
+                    assert got is None or got == (r in final), (f, t, r)
+            for r in range(1, shape.n - 1):
+                assert bars._descent(walk.insertions, walk.splits, walk.left_split, order.key, r) is not None
+            count += 1
+    assert count == 1366

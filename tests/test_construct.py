@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -15,6 +16,7 @@ from rsl import (
     full_shape,
     min_extension,
 )
+from rsl import construct
 from rsl.core import empty_chain
 from rsl.vanishing import classify_rank_set
 
@@ -72,8 +74,10 @@ def test_theorem22_worked_examples():
     assert sorted(descent_set(facet).ranks) == [1, 2]
 
 
-def test_theorem22_exhaustive_feasible():
-    for n in range(4, 10):
+def _theorem22_sets(n_max):
+    """(n, S, i) for every S with j_1 - i > 1 and i <= l, n = 4..n_max, in
+    order of n, then size, then ``itertools.combinations``."""
+    for n in range(4, n_max + 1):
         for size in range(1, n - 1):
             for s in itertools.combinations(range(1, n - 1), size):
                 shape = classify_rank_set(set(s), n)
@@ -81,10 +85,41 @@ def test_theorem22_exhaustive_feasible():
                     continue
                 if shape.js[0] <= shape.i + 1 or shape.i > shape.l:
                     continue
-                facet = build_theorem22(set(s), n)
-                dual = frozenset(n - 1 - r for r in s)
-                assert facet.descent_dual_set() == dual
-                assert flag_h(n, full_shape(n), set(s)) >= 1
+                yield n, s, shape.i
+
+
+def test_theorem22_exhaustive_feasible():
+    for n, s, _ in _theorem22_sets(9):
+        facet = build_theorem22(set(s), n)
+        dual = frozenset(n - 1 - r for r in s)
+        assert facet.descent_dual_set() == dual
+        assert flag_h(n, full_shape(n), set(s)) >= 1
+
+
+def test_peel_search_rebuilds_no_facet(monkeypatch):
+    """The peel search keeps the facet its walk built; it never turns a
+    leaf's positions back into a facet."""
+
+    def rebuild(*args, **kwargs):
+        raise AssertionError("the peel search rebuilt a facet from positions")
+
+    monkeypatch.setattr(construct, "facet_from_positions", rebuild)
+    for n, s, i in _theorem22_sets(9):
+        if i >= 1:
+            build_theorem22(set(s), n)
+
+
+def test_peel_search_positions_pinned():
+    """The positions the peel search returns for the 168 sets with i >= 1
+    at n = 4..10, digested as repr((n, S, positions))."""
+    digest = hashlib.sha256()
+    count = 0
+    for n, s, i in _theorem22_sets(10):
+        if i >= 1:
+            digest.update(repr((n, s, build_theorem22(set(s), n).positions)).encode())
+            count += 1
+    assert count == 168
+    assert digest.hexdigest() == "66face1c0dfb17f8c475c9b9fdf5cb332f914154132a21f2fe6b334872e4d02b"
 
 
 def test_theorem22_preconditions():

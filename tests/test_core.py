@@ -8,6 +8,7 @@ from rsl import (
     RankSet,
     Shape,
     block_orbits,
+    build_word,
     canonicalize,
     dualize,
     enumerate_facet_orbits,
@@ -220,6 +221,16 @@ def test_serialization_bit_exact_equality():
         seen[text] = facet
 
 
+@pytest.mark.parametrize("n", [11, 12])
+def test_serialization_round_trip_counts_of_ten_or_more(n):
+    """One-letter contents of 10 or more balls are written as one number
+    and read back as one count."""
+    facet = build_word("A" * (n - 2)).chain_type()
+    text = facet.serialize()
+    assert f"{n - 1}@" in text
+    assert ChainType.deserialize(text, full_shape(n)) == facet
+
+
 def test_hook_shape_serialization_round_trip():
     shape = Shape((4, 1))
     for facet in enumerate_facet_orbits(5, shape)[:10]:
@@ -283,3 +294,9 @@ def test_deserialize_rejects_malformed():
         ChainType.deserialize("22@2", shape)  # wrong letter count
     with pytest.raises(MalformedChainError):
         ChainType.deserialize("2@2(1@1,2@1)", shape)  # children exceed parent
+    with pytest.raises(MalformedChainError, match="levels not increasing"):
+        ChainType.deserialize("2@2(2@2),2@2(2@2)", shape)  # one rank at two depths
+    with pytest.raises(MalformedChainError):
+        ChainType.deserialize("x@1", shape)  # content not a number
+    with pytest.raises(MalformedChainError):
+        ChainType.deserialize("2@", shape)  # missing rank
