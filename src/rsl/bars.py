@@ -5,18 +5,18 @@ n-1 bar insertions, the t-th at corank t.  Two conventions make each orbit
 appear once: when a block splits, the child that is smaller in the active
 block order goes left (ties broken by content), and of two equal blocks
 created together the left one is refined first.  Both live in one
-bar-insertion step, ``_Walk.push``: it finds the splittable block
-(``_splittable``), checks that the children sum to it and that the
-insertion is its oriented split (``_oriented``; ``_normalized`` makes the
-insertion), and records the split (``_split_row`` is the row update).
-Every facet builder steps on a ``_Walk`` and its facets keep a copy of the
-walk's record (``InsertionFacet._walked``).  The facet walk
+bar-insertion step, ``_Walk.push``: it splits a block its caller chose
+from ``_splittable`` into two contents, orients them (``_oriented``), and
+records and returns the normalized insertion.  Every facet builder steps
+on a ``_Walk`` and its facets keep a copy of the walk's record
+(``InsertionFacet._walked``).  The facet walk
 (``enumerate_insertion_facets``) takes the step once per edge and undoes it
 on backtrack; ``construct.facet_from_positions`` pushes the one split a
 walk offers at each position (``_Walk.splits_at``); the peel search of
 ``construct`` pushes and pops the splits its word allows; ``min_extension``
 pushes the splits with the least label key that its face allows.  Only the
-public ``InsertionFacet`` constructor replays a list through the step.
+public ``InsertionFacet`` constructor checks proposed insertions, against
+the ones the step makes at their gaps (``_block_at``).
 
 Covering relation t carries a label: (position, word-of-positions, r) for
 the one-letter shape, and (bars-to-the-left, left-child word, prefix word,
@@ -49,6 +49,7 @@ one of the two left children it compares is split.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from string import ascii_lowercase
 from typing import NamedTuple, Optional
 
 from .core import ChainType
@@ -170,24 +171,31 @@ class _Record(NamedTuple):
 
 # -- the one bar-insertion step ----------------------------------------------------
 #
-# A row is a list of blocks (content, step that created it, twin id); the twin
-# id is the creating step when the two children are equal, else None.
+# A row is a list of blocks (content, step that created it, twin id, balls left
+# of it); the twin id is the creating step when the two children are equal,
+# else None.
 
 
 def _splittable(row):
-    """(row index, balls left of it) of each block the next bar may split:
-    one of at least two balls that is not the right one of two equal
-    unsplit twins (the left twin is refined first).  A bar in a block with
-    ``start`` balls left of it and ``w`` balls falls at gap start+1 to
-    start+w-1."""
-    start = 0
+    """Row index of each block the next bar may split: one of at least two
+    balls that is not the right one of two equal unsplit twins (the left
+    twin is refined first).  A bar in a block with ``start`` balls left of
+    it and ``w`` balls falls at gap start+1 to start+w-1."""
     prev = None
-    for idx, (content, _, gid) in enumerate(row):
-        width = content_size(content)
-        if width > 1 and (gid is None or gid != prev):
-            yield idx, start
-        start += width
+    for idx, (content, _, gid, _) in enumerate(row):
+        if content_size(content) > 1 and (gid is None or gid != prev):
+            yield idx
         prev = gid
+
+
+def _block_at(row, position: int) -> Optional[int]:
+    """Row index of the splittable block whose gaps hold ``position``, or
+    None: the lookup for builders that start from a bar's position."""
+    for idx in _splittable(row):
+        content, _, _, start = row[idx]
+        if start < position < start + content_size(content):
+            return idx
+    return None
 
 
 def _oriented(order: BlockOrder, a: Content, b: Content) -> tuple:
@@ -196,16 +204,12 @@ def _oriented(order: BlockOrder, a: Content, b: Content) -> tuple:
     return (a, b) if (order.key(a), a) <= (order.key(b), b) else (b, a)
 
 
-def _normalized(order: BlockOrder, start: int, created: int, a: Content, b: Content) -> BarInsertion:
-    """The one insertion splitting a block into a and b, oriented."""
-    left, right = _oriented(order, a, b)
-    return BarInsertion(start + content_size(left), left, right, created)
-
-
 def _split_row(row, idx: int, left: Content, right: Content, t: int) -> list:
     """``row`` with block ``idx`` replaced by the children of insertion t."""
+    start = row[idx][3]
     gid = t if left == right else None
-    return row[:idx] + [(left, t, gid), (right, t, gid)] + row[idx + 1 :]
+    children = [(left, t, gid, start), (right, t, gid, start + content_size(left))]
+    return row[:idx] + children + row[idx + 1 :]
 
 
 def _descent(insertions, splits, left_split, key, t: int) -> Optional[bool]:
@@ -231,62 +235,61 @@ def _descent(insertions, splits, left_split, key, t: int) -> Optional[bool]:
 
 
 class _Walk:
-    """A row refined by checked bar insertions, one step at a time.
+    """A row refined by bar insertions, one step at a time.
 
-    ``push`` is the one bar-insertion step.  It finds the splittable block
-    the bar falls in, checks that the children sum to that block and that
-    the insertion is its ``_normalized`` split, then appends to the record.
-    ``pop`` undoes the last step, so the facet walk backtracks on a single
-    walk; ``fork`` copies a walk whose next step branches; ``record``
-    copies the record of a finished facet.  ``splits_at`` lists the
-    insertions the next step could make at one gap, for builders that
-    choose bars by position.
+    ``push`` is the one bar-insertion step: it splits the block its caller
+    chose into two contents, orients them, and records and returns the
+    normalized insertion.  It checks only what needs no scan of the row:
+    the block is not an unsplit right twin, and the children are non-empty
+    and sum to it.  ``pop`` undoes the last step, so the facet walk
+    backtracks on a single walk; ``fork`` copies a walk whose next step
+    branches; ``record`` copies the record of a finished facet.
+    ``splits_at`` lists the splits the next step could make at one gap,
+    for builders that choose bars by position.
     """
 
     __slots__ = ("order", "rows", "insertions", "splits", "prefixes", "left_split")
 
     def __init__(self, shape, order: BlockOrder):
         self.order = order
-        self.rows = [[(shape.root_content, 0, None)]]  # rows[t]: the row after t steps
+        self.rows = [[(shape.root_content, 0, None, 0)]]  # rows[t]: the row after t steps
         self.insertions = []
         self.splits = []
         self.prefixes = []
         self.left_split = [None] * (shape.n - 1)
 
-    def push(self, ins: BarInsertion) -> None:
+    def push(self, idx: int, a: Content, b: Content) -> BarInsertion:
         row = self.rows[-1]
         t = len(self.insertions) + 1
-        for idx, start in _splittable(row):
-            if start < ins.position < start + content_size(row[idx][0]):
-                break
-        else:
-            raise ValueError(f"insertion {t} at {ins.position} hits no splittable gap")
-        content, created, _ = row[idx]
-        if add_contents(ins.left, ins.right) != content or min(ins.left + ins.right) < 0:
+        content, created, gid, start = row[idx]
+        if idx and gid is not None and row[idx - 1][2] == gid:
+            raise ValueError(f"insertion {t} splits a right twin before its left twin")
+        if add_contents(a, b) != content or min(a + b) < 0 or not any(a) or not any(b):
             raise ValueError(f"insertion {t} children do not sum to the block")
-        expected = _normalized(self.order, start, created, ins.left, ins.right)
-        if ins != expected:
-            raise ValueError(f"insertion {t} is {ins}, not the normalized split {expected}")
+        left, right = _oriented(self.order, a, b)
+        ins = BarInsertion(start + content_size(left), left, right, created)
         if created and start != self.insertions[created - 1].position:
             self.left_split[created - 1] = t  # a right child starts at its parent's bar
         self.insertions.append(ins)
         self.splits.append((idx, content))
-        self.prefixes.append(tuple(b[0] for b in row[:idx]))
-        self.rows.append(_split_row(row, idx, ins.left, ins.right, t))
+        self.prefixes.append(tuple(blk[0] for blk in row[:idx]))
+        self.rows.append(_split_row(row, idx, left, right, t))
+        return ins
 
     def splits_at(self, position: int) -> list:
-        """The normalized insertions whose bar falls at ``position``: the
-        oriented splits, at that gap, of the splittable block holding it."""
+        """(row index, left, right) of each normalized split whose bar falls
+        at ``position``: the oriented splits, at that gap, of the
+        splittable block holding it."""
         row = self.rows[-1]
-        for idx, start in _splittable(row):
-            content, created, _ = row[idx]
-            if start < position < start + content_size(content):
-                return [
-                    ins
-                    for a, b in bipartitions(content)
-                    if (ins := _normalized(self.order, start, created, a, b)).position == position
-                ]
-        return []
+        idx = _block_at(row, position)
+        if idx is None:
+            return []
+        content, _, _, start = row[idx]
+        return [
+            (idx, left, right)
+            for left, right in (_oriented(self.order, a, b) for a, b in bipartitions(content))
+            if start + content_size(left) == position
+        ]
 
     def pop(self) -> None:
         t = len(self.insertions)
@@ -319,13 +322,13 @@ class InsertionFacet:
     """A maximal chain orbit as a normalized bar-insertion sequence.
 
     The constructor, for callers outside this package, replays the
-    insertions from the root through the bar-insertion step, which checks
-    each one; a list that is not a normalized facet raises ValueError.
+    insertions from the root: each one must be the insertion the
+    bar-insertion step makes in the block at its gap, else ValueError.
     Every builder in the package (the facet walk,
     ``construct.facet_from_positions``, the peel search and
-    ``min_extension``) uses
-    ``_walked`` instead: its steps already checked every insertion, so each
-    facet takes a copy of the walk's record and is not replayed.
+    ``min_extension``) uses ``_walked`` instead: its walk made every
+    insertion, so each facet takes a copy of the walk's record and is not
+    replayed.
     """
 
     __slots__ = ("shape", "order", "insertions", "_record", "_chain", "_descents")
@@ -336,8 +339,13 @@ class InsertionFacet:
         if len(insertions) != shape.n - 1:
             raise ValueError("a facet of the order complex needs n-1 insertions")
         walk = _Walk(shape, order)
-        for ins in insertions:
-            walk.push(ins)
+        for t, ins in enumerate(insertions, start=1):
+            idx = _block_at(walk.rows[-1], ins.position)
+            if idx is None:
+                raise ValueError(f"insertion {t} at {ins.position} hits no splittable gap")
+            made = walk.push(idx, ins.left, ins.right)
+            if ins != made:
+                raise ValueError(f"insertion {t} is {ins}, not the normalized split {made}")
         self._adopt(shape, walk)
 
     @classmethod
@@ -419,9 +427,10 @@ class InsertionFacet:
         rank_of_pos = {ins.position: t for t, ins in enumerate(self.insertions, start=1)}
         if self.shape.is_full():
             letters = ["o"] * self.n
+        elif self.shape.k > len(ascii_lowercase):
+            raise ValueError(f"render names at most 26 letters, not {self.shape.k}")
         else:
-            symbols = "abcdefghij"
-            letters = [symbols[content.index(1)] for content in self._record.row]
+            letters = [ascii_lowercase[content.index(1)] for content in self._record.row]
         out = []
         for i, ch in enumerate(letters, start=1):
             out.append(ch)
@@ -481,13 +490,12 @@ def enumerate_insertion_facets(n: int, shape, order: Optional[BlockOrder] = None
     """All normalized facets as InsertionFacets, one per orbit, depth first
     over every splittable block and every split of it, oriented.
 
-    Each edge of the walk is one bar-insertion step (``_Walk.push``, with
-    its checks), undone on backtrack; each leaf's facet takes a copy of the
-    walk's record, so no facet is replayed and facets share the walk's
-    prefix tuples.  A block content is split many times over, so each walk
-    keeps a per-walk memo, ``halves``: content -> its bipartitions, each
-    already oriented by ``_oriented`` and with the width of its left child,
-    gone when the walk ends.
+    Each edge of the walk is one bar-insertion step (``_Walk.push``),
+    undone on backtrack; each leaf's facet takes a copy of the walk's
+    record, so no facet is replayed and facets share the walk's prefix
+    tuples.  A block content is split many times over, so each walk keeps
+    a per-walk memo, ``halves``: content -> its bipartitions, gone when the
+    walk ends.
     """
     shape = checked_shape(n, shape)
     order = default_order(shape) if order is None else order
@@ -500,16 +508,13 @@ def enumerate_insertion_facets(n: int, shape, order: Optional[BlockOrder] = None
             results.append(InsertionFacet._walked(shape, walk))
             return
         row = walk.rows[-1]
-        for idx, start in _splittable(row):
-            content, created, _ = row[idx]
+        for idx in _splittable(row):
+            content = row[idx][0]
             pairs = halves.get(content)
             if pairs is None:
-                pairs = halves[content] = tuple(
-                    (left, right, content_size(left))
-                    for left, right in (_oriented(order, a, b) for a, b in bipartitions(content))
-                )
-            for left, right, width in pairs:
-                walk.push(BarInsertion(start + width, left, right, created))
+                pairs = halves[content] = tuple(bipartitions(content))
+            for a, b in pairs:
+                walk.push(idx, a, b)
                 rec(t + 1)
                 walk.pop()
 
@@ -562,38 +567,40 @@ def min_extension(c: ChainType, order: Optional[BlockOrder] = None) -> Insertion
             earlier = [ins.position for ins in walk.insertions]
             blocks = list(_splittable(row))
             for targets in target_rows:
-                for idx, start in blocks:
+                for idx in blocks:
                     if len(targets[idx]) < 2:
                         continue
-                    content, created, _ = row[idx]
+                    content, created, _, start = row[idx]
                     prefix = tuple(b[0] for b in row[:idx])
                     for t1, t2 in _target_bipartitions(targets[idx]):
                         s1 = tuple(map(sum, zip(*[tgt[0] for tgt in t1])))
                         s2 = tuple(map(int.__sub__, content, s1))
-                        ins = _normalized(order, start, created, s1, s2)
-                        key = _label_key(earlier, ins.position, ins.left, prefix, created, order)
+                        left, right = _oriented(order, s1, s2)
+                        position = start + content_size(left)
+                        key = _label_key(earlier, position, left, prefix, created, order)
                         if best is None or key < best:
                             best, chosen = key, []
                         if key == best:
-                            if ins.left != ins.right:
-                                placed = [(t1, t2) if ins.left == s1 else (t2, t1)]
+                            if left != right:
+                                placed = [(t1, t2) if left == s1 else (t2, t1)]
                             else:  # equal contents: either subtree may go left
                                 placed = [(t1, t2), (t2, t1)]
                             chosen += [
-                                (walk, ins, targets[:idx] + p + targets[idx + 1 :]) for p in placed
+                                (walk, (idx, left, right), targets[:idx] + p + targets[idx + 1 :])
+                                for p in placed
                             ]
         if not chosen:
             raise AssertionError("extension search stalled")
-        moves = {}  # walk -> {insertion: {target row: None}}
-        for walk, ins, targets in chosen:
+        moves = {}  # walk -> {(row index, left, right): {target row: None}}
+        for walk, split, targets in chosen:
             if t in support:
                 targets = tuple(below(node) for (node,) in targets)
-            moves.setdefault(walk, {}).setdefault(ins, {})[targets] = None
+            moves.setdefault(walk, {}).setdefault(split, {})[targets] = None
         branches = []
-        for walk, by_ins in moves.items():
-            walks = [walk] + [walk.fork() for _ in range(len(by_ins) - 1)]
-            for w, (ins, target_rows) in zip(walks, by_ins.items()):
-                w.push(ins)
+        for walk, by_split in moves.items():
+            walks = [walk] + [walk.fork() for _ in range(len(by_split) - 1)]
+            for w, (split, target_rows) in zip(walks, by_split.items()):
+                w.push(*split)
                 branches.append((w, list(target_rows)))
 
     if len(branches) != 1:

@@ -20,7 +20,6 @@ returning; a mismatch raises instead of returning a wrong facet.
 from __future__ import annotations
 
 from .bars import (
-    BarInsertion,
     DescentWord,
     InsertionFacet,
     _descent,
@@ -75,7 +74,7 @@ def facet_from_positions(n: int, positions, shape=None, order=None) -> Insertion
         fits = walk.splits_at(p)
         if len(fits) != 1:
             raise ValueError(f"{len(fits)} normalized splits put bar {t} at {p}, not one")
-        walk.push(fits[0])
+        walk.push(*fits[0])
     return InsertionFacet._walked(shape, walk)
 
 
@@ -218,13 +217,13 @@ def _search_peel_facet(word: str) -> InsertionFacet:
         if t == n:
             return True
         row = walk.rows[-1]
-        for idx, start in reversed(list(_splittable(row))):
-            ((width,), created, _) = row[idx]
+        for idx in reversed(list(_splittable(row))):
+            ((width,), created, _, _) = row[idx]
             for k in (1, 2):
                 if 2 * k > width:
                     break
-                # the smaller child goes left: the normalized split, as push checks
-                walk.push(BarInsertion(start + k, (k,), (width - k,), created))
+                # push puts the smaller child, of k balls, left
+                walk.push(idx, (k,), (width - k,))
                 if agrees(t, created) and rec(t + 1):
                     return True
                 walk.pop()

@@ -117,15 +117,16 @@ def _beta_chains(js: tuple, n: int):
     )
 
 
-def _bottom_orbit_data(beta: ChainType, j1: int):
-    """(orbit count over nontrivial blocks, capacity, nontrivial orbits)."""
-    orbits = block_orbits(beta, j1)
+def _surviving_orbits(beta: ChainType, i: int) -> list:
+    """(orbit, room) for each stabilizer orbit of nontrivial bottom blocks
+    of beta, its block indices and the pair blocks one of them holds, when
+    there are more than i such orbits; else [].  This is the test of
+    ``delta_beta_nonvanishing``."""
     contents = [node[0] for node in beta.level_nodes(len(beta.dual_levels) - 1)]
-    nontrivial = [
-        orbit for orbit in orbits if content_size(contents[orbit[0]]) >= 2
-    ]
-    capacity = sum(content_size(contents[i]) // 2 for o in nontrivial for i in o)
-    return len(nontrivial), capacity, nontrivial
+    orbits = block_orbits(beta, beta.support[0])
+    rooms = [(orbit, content_size(contents[orbit[0]]) // 2) for orbit in orbits]
+    nontrivial = [(orbit, room) for orbit, room in rooms if room]
+    return nontrivial if len(nontrivial) > i else []
 
 
 def _attach_alpha(beta: ChainType, block_indices, i: int) -> ChainType:
@@ -160,15 +161,11 @@ def chain_condition_search(ranks, n: int) -> Optional[WitnessChain]:
         return None
     i = shape.i
     for beta in _beta_chains(shape.js, n):
-        j, capacity, nontrivial = _bottom_orbit_data(beta, shape.js[0])
-        if j >= i + 1 and capacity >= i:
-            packed = []
-            for orbit in nontrivial:
-                room = content_size(beta.level_nodes(len(beta.dual_levels) - 1)[orbit[0]][0]) // 2
-                for idx in orbit:
-                    packed.extend([idx] * room)
+        orbits = _surviving_orbits(beta, i)
+        if orbits:
+            packed = [idx for orbit, room in orbits for idx in orbit for _ in range(room)]
             witness = _attach_alpha(beta, packed[:i], i)
-            return WitnessChain(chain=witness, orbit_count=j)
+            return WitnessChain(chain=witness, orbit_count=len(orbits))
     return None
 
 
@@ -179,8 +176,7 @@ def delta_beta_nonvanishing(beta: ChainType, i: int) -> bool:
     the orbit count already guarantees)."""
     if not beta.dual_levels:
         raise ValueError("need a nonempty chain")
-    j, capacity, _ = _bottom_orbit_data(beta, beta.support[0])
-    return j > i and capacity >= i
+    return bool(_surviving_orbits(beta, i))
 
 
 def theorem31_witness(ranks, n: int) -> Optional[ChainType]:
@@ -193,10 +189,7 @@ def theorem31_witness(ranks, n: int) -> Optional[ChainType]:
         return None
     i = shape.i
     for beta in _beta_chains(shape.js, n):
-        j, capacity, nontrivial = _bottom_orbit_data(beta, shape.js[0])
-        if j < i + 1:
-            continue
-        reps = [orbit[0] for orbit in nontrivial]
+        reps = [orbit[0] for orbit, _ in _surviving_orbits(beta, i)]
         for chosen in itertools.permutations(reps, i):
             witness = _attach_alpha(beta, list(chosen), i)
             if tuple(sorted(witness.support)) != tuple(

@@ -135,6 +135,24 @@ def test_facet_from_positions_rejects_at_once():
         facet_from_positions(4, [2, 1, 3], (2, 2))  # (2,0)|(0,2) and (1,1)|(1,1)
 
 
+def _steps(f):
+    """The (row index, left, right) push of each step of a facet's walk."""
+    return [(idx, ins.left, ins.right) for (idx, _), ins in zip(f._record.splits, f.insertions)]
+
+
+def _record_pushes(monkeypatch):
+    """A list that collects the arguments of every ``_Walk.push`` call."""
+    pushes = []
+    real_push = bars._Walk.push
+
+    def push(walk, *split):
+        pushes.append(split)
+        return real_push(walk, *split)
+
+    monkeypatch.setattr(bars._Walk, "push", push)
+    return pushes
+
+
 def test_facet_from_positions_round_trip(monkeypatch):
     """Positions give back each facet of the walk, record and all, with one
     checked step per bar: the facet keeps the walk's record instead of
@@ -146,16 +164,14 @@ def test_facet_from_positions_round_trip(monkeypatch):
     def replay(*args):
         raise AssertionError("facet_from_positions replayed its insertions")
 
-    pushes = []
-    real_push = bars._Walk.push
-    monkeypatch.setattr(bars._Walk, "push", lambda walk, ins: pushes.append(ins) or real_push(walk, ins))
+    pushes = _record_pushes(monkeypatch)
     monkeypatch.setattr(bars.InsertionFacet, "__init__", replay)
     for n, shape, order, walked in facets:
         for f in walked:
             pushes.clear()
             g = facet_from_positions(n, f.positions, shape, order)
             assert g == f and g._record == f._record
-            assert pushes == list(f.insertions)
+            assert pushes == _steps(f)
 
 
 @pytest.mark.parametrize("shape", [hook_shape(7), Shape((4, 3))], ids=str)
@@ -220,9 +236,7 @@ def test_min_extension_is_lex_least_containing_facet():
 def test_min_extension_steps_on_one_walk(monkeypatch):
     """Under a named order each face's extension takes n-1 checked steps on
     one walk and keeps its record: the constructor never replays it."""
-    pushes = []
-    real_push = bars._Walk.push
-    monkeypatch.setattr(bars._Walk, "push", lambda walk, ins: pushes.append(ins) or real_push(walk, ins))
+    pushes = _record_pushes(monkeypatch)
 
     def replay(*args):
         raise AssertionError("min_extension replayed its insertions")
@@ -235,7 +249,7 @@ def test_min_extension_steps_on_one_walk(monkeypatch):
                 for face in core.faces_with_support(7, shape, ranks):
                     pushes.clear()
                     ext = min_extension(face, order)
-                    assert pushes == list(ext.insertions)
+                    assert pushes == _steps(ext)
                     count += 1
     assert count == 2_229
 
@@ -255,20 +269,38 @@ def test_min_extension_forks_on_distinct_tied_insertions(monkeypatch):
         min_extension(empty_chain(Shape((2, 1))), size)
 
 
+def _callers(name):
+    """(module, enclosing def or class path) of each call of ``name`` in
+    the package's source."""
+    callers = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                if (getattr(child.func, "id", None) or getattr(child.func, "attr", None)) == name:
+                    callers.add((module, ".".join(scope)))
+            visit(child, module, scope)
+
+    for path in glob.glob(os.path.join(os.path.dirname(bars.__file__), "*.py")):
+        with open(path) as fh:
+            visit(ast.parse(fh.read()), os.path.splitext(os.path.basename(path))[0], ())
+    return callers
+
+
 def test_no_module_replays_a_facet():
     """Every builder in the package keeps its walk's record through
     ``InsertionFacet._walked``; the checked constructor is for callers
     outside it."""
-    callers = set()
-    for path in glob.glob(os.path.join(os.path.dirname(bars.__file__), "*.py")):
-        with open(path) as fh:
-            tree = ast.parse(fh.read())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                if name == "InsertionFacet":
-                    callers.add(os.path.splitext(os.path.basename(path))[0])
-    assert callers == set()
+    assert _callers("InsertionFacet") == set()
+
+
+def test_only_the_step_makes_an_insertion():
+    """The bar-insertion step is the one place an insertion is normalized:
+    no builder makes a ``BarInsertion`` and hands it to the walk."""
+    assert _callers("BarInsertion") == {("bars", "_Walk.push")}
 
 
 def _subsets(ranks):
@@ -312,6 +344,26 @@ def test_word_length_invariant():
 def test_render_grammar():
     f = _facet(10, [2, 4, 6, 8, 7, 5, 3, 1, 9])
     assert f.render() == "o|8o|1o|7o|2o|6o|3o|5o|4o|9o"
+
+
+def _left_peels(k):
+    """The facet of (1^k) that peels the letters off left to right, each
+    peel the smaller child: k-1 insertions at gaps 1..k-1."""
+    unit = [tuple(int(j == i) for j in range(k)) for i in range(k)]
+    rest = [tuple(int(j >= i) for j in range(k)) for i in range(k)]  # letters i.. of k
+    insertions = [bars.BarInsertion(t, unit[t - 1], rest[t], t - 1) for t in range(1, k)]
+    return bars.InsertionFacet((1,) * k, length_lex(), insertions)
+
+
+def test_render_eleven_letters():
+    assert _left_peels(11).positions == tuple(range(1, 11))
+    assert _left_peels(11).render() == "a|1b|2c|3d|4e|5f|6g|7h|8i|9j|10k"
+
+
+def test_render_refuses_more_than_26_letters():
+    assert _left_peels(26).render().endswith("|25z")
+    with pytest.raises(ValueError, match="at most 26 letters, not 27"):
+        _left_peels(27).render()
 
 
 def test_render_hook_letters():
@@ -502,6 +554,29 @@ def test_walk_splits_each_content_once(monkeypatch):
         assert set(calls.values()) == {1}
 
 
+def test_walk_scans_each_row_once(monkeypatch):
+    """The facet walk lists a row's splittable blocks once per walk node
+    that has a next step, and the step it pushes scans nothing."""
+    scans = []
+    real_splittable, real_push = bars._splittable, bars._Walk.push
+
+    def splittable(row):
+        scans.append(row)
+        return real_splittable(row)
+
+    def push(walk, *split):
+        before = len(scans)
+        made = real_push(walk, *split)
+        assert len(scans) == before, "push scanned the row"
+        return made
+
+    monkeypatch.setattr(bars, "_splittable", splittable)
+    monkeypatch.setattr(bars._Walk, "push", push)
+    facets = enumerate_insertion_facets(8, (8,))
+    nodes = {f.insertions[:k] for f in facets for k in range(7)}  # the nodes at t = 1..7
+    assert len(scans) == len(nodes)
+
+
 def _walk_without_memo(n, shape, order):
     """The facets' insertion lists, walked with a fresh bipartitions call at
     every split."""
@@ -511,13 +586,14 @@ def _walk_without_memo(n, shape, order):
         if t == n:
             out.append(tuple(acc))
             return
-        for idx, start in bars._splittable(row):
-            content, created, _ = row[idx]
+        for idx in bars._splittable(row):
+            content, created, _, start = row[idx]
             for a, b in bipartitions(content):
-                ins = bars._normalized(order, start, created, a, b)
-                rec(bars._split_row(row, idx, ins.left, ins.right, t), t + 1, acc + [ins])
+                left, right = bars._oriented(order, a, b)
+                ins = bars.BarInsertion(start + sum(left), left, right, created)
+                rec(bars._split_row(row, idx, left, right, t), t + 1, acc + [ins])
 
-    rec([(shape.root_content, 0, None)], 1, [])
+    rec([(shape.root_content, 0, None, 0)], 1, [])
     return out
 
 
@@ -559,15 +635,16 @@ def test_walked_records_equal_the_checked_replay(n, shape, order):
 
 
 def test_walk_checks_each_step_against_the_normalized_split(monkeypatch):
-    real = bars._normalized
-
-    def swapped(order, start, created, a, b):
-        ins = real(order, start, created, a, b)
-        return bars.BarInsertion(start + sum(ins.right), ins.right, ins.left, created)
-
-    monkeypatch.setattr(bars, "_normalized", swapped)
-    with pytest.raises(ValueError, match="not the normalized split"):
-        enumerate_insertion_facets(7, full_shape(7))
+    """A walk whose step puts the larger child left yields facets that are
+    not normalized, and the checking constructor refuses every one."""
+    real = bars._oriented
+    with monkeypatch.context() as patched:
+        patched.setattr(bars, "_oriented", lambda order, a, b: real(order, a, b)[::-1])
+        facets = enumerate_insertion_facets(7, full_shape(7))
+    assert len(facets) == 61
+    for f in facets:
+        with pytest.raises(ValueError, match="not the normalized split"):
+            bars.InsertionFacet(full_shape(7), f.order, f.insertions)
 
 
 def _key_of_label(label, order, general):
@@ -609,8 +686,8 @@ def test_descent_letters_are_final_once_decided():
         for f in enumerate_insertion_facets(shape.n, shape, order):
             final = f.descent_dual_set()
             walk = bars._Walk(shape, order)
-            for t, ins in enumerate(f.insertions, start=1):
-                walk.push(ins)
+            for t, step in enumerate(_steps(f), start=1):
+                walk.push(*step)
                 for r in range(1, t):
                     got = bars._descent(walk.insertions, walk.splits, walk.left_split, order.key, r)
                     assert got is None or got == (r in final), (f, t, r)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -74,18 +75,20 @@ def test_theorem22_worked_examples():
     assert sorted(descent_set(facet).ranks) == [1, 2]
 
 
+def _feasible(s, n):
+    """Whether S = {1..i, j_1..j_l} has i >= 1, j_1 - i > 1 and i <= l."""
+    shape = classify_rank_set(set(s), n)
+    return shape.kind == "initial-plus-tail" and shape.js[0] > shape.i + 1 and shape.i <= shape.l
+
+
 def _theorem22_sets(n_max):
     """(n, S, i) for every S with j_1 - i > 1 and i <= l, n = 4..n_max, in
     order of n, then size, then ``itertools.combinations``."""
     for n in range(4, n_max + 1):
         for size in range(1, n - 1):
             for s in itertools.combinations(range(1, n - 1), size):
-                shape = classify_rank_set(set(s), n)
-                if shape.kind != "initial-plus-tail":
-                    continue
-                if shape.js[0] <= shape.i + 1 or shape.i > shape.l:
-                    continue
-                yield n, s, shape.i
+                if _feasible(s, n):
+                    yield n, s, classify_rank_set(set(s), n).i
 
 
 def test_theorem22_exhaustive_feasible():
@@ -120,6 +123,28 @@ def test_peel_search_positions_pinned():
             count += 1
     assert count == 168
     assert digest.hexdigest() == "66face1c0dfb17f8c475c9b9fdf5cb332f914154132a21f2fe6b334872e4d02b"
+
+
+def _random_theorem22_sets():
+    """25 distinct feasible S with i >= 1 at each of n = 16, 18, 20, drawn
+    from a seeded generator."""
+    rng = random.Random(20)
+    for n in (16, 18, 20):
+        seen = set()
+        while len(seen) < 25:
+            s = tuple(sorted(rng.sample(range(1, n - 1), rng.randint(2, n - 3))))
+            if _feasible(s, n) and s not in seen:
+                seen.add(s)
+                yield n, s
+
+
+def test_peel_search_positions_pinned_past_n10():
+    """The peel search's positions for 75 random sets at n = 16..20,
+    digested as repr((n, S, positions))."""
+    digest = hashlib.sha256()
+    for n, s in _random_theorem22_sets():
+        digest.update(repr((n, s, build_theorem22(set(s), n).positions)).encode())
+    assert digest.hexdigest() == "9caa6bcb71eb0e39792c585bc2559f5489d0b97d49b10681c82d8d016a1cef17"
 
 
 def test_theorem22_preconditions():
