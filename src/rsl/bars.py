@@ -264,7 +264,8 @@ class _Walk:
         content, created, gid, start = row[idx]
         if idx and gid is not None and row[idx - 1][2] == gid:
             raise ValueError(f"insertion {t} splits a right twin before its left twin")
-        if add_contents(a, b) != content or min(a + b) < 0 or not any(a) or not any(b):
+        sums = len(a) == len(b) and add_contents(a, b) == content  # zip alone drops extra letters
+        if not sums or min(a + b) < 0 or not any(a) or not any(b):
             raise ValueError(f"insertion {t} children do not sum to the block")
         left, right = _oriented(self.order, a, b)
         ins = BarInsertion(start + content_size(left), left, right, created)

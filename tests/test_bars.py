@@ -107,8 +107,13 @@ _TWO_TWO = [_ins(2, 2, 2, 0), _ins(1, 1, 1, 1), _ins(3, 1, 1, 1)]  # positions [
         [_ins(3, 3, 1, 0), _ins(1, 1, 2, 1), _ins(2, 1, 1, 2)],  # larger child left
         [_TWO_TWO[0], _ins(3, 1, 1, 1), _ins(1, 1, 1, 1)],  # right twin first
         _TWO_TWO[:2],  # too few
+        [  # a child with a letter the shape lacks, ignored by the sum
+            bars.BarInsertion(1, (1,), (3, 7), 0),
+            bars.BarInsertion(2, (1, 0), (2, 7), 1),
+            bars.BarInsertion(3, (1, 0), (1, 7), 2),
+        ],
     ],
-    ids=["no-gap", "sum", "position", "parent-rank", "orientation", "twin", "too-few"],
+    ids=["no-gap", "sum", "position", "parent-rank", "orientation", "twin", "too-few", "letters"],
 )
 def test_malformed_insertions_rejected_at_construction(insertions):
     assert bars.InsertionFacet(full_shape(4), length_lex(), _TWO_TWO).positions == (2, 1, 3)
