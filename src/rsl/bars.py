@@ -49,7 +49,6 @@ one of the two left children it compares is split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from string import ascii_lowercase
 from typing import NamedTuple, Optional
 
 from .core import ChainType
@@ -428,9 +427,10 @@ class InsertionFacet:
         rank_of_pos = {ins.position: t for t, ins in enumerate(self.insertions, start=1)}
         if self.shape.is_full():
             letters = ["o"] * self.n
-        elif self.shape.k > len(ascii_lowercase):
+        elif self.shape.k > 26:
             raise ValueError(f"render names at most 26 letters, not {self.shape.k}")
         else:
+            from string import ascii_lowercase  # here, so importing rsl does not import it
             letters = [ascii_lowercase[content.index(1)] for content in self._record.row]
         out = []
         for i, ch in enumerate(letters, start=1):
