@@ -58,6 +58,20 @@ def test_build_word_exhaustive():
             assert str(descent_word(build_word(word))) == word
 
 
+def test_build_word_positions_pinned():
+    """The positions build_word returns for the 1,023 words ending in an
+    ascent at n = 3..12, digested as repr((word, positions))."""
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(3, 13):
+        for bits in itertools.product("AD", repeat=n - 3):
+            word = "".join(bits) + "A"
+            digest.update(repr((word, build_word(word).positions)).encode())
+            count += 1
+    assert count == 1023
+    assert digest.hexdigest() == "54658aaf4f2074afc7d5c6ff27fa6f1d4160a6e23e75e764a7134c17cf298e24"
+
+
 def test_build_word_rejects_trailing_descent():
     with pytest.raises(WordUnsupportedError):
         build_word("AD")
