@@ -12,8 +12,10 @@ on a ``_Walk`` and its facets keep a copy of the walk's record
 (``InsertionFacet._walked``).  The facet walk
 (``enumerate_insertion_facets``) takes the step once per edge and undoes it
 on backtrack; ``construct.facet_from_positions`` pushes the one split a
-walk offers at each position (``_Walk.splits_at``); the peel search of
-``construct`` pushes and pops the splits its word allows; ``min_extension``
+walk offers at each position (``_Walk.splits_at``) for the hook-shape
+builders; the peel search of ``construct``, which builds every facet of
+the one-letter shape for a word, pushes and pops the splits its word
+allows; ``min_extension``
 pushes the splits with the least label key that its face allows.  Only the
 public ``InsertionFacet`` constructor checks proposed insertions, against
 the ones the step makes at their gaps (``_block_at``).
@@ -114,7 +116,7 @@ class DescentWord:
 
     def __post_init__(self):
         if any(ch not in "AD" for ch in self.letters):
-            raise ValueError("descent word must be over {A, D}")
+            raise ValueError(f"descent word must be over {{A, D}}, not {self.letters!r}")
 
     @classmethod
     def from_dual_set(cls, n: int, dual_ranks) -> "DescentWord":

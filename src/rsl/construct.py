@@ -1,17 +1,17 @@
 """Explicit facet builders for the positivity results.
 
-Three families:
+Two families:
 
-* descending runs and their concatenation realize any corank word ending
-  in an ascent (the 1-not-in-S case);
-* a peel search realizes words of shape {1..i, j_1..j_l} with i <= l: a
-  depth-first search on one ``bars._Walk`` whose splits leave one or two
-  balls in the left child (blocks of size one or two peeled off the
-  remainder, pair blocks refined), cut as soon as a letter decided by
+* one peel search (``_search_peel_facet``) builds every facet of the
+  one-letter shape: words ending in an ascent (the 1-not-in-S case) and
+  the words of S = {1..i, j_1..j_l} with i <= l.  It searches one
+  ``bars._Walk`` depth first, each split leaving one or two balls in the
+  left child, and cuts a branch as soon as a letter decided by
   ``bars._descent`` disagrees with the word;
 * the hook-shape greedy fills, for each ascent-run-plus-descent, the
   rightmost vacant gaps, and a one-step shift of a descent bar gives the
-  second facet whenever the rank set is not an initial segment.
+  second facet whenever the rank set is not an initial segment; both
+  are bar positions that ``facet_from_positions`` turns into facets.
 
 Every builder verifies its output against the descent conditions before
 returning; a mismatch raises instead of returning a wrong facet.
@@ -50,11 +50,10 @@ class WordUnsupportedError(ValueError):
 
 
 def _word_of(word) -> str:
-    if isinstance(word, DescentWord):
-        return word.letters
-    if any(ch not in "AD" for ch in word):
-        raise ValueError(f"not a descent word: {word!r}")
-    return str(word)
+    """The letters of a DescentWord, a string or any iterable of letters."""
+    if not isinstance(word, DescentWord):
+        word = DescentWord("".join(word))
+    return word.letters
 
 
 def facet_from_positions(n: int, positions, shape=None, order=None) -> InsertionFacet:
@@ -87,73 +86,64 @@ def _verified(facet: InsertionFacet, word: str, what: str) -> InsertionFacet:
     return facet
 
 
-# -- words ending in an ascent -------------------------------------------------
+# -- one-letter words ---------------------------------------------------------
 
 
-def _parse_runs(word: str):
-    """word = A^a0 D^m1 A^a1 ... D^mt A^at with at >= 1."""
-    a0 = 0
-    i = 0
-    while i < len(word) and word[i] == "A":
-        a0 += 1
-        i += 1
-    runs = []
-    while i < len(word):
-        m = 0
-        while i < len(word) and word[i] == "D":
-            m += 1
-            i += 1
-        a = 0
-        while i < len(word) and word[i] == "A":
-            a += 1
-            i += 1
-        runs.append((m, a))
-    return a0, runs
+def _search_peel_facet(word: str) -> InsertionFacet:
+    """A facet of the shape (n) achieving ``word`` whose every split leaves
+    one or two balls in its left child.
 
-
-def _emit_word_positions(word: str) -> list:
-    """Bar positions realizing a word that ends in an ascent.
-
-    Each descent run D^m gets the run construction on a window of m+3
-    balls: pair blocks split off at even offsets, refined right to left by
-    the odd bars, with a closing ascent bar.  A run followed by exactly one
-    ascent instead closes with a joining bar two gaps over, whose pair
-    block doubles as the first block of the next run.
+    Depth first on one ``_Walk``: at each step every splittable block (the
+    remainder, of three or more balls, and the pair blocks) peeled by one,
+    then by two balls, the blocks taken left to right when the word ends
+    in an ascent and right to left when it ends in a descent.  After each
+    push, ``bars._descent`` reads the letters the push can decide: corank
+    t-1, and coranks c-1 and c when it splits the left child of step c
+    (the children condition 3 compares).  A decided letter that disagrees
+    with ``word`` cuts the branch, so the first leaf is the facet.
     """
     n = len(word) + 2
-    a0, runs = _parse_runs(word)
-    if not runs:
-        return list(range(1, n))  # all ascents: split off singletons left to right
-    seq = list(range(1, a0 + 1))
-    base = a0
-    continuing = False
-    for g, (m, a) in enumerate(runs):
-        s = m + 3
-        k = s // 2
-        if s % 2 == 0:
-            evens = list(range(base + 2, base + 2 * k - 1, 2))
-            odds = list(range(base + 2 * k - 3, base, -2))
+    shape = checked_shape(n, n)
+    walk = _Walk(shape, default_order(shape))
+    key = walk.order.key
+    wanted = (None, *(ch == "D" for ch in word))  # wanted[r]: is corank r a descent
+    leftmost_first = word.endswith("A")
+
+    def agrees(t: int, created: int) -> bool:
+        split_left = created and walk.left_split[created - 1] == t
+        for r in (t - 1, created - 1, created) if split_left else (t - 1,):
+            if r >= 1:
+                got = _descent(walk.insertions, walk.splits, walk.left_split, key, r)
+                if got is not None and got != wanted[r]:
+                    return False
+        return True
+
+    def steps(t: int):
+        """Push each split of step t that agrees, in turn; pop it on resume."""
+        row = walk.rows[-1]
+        blocks = list(_splittable(row))
+        for idx in blocks if leftmost_first else reversed(blocks):
+            ((width,), created, _, _) = row[idx]
+            for k in (1, 2):
+                if 2 * k > width:
+                    break
+                # push puts the smaller child, of k balls, left
+                walk.push(idx, (k,), (width - k,))
+                if agrees(t, created):
+                    yield True
+                walk.pop()
+
+    # one suspended ``steps`` per bar pushed: a loop, not recursion, so the
+    # depth is not bounded by the interpreter's recursion limit
+    levels = [steps(1)]
+    while levels:
+        if not next(levels[-1], False):
+            levels.pop()  # step exhausted: resuming its parent pops the parent's bar
+        elif len(levels) == n - 1:
+            return InsertionFacet._walked(shape, walk)
         else:
-            evens = list(range(base + 2, base + 2 * k - 1, 2))
-            odds = list(range(base + 2 * k - 1, base, -2))
-        if continuing:
-            evens = evens[1:]
-        seq.extend(evens)
-        seq.extend(odds)
-        last = g == len(runs) - 1
-        if not last and a == 1:
-            seq.append(base + s)  # joining bar: next run's first pair block
-            base += s - 2
-            continuing = True
-        else:
-            seq.append(base + s - 1)
-            extras = (a - 1) if last else (a - 2)
-            seq.extend(range(base + s, base + s + extras))
-            base += (s - 1) + extras
-            continuing = False
-    if sorted(seq) != list(range(1, n)):
-        raise ConstructionError(f"word {word}: emitted positions {seq} are not a permutation")
-    return seq
+            levels.append(steps(len(levels) + 1))
+    raise ConstructionError(f"no peel facet achieves word {word}")
 
 
 def build_word(word, n: int = None) -> InsertionFacet:
@@ -166,13 +156,11 @@ def build_word(word, n: int = None) -> InsertionFacet:
     word = _word_of(word)
     if n is not None and n != len(word) + 2:
         raise ValueError(f"word of length {len(word)} needs n={len(word) + 2}")
-    n = len(word) + 2
     if not word:
         raise ValueError("empty word (n=2) has no proper ranks")
     if word.endswith("D"):
         raise WordUnsupportedError(f"word {word} ends in a descent")
-    facet = facet_from_positions(n, _emit_word_positions(word))
-    return _verified(facet, word, "build_word")
+    return _verified(_search_peel_facet(word), word, "build_word")
 
 
 def build_descending_run(n: int) -> InsertionFacet:
@@ -181,57 +169,6 @@ def build_descending_run(n: int) -> InsertionFacet:
     if n < 4:
         raise ValueError("descending run needs n >= 4")
     return build_word("D" * (n - 3) + "A")
-
-
-# -- peel search ------------------------------------------------------------
-
-
-def _search_peel_facet(word: str) -> InsertionFacet:
-    """A facet achieving ``word`` whose every split leaves one or two balls
-    in its left child.
-
-    Depth first on one ``_Walk``: at each step the remainder (the rightmost
-    block, of three or more balls) peeled by one, then by two balls, then
-    the pair blocks refined right to left.  After each push,
-    ``bars._descent`` reads the letters the push can decide: corank t-1,
-    and coranks c-1 and c when it splits the left child of step c (the
-    children condition 3 compares).  A decided letter that disagrees with
-    ``word`` cuts the branch, so the first leaf is the facet.
-    """
-    n = len(word) + 2
-    shape = checked_shape(n, n)
-    walk = _Walk(shape, default_order(shape))
-    key = walk.order.key
-    wanted = (None, *(ch == "D" for ch in word))  # wanted[r]: is corank r a descent
-
-    def agrees(t: int, created: int) -> bool:
-        split_left = created and walk.left_split[created - 1] == t
-        for r in (t - 1, created - 1, created) if split_left else (t - 1,):
-            if r >= 1:
-                got = _descent(walk.insertions, walk.splits, walk.left_split, key, r)
-                if got is not None and got != wanted[r]:
-                    return False
-        return True
-
-    def rec(t: int) -> bool:
-        if t == n:
-            return True
-        row = walk.rows[-1]
-        for idx in reversed(list(_splittable(row))):
-            ((width,), created, _, _) = row[idx]
-            for k in (1, 2):
-                if 2 * k > width:
-                    break
-                # push puts the smaller child, of k balls, left
-                walk.push(idx, (k,), (width - k,))
-                if agrees(t, created) and rec(t + 1):
-                    return True
-                walk.pop()
-        return False
-
-    if not rec(1):
-        raise ConstructionError(f"no peel facet achieves word {word}")
-    return InsertionFacet._walked(shape, walk)
 
 
 def build_theorem22(ranks, n: int) -> InsertionFacet:

@@ -113,7 +113,10 @@ def b_prime(n: int, ranks) -> int:
 
 def stability_ranks(ranks, n: int, m: int) -> frozenset:
     """The lattice ranks a comparison of sizes n and m reads.  Stability is
-    claimed only above twice the top rank, so ValueError below that."""
+    claimed only between two sizes above twice the top rank, so ValueError
+    when n == m or below that."""
+    if n == m:
+        raise ValueError(f"stability compares two sizes, got n = m = {n}")
     s = RankSet.primal_at_either(n, m, ranks).ranks
     top = max(s, default=0)
     if not (n > 2 * top and m > 2 * top):

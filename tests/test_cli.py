@@ -99,6 +99,11 @@ def test_stability(capsys):
     assert doc["results"]["equal"]
 
 
+def test_stability_refuses_one_size(capsys):
+    code, doc = run_json(capsys, "stability", "--ranks", "3", "--n", "9", "--m", "9")
+    assert code == 2 and "two sizes" in doc["error"]
+
+
 def test_usage_errors(capsys):
     code, doc = run_json(capsys, "b", "--n", "4", "--ranks", "7")
     assert code == 2

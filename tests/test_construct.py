@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -72,6 +73,17 @@ def test_build_word_positions_pinned():
     assert digest.hexdigest() == "54658aaf4f2074afc7d5c6ff27fa6f1d4160a6e23e75e764a7134c17cf298e24"
 
 
+def test_build_word_past_the_recursion_limit():
+    n = sys.getrecursionlimit() + 100  # one suspended step per bar, none on the call stack
+    assert build_word("A" * (n - 2)).positions == tuple(range(1, n))
+
+
+def test_build_word_joins_letters():
+    assert build_word(["A", "A"]) == build_word("AA")
+    with pytest.raises(ValueError, match="'Ax'"):
+        build_word(["A", "x"])
+
+
 def test_build_word_rejects_trailing_descent():
     with pytest.raises(WordUnsupportedError):
         build_word("AD")
@@ -114,16 +126,20 @@ def test_theorem22_exhaustive_feasible():
 
 
 def test_peel_search_rebuilds_no_facet(monkeypatch):
-    """The peel search keeps the facet its walk built; it never turns a
-    leaf's positions back into a facet."""
+    """The peel search keeps the facet its walk built; no one-letter
+    builder turns positions into a facet.  The sets with i = 0 (every S
+    without rank 1, n = 3..9) go through build_word."""
 
     def rebuild(*args, **kwargs):
-        raise AssertionError("the peel search rebuilt a facet from positions")
+        raise AssertionError("a one-letter builder rebuilt a facet from positions")
 
     monkeypatch.setattr(construct, "facet_from_positions", rebuild)
-    for n, s, i in _theorem22_sets(9):
-        if i >= 1:
-            build_theorem22(set(s), n)
+    sets = [(n, s) for n, s, _ in _theorem22_sets(9)]
+    for n in range(3, 10):
+        sets += [(n, s) for k in range(n - 2) for s in itertools.combinations(range(2, n - 1), k)]
+    for n, s in sets:
+        build_theorem22(set(s), n)
+    build_descending_run(10)
 
 
 def test_peel_search_positions_pinned():

@@ -176,6 +176,8 @@ def test_stability_precondition():
         flags.stability_ranks({3}, 7, 6)
     assert flags.stability_ranks(RankSet.of_dual(6, {3}), 5, 6) == frozenset({2})
     assert flags.stability_ranks(set(), 2, 3) == frozenset()
+    with pytest.raises(ValueError, match="two sizes"):
+        flags.stability_ranks({3}, 9, 9)  # one size compares with nothing
 
 
 def test_reduced_euler_identity():
