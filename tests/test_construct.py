@@ -139,7 +139,6 @@ def test_peel_search_rebuilds_no_facet(monkeypatch):
         sets += [(n, s) for k in range(n - 2) for s in itertools.combinations(range(2, n - 1), k)]
     for n, s in sets:
         build_theorem22(set(s), n)
-    build_descending_run(10)
 
 
 def test_peel_search_positions_pinned():
