@@ -4,6 +4,14 @@ Computes flag f- and h-vectors of the quotient of the partition lattice
 order complex by a Young subgroup, verifies the lexicographic partitioning
 of the quotient, and builds the explicit facet families behind the
 positivity and vanishing results.
+
+``construct`` (the facet builders) and ``vanishing`` (the vanishing
+predicates) load on first use: the first access to either module, or to
+one of the names below that they define, imports it (PEP 562).  Every
+``rsl`` CLI request runs in a fresh process, and most never build a
+facet, so they skip compiling those modules.  ``dir(rsl)`` and
+``from rsl import *`` still list and bind the deferred names.  Every
+other submodule loads with ``rsl``.
 """
 
 from .shapes import (
@@ -62,27 +70,47 @@ from .partitioning import (
     order_facets,
     verify_partitioning,
 )
-from .construct import (
-    ConstructionError,
-    WordUnsupportedError,
-    build_bprime,
-    build_descending_run,
-    build_theorem22,
-    build_word,
-)
-from .vanishing import (
-    RankSetShape,
-    WitnessChain,
-    chain_condition_search,
-    classify_rank_set,
-    delta_beta_nonvanishing,
-    theorem31_witness,
-    vanishing_predicates,
-)
-
 from . import flags
 
 __version__ = "0.1.0"
+
+_DEFERRED = {
+    "construct": (
+        "ConstructionError",
+        "WordUnsupportedError",
+        "build_bprime",
+        "build_descending_run",
+        "build_theorem22",
+        "build_word",
+    ),
+    "vanishing": (
+        "RankSetShape",
+        "WitnessChain",
+        "chain_condition_search",
+        "classify_rank_set",
+        "delta_beta_nonvanishing",
+        "theorem31_witness",
+        "vanishing_predicates",
+    ),
+}
+_HOME = {name: module for module, names in _DEFERRED.items() for name in names}
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _DEFERRED:
+        value = import_module(f"{__name__}.{name}")
+    elif name in _HOME:
+        value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_DEFERRED, *_HOME})
 
 
 def clear_caches() -> None:
@@ -91,3 +119,7 @@ def clear_caches() -> None:
     builds its facets on every call.  The named block orders' keys stay
     cached: they are pure, and there is one per block content asked about."""
     flags._table_cache.cache_clear()
+
+
+# Listed, so that ``from rsl import *`` binds the deferred names too.
+__all__ = [name for name in __dir__() if not name.startswith("_")]

@@ -6,6 +6,12 @@ ranks; corank views appear only with --dual.  Output is JSON by default,
 CSV for tables with --csv.  Exit codes: 0 success, 1 verification failure,
 2 usage error.
 
+Each request runs in a fresh process, so a module only some subcommands
+run loads inside them: ``construct`` builds facets and ``vanish`` reads
+the vanishing predicates, and ``verify-all`` loads the acceptance battery
+and its oracles.  ``construct`` refuses n above ``CONSTRUCT_MAX_N`` (100),
+counting n as the word length + 2 when --n is not given, with exit 2.
+
 With --cache-dir (or RSL_CACHE_DIR), table, b, bprime, vanish and
 stability read flag tables from the disk cache, and report cache_hit
 (for stability, true only when both of its tables were stored).  Only
@@ -15,8 +21,8 @@ later queries of that table read it instead of recomputing.
 b, bprime and stability ask about one rank set S.  Without a stored
 table they sweep only the subsets of S (``flags.support_table``), never
 the whole table, so ``rsl b --n 16 --ranks 2,3`` answers in milliseconds.
-table and vanish read every S and build the whole table.  No size is
-refused before a sweep starts: a query whose S has most of the n-2 ranks
+table and vanish read every S and build the whole table.  No table size
+is refused before a sweep starts: a query whose S has most of the n-2 ranks
 (say ``rsl b --n 30 --ranks 1,...,28``) starts a sweep that cannot finish.
 """
 
@@ -28,9 +34,16 @@ import os
 import sys
 import time
 
-from . import cache, construct, flags, orders, partitioning, vanishing
+from . import cache, flags, orders, partitioning
 from .bars import descent_set, descent_word, facet_block_conditions
 from .shapes import RankSet, checked_shape, full_shape, hook_shape
+
+
+CONSTRUCT_MAX_N = 100
+"""The largest n that ``construct`` builds.  The cost of ``build_word``
+grows about as n^3 on its worst word, the descending run D^(n-3)A: 0.23 s
+at n = 100 and 2.2 s at n = 200 on a 2-vCPU host with Python 3.11.  The
+library's builders take any n."""
 
 
 class UsageError(ValueError):
@@ -178,10 +191,14 @@ def _facet_records(scheme) -> list:
 
 
 def cmd_construct(args):
+    from . import construct  # the facet builders load only for this command
+
     n = args.n
+    if n is None and args.word:
+        n = len(args.word) + 2
+    if n is not None and n > CONSTRUCT_MAX_N:
+        raise UsageError(f"construct builds facets up to n={CONSTRUCT_MAX_N}, got n={n}")
     if args.word:
-        if n is None:
-            n = len(args.word) + 2
         try:
             facet = construct.build_word(args.word, n)
         except ValueError as exc:
@@ -210,6 +227,8 @@ def cmd_construct(args):
 
 def cmd_vanish(args):
     import itertools
+
+    from . import vanishing
 
     n = args.n
     entries, hit = _table(n, full_shape(n), args.cache_dir)

@@ -111,6 +111,7 @@ def test_usage_errors(capsys):
     for argv in (
         ("construct", "--word", "DDA", "--n", "7"),
         ("construct", "--word", "XYZ"),
+        ("construct", "--word", "D" * 198 + "A"),  # n = 201, over CONSTRUCT_MAX_N
         ("stability", "--ranks", "3", "--n", "9", "--m", "9"),  # one size compares with nothing
         ("table", "--n", "1"),
         ("table", "--n", "0"),
@@ -129,17 +130,61 @@ def test_verify_all_quick(capsys):
     assert len(doc["results"]["criteria"]) == 14
 
 
-def test_cli_import_leaves_the_battery_out():
-    """Every CLI request is a fresh process, so ``import rsl.cli`` must not
-    load the acceptance battery and its oracles; ``verify-all`` loads them."""
+def _run_fresh(code):
+    """The stdout of ``code`` run in a fresh interpreter that imports rsl from src."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    code = "import sys, rsl.cli; print(sorted(m for m in sys.modules if m in ('rsl.acceptance', 'rsl.oracles')))"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout
+
+
+def test_cli_import_leaves_the_battery_out():
+    """Every CLI request is a fresh process, so ``import rsl.cli`` loads only
+    what every request may run.  The facet builders, the vanishing
+    predicates, the acceptance battery and its oracles load in the
+    subcommands that use them."""
+    out = _run_fresh("import sys, rsl.cli; print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'rsl')))")
+    assert out.split() == sorted(
+        ["rsl", "rsl.shapes", "rsl.kernel", "rsl.core", "rsl.orders", "rsl.bars",
+         "rsl.flags", "rsl.partitioning", "rsl.cache", "rsl.cli"]
+    )
+
+
+DEFERRED = {
+    "construct": ["ConstructionError", "WordUnsupportedError", "build_bprime",
+                  "build_descending_run", "build_theorem22", "build_word"],
+    "vanishing": ["RankSetShape", "WitnessChain", "chain_condition_search", "classify_rank_set",
+                  "delta_beta_nonvanishing", "theorem31_witness", "vanishing_predicates"],
+}
+
+
+def test_deferred_names_resolve_on_first_use():
+    """A bare ``import rsl`` loads neither ``construct`` nor ``vanishing``, yet
+    lists their names, and each resolves to the defining module's object."""
+    code = f"""
+import sys, rsl
+deferred = {DEFERRED!r}
+assert not {{'rsl.construct', 'rsl.vanishing'}} & set(sys.modules), 'loaded by import rsl'
+listed = set(dir(rsl))
+for module, names in deferred.items():
+    assert {{module, *names}} <= listed, module
+    for name in names:
+        assert getattr(rsl, name) is getattr(sys.modules['rsl.' + module], name), name
+    assert getattr(rsl, module) is sys.modules['rsl.' + module], module
+star = {{}}
+exec('from rsl import *', star)
+for module, names in deferred.items():
+    for name in [module, *names]:
+        assert star[name] is getattr(rsl, name), name
+try:
+    rsl.no_such_name
+except AttributeError:
+    print('ok')
+"""
+    assert _run_fresh(code).strip() == "ok"
 
 
 def test_table_cache_cold_vs_warm(tmp_path, capsys):
