@@ -6,10 +6,10 @@ ranks; corank views appear only with --dual.  Output is JSON by default,
 CSV for tables with --csv.  Exit codes: 0 success, 1 verification failure,
 2 usage error.
 
-Each request runs in a fresh process, so a module only some subcommands
-run loads inside them: ``construct`` builds facets and ``vanish`` reads
-the vanishing predicates, and ``verify-all`` loads the acceptance battery
-and its oracles.  ``construct`` refuses n above ``CONSTRUCT_MAX_N`` (100),
+Each request runs in a fresh process, so a module that only some
+subcommands need loads inside them: ``construct`` loads the facet
+builders, ``vanish`` the vanishing predicates, and ``verify-all`` the
+acceptance battery and its oracles.  ``construct`` refuses n above ``CONSTRUCT_MAX_N`` (100),
 counting n as the word length + 2 when --n is not given, with exit 2.
 
 With --cache-dir (or RSL_CACHE_DIR), table, b, bprime, vanish and

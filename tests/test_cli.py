@@ -153,20 +153,18 @@ def test_cli_import_leaves_the_battery_out():
     )
 
 
-DEFERRED = {
-    "construct": ["ConstructionError", "WordUnsupportedError", "build_bprime",
-                  "build_descending_run", "build_theorem22", "build_word"],
-    "vanishing": ["RankSetShape", "WitnessChain", "chain_condition_search", "classify_rank_set",
-                  "delta_beta_nonvanishing", "theorem31_witness", "vanishing_predicates"],
-}
-
-
 def test_deferred_names_resolve_on_first_use():
     """A bare ``import rsl`` loads neither ``construct`` nor ``vanishing``, yet
     lists their names, and each resolves to the defining module's object."""
+    deferred = {
+        "construct": ["ConstructionError", "WordUnsupportedError", "build_bprime",
+                      "build_descending_run", "build_theorem22", "build_word"],
+        "vanishing": ["RankSetShape", "WitnessChain", "chain_condition_search", "classify_rank_set",
+                      "delta_beta_nonvanishing", "theorem31_witness", "vanishing_predicates"],
+    }
     code = f"""
 import sys, rsl
-deferred = {DEFERRED!r}
+deferred = {deferred!r}
 assert not {{'rsl.construct', 'rsl.vanishing'}} & set(sys.modules), 'loaded by import rsl'
 listed = set(dir(rsl))
 for module, names in deferred.items():
