@@ -213,6 +213,21 @@ def test_bprime_exhaustive_small():
                 assert len(facets) == (1 if initial else 2)
 
 
+def test_bprime_positions_pinned():
+    """The positions build_bprime returns for all 2,046 rank sets at
+    n = 3..12, digested as repr((n, S, positions of each facet))."""
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(3, 13):
+        for size in range(0, n - 1):
+            for s in itertools.combinations(range(1, n - 1), size):
+                positions = tuple(f.positions for f in build_bprime(set(s), n))
+                digest.update(repr((n, s, positions)).encode())
+                count += 1
+    assert count == 2046
+    assert digest.hexdigest() == "c61198667576d183cafb31d45c1303021bbdd133ea516109eaa83db9284b11c9"
+
+
 def test_builders_consistent_with_counting():
     # a verified facet witnesses positivity whenever 1 is not selected
     for n in range(3, 9):
