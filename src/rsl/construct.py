@@ -8,16 +8,20 @@ Two families:
   ``bars._Walk`` depth first, each split leaving one or two balls in the
   left child, and cuts a branch as soon as a letter decided by
   ``bars._descent`` disagrees with the word;
-* the hook-shape greedy fills, for each ascent-run-plus-descent, the
-  rightmost vacant gaps, and a one-step shift of a descent bar gives the
-  second facet whenever the rank set is not an initial segment; both
-  are bar positions that ``facet_from_positions`` turns into facets.
+* the hook-shape pair: one fill gives each run A^a D of the word, from
+  corank 1, the a+1 highest vacant gaps, and the trailing ascents the
+  lowest; whenever the word has a D followed by an A (S is not an
+  initial segment), rotating the gaps of the first such run one gap
+  down gives the second facet.  Both are bar positions that
+  ``facet_from_positions`` turns into facets.
 
 Every builder verifies its output against the descent conditions before
 returning; a mismatch raises instead of returning a wrong facet.
 """
 
 from __future__ import annotations
+
+import re
 
 from .bars import (
     DescentWord,
@@ -173,7 +177,8 @@ def build_descending_run(n: int) -> InsertionFacet:
 
 def build_theorem22(ranks, n: int) -> InsertionFacet:
     """A facet whose descent set is the corank image of S = {1..i, j_1..j_l},
-    requiring j_1 - i > 1 and i <= l."""
+    requiring i <= l.  The run 1..i is the whole initial run of S, so
+    j_1 >= i + 2 always holds."""
     rs = RankSet.primal(n, ranks)
     split = classify_rank_set(rs, n)
     if split.i > split.l:
@@ -187,70 +192,25 @@ def build_theorem22(ranks, n: int) -> InsertionFacet:
 # -- hook shape ------------------------------------------------------------
 
 
-def _bprime_parse(word: str):
-    """Groups (ascent count, descent) plus the trailing ascent count."""
-    groups = []
-    i = 0
-    while i < len(word):
-        a = 0
-        while i < len(word) and word[i] == "A":
-            a += 1
-            i += 1
-        if i < len(word):
-            groups.append(a)
-            i += 1
-        else:
-            return groups, a
-    return groups, 0
+def _bprime_fill(n: int, word: str) -> list:
+    """Each run A^a D of ``word``, read from corank 1, takes the a+1
+    highest vacant gaps in ascending order; the trailing ascents take
+    gaps 1 up to the last one."""
+    fill, top = [], n - 1
+    for run in re.findall("A*D", word):
+        fill += range(top - len(run) + 1, top + 1)
+        top -= len(run)
+    return fill + list(range(1, top + 1))
 
 
-def _bprime_greedy(n: int, word: str) -> list:
-    groups, z = _bprime_parse(word)
-    seq = []
-    top = n - 1
-    for a in groups:
-        seq.extend(range(top - a, top + 1))
-        top -= a + 1
-    seq.extend(range(1, z + 2))
-    return seq
-
-
-def _bprime_alternative(n: int, word: str) -> list:
-    """Shift the first descent bar that precedes an ascent one gap left;
-    the displaced rightmost gap is taken by the next descent bar, or by
-    the final ascent bar when only ascents remain."""
-    groups, z = _bprime_parse(word)
-    target = None
-    for g in range(len(groups)):
-        if (g + 1 < len(groups) and groups[g + 1] >= 1) or (
-            g + 1 == len(groups) and z >= 1
-        ):
-            target = g
-            break
-    if target is None:
-        raise ConstructionError("no descent precedes an ascent; rank set is initial")
-    seq = []
-    top = n - 1
-    vacancy = None
-    for g, a in enumerate(groups):
-        if g == target:
-            vacancy = top
-            seq.extend(range(top - a - 1, top))
-            top -= a + 2
-        elif vacancy is not None:
-            seq.extend(range(top - a + 1, top + 1))
-            seq.append(vacancy)
-            vacancy = None
-            top -= a
-        else:
-            seq.extend(range(top - a, top + 1))
-            top -= a + 1
-    if vacancy is None:
-        seq.extend(range(1, z + 2))
-    else:
-        seq.extend(range(1, z + 1))
-        seq.append(vacancy)
-    return seq
+def _bprime_rotate(fill: list, word: str) -> list:
+    """The run A^a D ending at the first D followed by an A holds the gaps
+    (lo, hi] of the fill; each of them moves one gap down, and the bar at
+    gap lo takes hi."""
+    k = word.index("DA")
+    hi = fill[k]
+    lo = hi - (k - word.rfind("D", 0, k))  # hi - a - 1
+    return [hi if p == lo else p - 1 if lo < p <= hi else p for p in fill]
 
 
 def build_bprime(ranks, n: int) -> tuple:
@@ -258,22 +218,20 @@ def build_bprime(ranks, n: int) -> tuple:
 
     Returns one facet when S is an initial segment 1..i (where the
     multiplicity is exactly one) and two distinct verified facets
-    otherwise.
+    otherwise: the fill (``_bprime_fill``), and its rotation at the first
+    D followed by an A (``_bprime_rotate``), which exists exactly when S
+    is not an initial segment.
     """
     rs = RankSet.primal(n, ranks)
     word = str(DescentWord.from_dual_set(n, rs.as_dual().ranks))
     shape = hook_shape(n)
     order = distinguished(shape)
-    greedy = _verified(
-        facet_from_positions(n, _bprime_greedy(n, word), shape, order),
-        word,
-        "build_bprime",
-    )
-    s = sorted(rs.ranks)
-    if s == list(range(1, len(s) + 1)):
+    fill = _bprime_fill(n, word)
+    greedy = _verified(facet_from_positions(n, fill, shape, order), word, "build_bprime")
+    if "DA" not in word:  # the word is A^a D^d: S is the initial segment 1..d
         return (greedy,)
     alt = _verified(
-        facet_from_positions(n, _bprime_alternative(n, word), shape, order),
+        facet_from_positions(n, _bprime_rotate(fill, word), shape, order),
         word,
         "build_bprime alternative",
     )

@@ -9,6 +9,7 @@ length k.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -19,6 +20,15 @@ class MalformedChainError(ValueError):
     pass
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; ValueError for a float, a string or anything
+    else that is not an integer, where ``int()`` would round or parse it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
 @dataclass(frozen=True, slots=True)
 class Shape:
     """Weakly decreasing positive parts; quotient group is the Young subgroup."""
@@ -26,7 +36,7 @@ class Shape:
     parts: tuple
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(_integer(p, "shape part") for p in self.parts)
         object.__setattr__(self, "parts", parts)
         if not parts:
             raise ValueError("shape needs at least one part")
@@ -186,7 +196,7 @@ class RankSet:
     dual: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "ranks", frozenset(int(r) for r in self.ranks))
+        object.__setattr__(self, "ranks", frozenset(_integer(r, "rank") for r in self.ranks))
         if self.n < 2:
             raise ValueError("need n >= 2")
         bad = [r for r in self.ranks if not 1 <= r <= self.n - 2]

@@ -192,10 +192,6 @@ def theorem31_witness(ranks, n: int) -> Optional[ChainType]:
         reps = [orbit[0] for orbit, _ in _surviving_orbits(beta, i)]
         for chosen in itertools.permutations(reps, i):
             witness = _attach_alpha(beta, list(chosen), i)
-            if tuple(sorted(witness.support)) != tuple(
-                sorted(set(range(1, i + 1)) | set(shape.js))
-            ):
-                continue
             if block_conditions(witness)[0]:
                 return witness
     return None

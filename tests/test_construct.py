@@ -102,13 +102,13 @@ def test_theorem22_worked_examples():
 
 
 def _feasible(s, n):
-    """Whether S = {1..i, j_1..j_l} has i >= 1, j_1 - i > 1 and i <= l."""
+    """Whether S = {1..i, j_1..j_l} has i >= 1 and i <= l."""
     shape = classify_rank_set(set(s), n)
-    return shape.kind == "initial-plus-tail" and shape.js[0] > shape.i + 1 and shape.i <= shape.l
+    return shape.kind == "initial-plus-tail" and shape.i <= shape.l
 
 
 def _theorem22_sets(n_max):
-    """(n, S, i) for every S with j_1 - i > 1 and i <= l, n = 4..n_max, in
+    """(n, S, i) for every S with i >= 1 and i <= l, n = 4..n_max, in
     order of n, then size, then ``itertools.combinations``."""
     for n in range(4, n_max + 1):
         for size in range(1, n - 1):

@@ -1,6 +1,6 @@
 import pytest
 
-from rsl import oracles
+from rsl import flag_h, oracles
 from rsl.shapes import (
     RankSet,
     Shape,
@@ -24,6 +24,10 @@ def test_shape_validation():
         Shape(())
     with pytest.raises(ValueError):
         Shape((2, 0))
+    with pytest.raises(ValueError, match="4.7"):
+        as_shape((4.7, 1.2))  # int() would have read (4, 1)
+    with pytest.raises(ValueError):
+        Shape(("3",))
 
 
 def test_as_shape_forms():
@@ -93,6 +97,10 @@ def test_rank_set_validation_and_views():
         RankSet.primal(6, {5})
     with pytest.raises(ValueError):
         RankSet.primal(6, {0})
+    with pytest.raises(ValueError, match="1.9"):
+        flag_h(6, (6,), {1.9})  # int() would have read rank 1
+    with pytest.raises(ValueError):
+        flag_h(6, (6,), "34")  # the digits are not the ranks {3, 4}
 
 
 def test_rank_set_iteration_and_str():

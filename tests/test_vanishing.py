@@ -22,6 +22,13 @@ def test_classification():
     assert shape.kind == "initial-plus-tail" and shape.i == 2 and shape.js == (5, 6)
     assert classify_rank_set({3, 4}, 6).kind == "no-1"
     assert classify_rank_set((), 6).kind == "no-1"
+    # i is the whole initial run, so the tail starts past i + 1
+    for n in range(3, 11):
+        for size in range(0, n - 1):
+            for s in itertools.combinations(range(1, n - 1), size):
+                shape = classify_rank_set(set(s), n)
+                if shape.kind == "initial-plus-tail":
+                    assert shape.js[0] >= shape.i + 2, (n, s)
 
 
 def test_predicate_examples():
@@ -60,7 +67,7 @@ def test_chain_condition_necessity():
         for size in range(1, n - 1):
             for s in itertools.combinations(range(1, n - 1), size):
                 shape = classify_rank_set(set(s), n)
-                if shape.kind != "initial-plus-tail" or shape.js[0] <= shape.i + 1:
+                if shape.kind != "initial-plus-tail":
                     continue
                 if flag_h(n, full_shape(n), set(s)) > 0:
                     assert chain_condition_search(set(s), n) is not None, (n, s)
@@ -101,7 +108,7 @@ def test_theorem31_sufficiency_and_monotone():
         for size in range(1, n - 1):
             for s in itertools.combinations(range(1, n - 1), size):
                 shape = classify_rank_set(set(s), n)
-                if shape.kind != "initial-plus-tail" or shape.js[0] <= shape.i + 1:
+                if shape.kind != "initial-plus-tail":
                     continue
                 strong = theorem31_witness(set(s), n)
                 if strong is not None:
