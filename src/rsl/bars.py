@@ -30,7 +30,7 @@ which reads the same data from a facet's record, or from a walk's row,
 without building a label.
 
 The walk and the labels serve the interval partitioning; flag tables
-take their facets from ``core.support_root_ids`` instead.  A facet's
+build their faces bottom-up in ``core`` instead.  A facet's
 canonical forest is assembled bottom-up from its row history straight into
 a ``ForestStore`` (``facet_root_ids``, sharing the levels that facets
 have in common); a nested ``ChainType`` is built from those ids only when

@@ -21,9 +21,11 @@ later queries of that table read it instead of recomputing.
 b, bprime and stability ask about one rank set S.  Without a stored
 table they sweep only the subsets of S (``flags.support_table``), never
 the whole table, so ``rsl b --n 16 --ranks 2,3`` answers in milliseconds.
-table and vanish read every S and build the whole table.  No table size
-is refused before a sweep starts: a query whose S has most of the n-2 ranks
-(say ``rsl b --n 30 --ranks 1,...,28``) starts a sweep that cannot finish.
+table and vanish read every S and build the whole table
+(``flags.full_table``), which counts each support's faces in one walk over
+the supports.  No table size is refused before it starts: a query whose S
+has most of the n-2 ranks (say ``rsl b --n 30 --ranks 1,...,28``) starts a
+sweep that cannot finish.
 """
 
 from __future__ import annotations

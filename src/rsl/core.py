@@ -16,6 +16,7 @@ operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .kernel import ForestStore
 from .shapes import (
@@ -37,6 +38,8 @@ __all__ = [
     "enumerate_facet_orbits",
     "faces_with_support",
     "support_root_ids",
+    "support_counts",
+    "coarsen",
     "block_orbits",
     "dualize",
 ]
@@ -412,16 +415,78 @@ def enumerate_facet_orbits(n: int, shape) -> tuple:
 
 def _position_groupings(counts: tuple, num_groups: int) -> tuple:
     """Every multiset partition of ``counts`` into ``num_groups`` groups,
-    each group a tuple of positions into a sorted tuple whose runs of equal
-    entries have the lengths ``counts``: a run's first position, once per
-    copy the group takes."""
+    each group a getter of its entries from a sorted tuple whose runs of
+    equal entries have the lengths ``counts``: a run's first position, once
+    per copy the group takes.  A getter returns a tuple, one entry or many."""
     starts = [0]
     for c in counts[:-1]:
         starts.append(starts[-1] + c)
-    return tuple(
-        tuple(tuple(s for s, m in zip(starts, group) for _ in range(m)) for group in groups)
-        for groups in multiset_partitions(counts, num_groups)
-    )
+    out = []
+    for groups in multiset_partitions(counts, num_groups):
+        getters = []
+        for group in groups:
+            positions = [s for s, m in zip(starts, group) for _ in range(m)]
+            p = positions[0]
+            getters.append(itemgetter(*positions) if len(positions) > 1 else itemgetter(slice(p, p + 1)))
+        out.append(tuple(getters))
+    return tuple(out)
+
+
+def _run_lengths(ids: tuple) -> tuple:
+    """The lengths of the runs of equal entries of a sorted tuple."""
+    counts = []
+    prev = None
+    for i in ids:
+        if i == prev:
+            counts[-1] += 1
+        else:
+            counts.append(1)
+            prev = i
+    return tuple(counts)
+
+
+def _distinct(forests: list) -> list:
+    if len(set(forests)) != len(forests):
+        raise AssertionError("support enumeration produced a duplicate orbit")
+    return forests
+
+
+def _leaf_forests(shape: Shape, d: int, leaf_id) -> list:
+    """The finest level at corank ``d``: every multiset partition of the
+    ground content into d + 1 blocks, as sorted ids ``leaf_id(content)``."""
+    return [tuple(sorted(map(leaf_id, parts))) for parts in multiset_partitions(shape.root_content, d + 1)]
+
+
+def coarsen(forests, num_groups: int, node_of: dict, new_node, groupings: dict) -> list:
+    """The level one coarser over ``forests``, in their order: each multiset
+    partition of a forest's sorted ids into ``num_groups`` groups, each
+    group one node, as the sorted tuple of the node ids.
+
+    ``node_of`` maps a node's sorted child ids to its id; on a miss,
+    ``new_node(children)`` gives the id and ``node_of`` keeps it, so the
+    callback runs once per distinct node.  The lengths of the runs of a
+    forest's ids are the count vector that fixes its partitions, so the
+    partitions are computed once per count vector and number of groups, in
+    the caller's ``groupings`` cache, as getters of each group's ids from
+    the forest.  A coarser forest's ids fix its grouping, so distinct
+    forests give distinct coarser ones, each once."""
+    coarser = []
+    for ids in forests:
+        key = (_run_lengths(ids), num_groups)
+        grouping = groupings.get(key)
+        if grouping is None:
+            grouping = groupings[key] = _position_groupings(*key)
+        for groups in grouping:
+            roots = []
+            for take in groups:
+                children = take(ids)
+                nid = node_of.get(children)
+                if nid is None:
+                    nid = node_of[children] = new_node(children)
+                roots.append(nid)
+            roots.sort()
+            coarser.append(tuple(roots))
+    return coarser
 
 
 def support_root_ids(shape: Shape, dual_levels: tuple, store: ForestStore) -> list:
@@ -429,23 +494,14 @@ def support_root_ids(shape: Shape, dual_levels: tuple, store: ForestStore) -> li
     as its sorted root ids in ``store``, built bottom-up without any facet.
 
     The finest level is every multiset partition of the ground content, as
-    leaves.  Each coarser level groups the nodes below it: every multiset
-    partition of a forest's ids into as many groups as the level has
-    blocks, each group one node whose content sums its children's.  The
-    ids are sorted, so the lengths of their runs are the count vector that
-    fixes the partitions; each level computes those once per count vector,
-    as position groupings (tuples of positions into the forest), and a
-    group's children are the ids at its positions.  A memo from children
-    to node id makes the content sum and the interning run once per
-    distinct node, so ``store.node`` is called once per node created.  A
-    forest's node ids fix every level's grouping, so each orbit comes out
-    exactly once; AssertionError if one repeats.  No levels gives the one
-    empty forest."""
+    leaves, and each coarser level is one ``coarsen`` of the level below,
+    whose callback sums a new node's content and interns it, so
+    ``store.node`` is called once per node created.  AssertionError if an
+    orbit repeats.  No levels gives the one empty forest."""
     if not dual_levels:
         return [()]
     content_of = {}  # node id -> content
     leaf_of = {}  # content -> leaf id
-    node_of = {}  # sorted children ids -> node id
 
     def leaf(content):
         nid = leaf_of.get(content)
@@ -454,42 +510,60 @@ def support_root_ids(shape: Shape, dual_levels: tuple, store: ForestStore) -> li
             content_of[nid] = content
         return nid
 
-    forests = [
-        tuple(sorted(map(leaf, parts)))
-        for parts in multiset_partitions(shape.root_content, dual_levels[-1] + 1)
-    ]
+    def new_node(children):
+        content = tuple(map(sum, zip(*[content_of[i] for i in children])))
+        nid = store.node(store.content_id(content), children)
+        content_of[nid] = content
+        return nid
+
+    forests = _leaf_forests(shape, dual_levels[-1], leaf)
+    node_of = {}  # sorted children ids -> node id, over every level
+    groupings = {}  # (count vector, number of groups) -> getters
     for d in reversed(dual_levels[:-1]):
-        coarser = []
-        groupings = {}  # count vector -> its position groupings, for this level
+        forests = coarsen(forests, d + 1, node_of, new_node, groupings)
+    return _distinct(forests)
+
+
+def support_counts(shape: Shape) -> dict:
+    """f of every support, as {corank mask: number of orbit types}, bit
+    d - 1 standing for corank d, with no face interned or deleted.
+
+    A depth-first walk over the supports, finest corank first.  The faces
+    of a support are built once, as one ``coarsen`` of the faces of the
+    support without its coarsest corank, and f is their number.  Each level
+    has its own id space, a dict from children to the next free id, so a
+    node carries no content and the memory is one path of levels.  Corank
+    1, the coarsest, is counted and never built: each face one level finer
+    has as many groupings into two nodes as its count vector has multiset
+    partitions into two parts.  AssertionError if an orbit repeats."""
+    n = shape.n
+    if n < 2:
+        raise ValueError("need n >= 2")
+    f = {0: 1}
+    pairs = {}  # count vector -> its multiset partitions into two parts
+    groupings = {}  # (count vector, number of groups) -> getters
+
+    def descend(mask: int, d: int, forests: list) -> None:
+        f[mask] = len(_distinct(forests))
+        if d == 1:
+            return
+        total = 0
         for ids in forests:
-            counts = []
-            prev = None
-            for i in ids:
-                if i == prev:
-                    counts[-1] += 1
-                else:
-                    counts.append(1)
-                    prev = i
-            counts = tuple(counts)
-            grouping = groupings.get(counts)
-            if grouping is None:
-                grouping = groupings[counts] = _position_groupings(counts, d + 1)
-            for groups in grouping:
-                roots = []
-                for positions in groups:
-                    children = tuple([ids[p] for p in positions])
-                    nid = node_of.get(children)
-                    if nid is None:
-                        content = tuple(map(sum, zip(*[content_of[i] for i in children])))
-                        nid = node_of[children] = store.node(store.content_id(content), children)
-                        content_of[nid] = content
-                    roots.append(nid)
-                roots.sort()
-                coarser.append(tuple(roots))
-        forests = coarser
-    if len(set(forests)) != len(forests):
-        raise AssertionError("support enumeration produced a duplicate orbit")
-    return forests
+            c = _run_lengths(ids)
+            k = pairs.get(c)
+            if k is None:
+                k = pairs[c] = sum(1 for _ in multiset_partitions(c, 2))
+            total += k
+        f[mask | 1] = total
+        for e in range(d - 1, 1, -1):
+            node_of = {}  # the id space of the level at corank e: ids 0, 1, ...
+            coarser = coarsen(forests, e + 1, node_of, lambda children: len(node_of), groupings)
+            descend(mask | 1 << (e - 1), e, coarser)
+
+    for d in range(n - 2, 0, -1):
+        leaf_of = {}
+        descend(1 << (d - 1), d, _leaf_forests(shape, d, lambda c: leaf_of.setdefault(c, len(leaf_of))))
+    return f
 
 
 def faces_with_support(n: int, shape, ranks) -> frozenset:

@@ -7,17 +7,21 @@ multiplicity of the trivial character in the rank-selected homology
 representation.  The one-letter shape gives b_S(n); the hook shape
 (n-1, 1) gives b'_S(n).
 
-``support_table`` is the one table builder: one ``kernel.sweep`` from the
-faces of a support S, then the Moebius transform, giving f and h on every
-subset of S.  Its top faces are built bottom-up straight into a ForestStore
-(``core.support_root_ids``; no ChainType is built), and the faces of each
-subset are the level deletions of the faces of its canonical parent.  This
-is exact because every face with support T is the restriction of some face
-on any superset of T, so each subset is reached by one deletion per parent
-face, and memoized deletion materializes each distinct face once.  Since
-h_S reads only the f_T with T inside S, a query about one S needs only
-this table.  ``full_table`` is its cached special case S = {1..n-2}, which
-every question about all supports reads.
+Two builders serve two kinds of call.  ``full_table``, the cached table
+over every support S inside {1..n-2} that every question about all
+supports reads, counts faces with ``core.support_counts``: one depth-first
+walk over the supports that builds each support's faces bottom-up once,
+counts the coarsest level without building it, and interns and deletes
+nothing.  ``support_table``, the table over the subsets of one support S
+that a question about one S reads (h_S reads only the f_T with T inside
+S), is one ``kernel.sweep`` from the faces of S: they are built bottom-up
+straight into a ForestStore (``core.support_root_ids``; no ChainType is
+built), and the faces of each subset are the level deletions of the faces
+of its canonical parent.  This is exact because every face with support T
+is the restriction of some face on any superset of T, so each subset is
+reached by one deletion per parent face, and memoized deletion
+materializes each distinct face once.  Both end in the same Moebius
+transform, and each is the other's oracle in the tests.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import support_root_ids
+from .core import support_counts, support_root_ids
 from .kernel import ForestStore, sweep
 from .shapes import RankSet, Shape, checked_shape, full_shape, hook_shape
 
@@ -63,24 +67,16 @@ class FlagTable:
         return True
 
 
-def support_table(n: int, shape, ranks) -> FlagTable:
-    """The flag table over the subsets of one support S = ``ranks``: f and
-    h keyed by every T inside S, from one sweep of the faces of S.  Not
-    memoized; ``full_table`` keeps the tables of every support."""
-    shape = checked_shape(n, shape)
-    dual_levels = RankSet.primal(n, ranks).as_dual().sorted()
-    m = len(dual_levels)
-    store = ForestStore()
-    tops = support_root_ids(shape, dual_levels, store)
-    f_by_mask = {mask: len(faces) for mask, faces in sweep(store, m, tops)}
-    # Moebius transform over subsets, one bit at a time
+def _flag_table(n: int, shape: Shape, dual_levels: tuple, f_by_mask: dict) -> FlagTable:
+    """The FlagTable of f keyed by corank masks, bit i standing for corank
+    ``dual_levels[i]``, with h from the Moebius transform."""
     h_by_mask = dict(f_by_mask)
-    for bit in (1 << i for i in range(m)):
+    for bit in (1 << i for i in range(len(dual_levels))):  # one bit at a time
         for mask in h_by_mask:
             if mask & bit:
                 h_by_mask[mask] -= h_by_mask[mask ^ bit]
 
-    def to_primal(mask) -> frozenset:  # bit i stands for corank dual_levels[i]
+    def to_primal(mask) -> frozenset:
         return frozenset(n - 1 - d for i, d in enumerate(dual_levels) if mask >> i & 1)
 
     f = {to_primal(mask): v for mask, v in f_by_mask.items()}
@@ -88,13 +84,29 @@ def support_table(n: int, shape, ranks) -> FlagTable:
     return FlagTable(n, shape, f, h)
 
 
+def support_table(n: int, shape, ranks) -> FlagTable:
+    """The flag table over the subsets of one support S = ``ranks``: f and
+    h keyed by every T inside S, from one sweep of the faces of S.  Not
+    memoized; ``full_table`` keeps the tables of every support, counted by
+    ``core.support_counts``."""
+    shape = checked_shape(n, shape)
+    dual_levels = RankSet.primal(n, ranks).as_dual().sorted()
+    m = len(dual_levels)
+    store = ForestStore()
+    tops = support_root_ids(shape, dual_levels, store)
+    f_by_mask = {mask: len(faces) for mask, faces in sweep(store, m, tops)}
+    return _flag_table(n, shape, dual_levels, f_by_mask)
+
+
 @lru_cache(maxsize=None)
 def _table_cache(n: int, parts: tuple) -> FlagTable:
-    return support_table(n, parts, range(1, n - 1))
+    shape = Shape(parts)
+    return _flag_table(n, shape, tuple(range(1, n - 1)), support_counts(shape))
 
 
 def full_table(n: int, shape) -> FlagTable:
-    """The complete flag table over all rank subsets."""
+    """The complete flag table over all rank subsets, from one walk over
+    the supports (``core.support_counts``)."""
     return _table_cache(n, checked_shape(n, shape).parts)
 
 

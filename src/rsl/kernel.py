@@ -22,8 +22,9 @@ This is the hot core of the package.
 each support is the restriction of its canonical parent, the support plus
 its finest missing level, so one level deletion per face suffices.  The
 plan is a depth-first preorder of the canonical-parent tree.  ``sweep``
-walks it: flag tables and the partitioning both reach their faces through
-it, and nothing else walks the plan.
+walks it: one-support flag tables (``flags.support_table``) and the
+partitioning both reach their faces through it, and nothing else walks the
+plan.
 """
 
 from __future__ import annotations

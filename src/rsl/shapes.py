@@ -85,6 +85,7 @@ def as_shape(shape) -> Shape:
 
 def checked_shape(n: int, shape) -> Shape:
     """``as_shape(shape)``, which must be a shape of n."""
+    n = _integer(n, "n")
     shape = as_shape(shape)
     if shape.n != n:
         raise ValueError(f"shape {shape} does not sum to n={n}")
@@ -92,11 +93,12 @@ def checked_shape(n: int, shape) -> Shape:
 
 
 def full_shape(n: int) -> Shape:
-    return Shape((n,))
+    return Shape((_integer(n, "n"),))
 
 
 def hook_shape(n: int) -> Shape:
     """The (n-1,1) shape used for the S_{n-1} x S_1 quotient."""
+    n = _integer(n, "n")
     if n < 2:
         raise ValueError("hook shape needs n >= 2")
     return Shape((n - 1, 1))
@@ -196,6 +198,7 @@ class RankSet:
     dual: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         object.__setattr__(self, "ranks", frozenset(_integer(r, "rank") for r in self.ranks))
         if self.n < 2:
             raise ValueError("need n >= 2")

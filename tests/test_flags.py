@@ -1,10 +1,11 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
 from rsl import (
     RankSet,
-    clear_caches,
     Shape,
     b_prime,
     build_bprime,
@@ -100,6 +101,30 @@ def test_table_matches_face_enumeration(n):
             faces = faces_with_support(n, shape, s)
             assert count == len(faces)
             assert faces == oracles.faces_by_restriction(n, shape, s)
+
+
+WALK_ORACLE_CASES = (
+    [(n, (n,)) for n in range(3, 11)]
+    + [(n, (n - 1, 1)) for n in range(3, 10)]
+    + [(8, (4, 4)), (8, (3, 3, 2)), (7, (3, 2, 2)), (7, (1,) * 7)]
+)
+
+
+@pytest.mark.parametrize("n, shape", WALK_ORACLE_CASES, ids=str)
+def test_full_table_walk_equals_the_sweep(n, shape):
+    """full_table counts each support's faces in one walk over the supports;
+    the sweep of the full support, which deletes levels from its top faces,
+    is its oracle."""
+    walked = full_table(n, shape)
+    swept = flags.support_table(n, shape, range(1, n - 1))
+    assert walked.f == swept.f
+    assert walked.h == swept.h
+
+
+def test_full_table_11_digest():
+    # taken from the sweep, before full_table walked the supports
+    blob = json.dumps(full_table(11, (11,)).entries(), separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == "e74b98802eace9c1a7998271214f342d17fc231cd44d0647fdbed95379c0d866"
 
 
 @pytest.mark.parametrize("n, shape", [(7, (7,)), (8, (8,)), (8, (7, 1)), (8, (4, 4)), (7, (3, 2, 2))])
@@ -246,10 +271,10 @@ def test_stability_sweep_through_n10():
         assert len(set(vals)) == 1, (s, vals)
 
 
-def _sweep_full_table_8(monkeypatch, release):
-    """full_table(8, (8,)) on a fresh ForestStore that counts ``node`` calls
-    and records each memo release with the heights it leaves; with
-    ``release`` False the release is a no-op."""
+def _sweep_support_table_8(monkeypatch, release):
+    """The sweep of every support of (8), on a fresh ForestStore that counts
+    ``node`` calls and records each memo release with the heights it leaves;
+    with ``release`` False the release is a no-op."""
     stores = []
 
     class CountingStore(ForestStore):
@@ -271,11 +296,7 @@ def _sweep_full_table_8(monkeypatch, release):
             self.releases.append((height, max(self._drop_memo, default=-1)))
 
     monkeypatch.setattr(flags, "ForestStore", CountingStore)
-    clear_caches()
-    try:
-        table = full_table(8, (8,))
-    finally:
-        clear_caches()
+    table = flags.support_table(8, (8,), range(1, 7))
     (store,) = stores
     return table, store
 
@@ -283,8 +304,8 @@ def _sweep_full_table_8(monkeypatch, release):
 def test_sweep_frees_only_dead_drop_memos(monkeypatch):
     """A freed memo could only cost work, never an answer, so the check is on
     work: releasing the heights no later lookup hits interns no extra node."""
-    shipped, store = _sweep_full_table_8(monkeypatch, release=True)
-    kept, kept_store = _sweep_full_table_8(monkeypatch, release=False)
+    shipped, store = _sweep_support_table_8(monkeypatch, release=True)
+    kept, kept_store = _sweep_support_table_8(monkeypatch, release=False)
     assert shipped.f == kept.f and shipped.h == kept.h
     assert store.node_calls == kept_store.node_calls
     # once per child of the full mask, coarsest level first, keeping only
@@ -313,12 +334,8 @@ def test_sweep_work_is_finest_parent_faces(monkeypatch, n):
 
     monkeypatch.setattr(flags, "ForestStore", CountingStore)
     for shape in ((n,), (n - 1, 1), (4, n - 4)):
-        clear_caches()
         CountingStore.calls = 0
-        try:
-            table = full_table(n, shape)
-        finally:
-            clear_caches()
+        table = flags.support_table(n, shape, range(1, n - 1))
 
         def f(mask):  # coranks as bits, lowest bit = corank 1 = lattice rank n-2
             return table.f[frozenset(n - 2 - i for i in range(m) if mask >> i & 1)]

@@ -1,11 +1,12 @@
 import pytest
 
-from rsl import flag_h, oracles
+from rsl import b_prime, build_bprime, flag_h, full_table, oracles
 from rsl.shapes import (
     RankSet,
     Shape,
     as_shape,
     bipartitions,
+    checked_shape,
     content_size,
     content_word,
     dualize,
@@ -101,6 +102,26 @@ def test_rank_set_validation_and_views():
         flag_h(6, (6,), {1.9})  # int() would have read rank 1
     with pytest.raises(ValueError):
         flag_h(6, (6,), "34")  # the digits are not the ranks {3, 4}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: RankSet.primal(6.0, {2}),
+        lambda: RankSet.of_dual(6.0, {3}),
+        lambda: checked_shape(6.0, (6,)),
+        lambda: hook_shape(6.0),
+        lambda: full_shape(6.0),
+        lambda: b_prime(6.0, {2}),
+        lambda: flag_h(6.0, (6,), {2}),
+        lambda: full_table("6", (6,)),
+        lambda: build_bprime({2}, 6.0),
+    ],
+)
+def test_float_n_is_refused_by_name(call):
+    # an n that is not an integer is named, not a shape part or rank derived from it
+    with pytest.raises(ValueError, match=r"^n '?6(\.0)?'? is not an integer$"):
+        call()
 
 
 def test_rank_set_iteration_and_str():
