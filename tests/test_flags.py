@@ -122,7 +122,7 @@ def test_full_table_walk_equals_the_sweep(n, shape):
 
 
 def test_full_table_11_digest():
-    # taken from the sweep, before full_table walked the supports
+    # the digest was computed by the deletion sweep, not by the walk
     blob = json.dumps(full_table(11, (11,)).entries(), separators=(",", ":")).encode()
     assert hashlib.sha256(blob).hexdigest() == "e74b98802eace9c1a7998271214f342d17fc231cd44d0647fdbed95379c0d866"
 
