@@ -328,12 +328,12 @@ def criterion_14():
     """Criteria 1, 2, 4, 5 and 9 beyond the whole tables, at n = 10..20, read
     from ``flags.support_table``, which sweeps only the subsets of one S.
 
-    Size: at each n, the tables of (n) over the 15 four-subsets of {1..6}
-    give h on every S inside {1..6} with |S| <= 4 (57 sets), and the table
-    of the hook (n-1, 1) over {1..4} gives b' on its 16 subsets.  Budget:
-    5 s, reported in ``seconds`` but not failed on, since hosts differ;
-    2.1-2.6 s on 2 vCPUs.  Checks, at every n:
-    - Hanlon: h = 0 on {1..i}, 1 <= i <= 4;
+    Size: at each n, one table of (n) over {1..6} gives h on its 64
+    subsets, and one table of the hook (n-1, 1) over {1..4} gives b' on its
+    16 subsets: 22 tables in all.  Budget: 5 s, reported in ``seconds`` but
+    not failed on, since hosts differ; 0.23-0.24 s on 2 vCPUs.  Checks, at
+    every n:
+    - Hanlon: h = 0 on {1..i}, 1 <= i <= 6;
     - Sundaram: h >= 1 when 1 is not in S;
     - every fired vanishing predicate gives h = 0;
     - h is the same at every n > 2 max S;
@@ -344,10 +344,7 @@ def criterion_14():
     bad = []
     stable = {}  # S -> (n, h) at the least n above 2 max S
     for n in range(10, 21):
-        h = {}
-        for top in itertools.combinations(range(1, 7), 4):
-            h.update(flags.support_table(n, full_shape(n), top).h)
-        for s, v in h.items():
+        for s, v in flags.support_table(n, full_shape(n), range(1, 7)).h.items():
             if s and _initial(s) and v != 0:
                 bad.append((n, sorted(s), "Hanlon", v))
             if 1 not in s and v < 1:

@@ -12,6 +12,7 @@ def _run(fn, **kwargs):
         f"({report['seconds']}s)"
     )
     assert report["passed"], report["detail"]
+    return report
 
 
 def test_criterion_01_initial_segment_vanishing():
@@ -67,7 +68,8 @@ def test_criterion_13_lengthening_condition():
 
 
 def test_criterion_14_one_support_tables():
-    _run(acceptance.criterion_14)
+    report = _run(acceptance.criterion_14)
+    assert report["detail"].startswith("64 sets"), report["detail"]  # every S inside {1..6}
 
 
 def test_run_all_builds_the_partitionings_once(monkeypatch):

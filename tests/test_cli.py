@@ -108,19 +108,23 @@ def test_usage_errors(capsys):
     assert code == 2
     code, doc = run_json(capsys, "stability", "--ranks", "3", "--n", "6", "--m", "7")
     assert code == 2
-    for argv in (
-        ("construct", "--word", "DDA", "--n", "7"),
-        ("construct", "--word", "XYZ"),
-        ("construct", "--word", "D" * 198 + "A"),  # n = 201, over CONSTRUCT_MAX_N
-        ("stability", "--ranks", "3", "--n", "9", "--m", "9"),  # one size compares with nothing
-        ("table", "--n", "1"),
-        ("table", "--n", "0"),
-        ("partition-verify", "--n", "1"),
-        ("verify-all", "--max-n", "1"),
-        ("verify-all", "--max-n", "4"),
+    for argv, message in (
+        (("construct", "--word", "DDA", "--n", "7"), "needs n=5"),
+        (("construct", "--word", "XYZ"), "must be over {A, D}"),
+        (("construct", "--word", "D" * 198 + "A"), "up to n=100, got n=201"),
+        (("stability", "--ranks", "3", "--n", "9", "--m", "9"), "compares two sizes"),
+        (("table", "--n", "1"), "need n >= 2"),
+        (("table", "--n", "0"), "need n >= 2"),
+        (("partition-verify", "--n", "1"), "need n >= 2"),
+        (("verify-all", "--max-n", "1"), "at least 5"),
+        (("verify-all", "--max-n", "4"), "at least 5"),
+        (("b", "--n", "4", "--ranks", "1,x"), "bad rank list"),
+        (("construct", "--ranks", "1,3"), "--ranks needs --n"),
+        (("construct",), "needs --word or --ranks"),
+        (("partition-verify", "--n", "6", "--order", "distinguished"), "last part 1"),
     ):
         code, doc = run_json(capsys, *argv)
-        assert code == 2 and doc["error"], argv
+        assert code == 2 and message in doc["error"], (argv, doc)
 
 
 def test_verify_all_quick(capsys):

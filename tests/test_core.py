@@ -42,12 +42,18 @@ def test_canonicalize_idempotent_via_realize():
 
 
 def test_canonicalize_rejects_malformed():
-    with pytest.raises(MalformedChainError):
+    with pytest.raises(MalformedChainError, match="strictly ordered"):
         canonicalize([[{1, 2}, {3, 4}], [{1, 3}, {2, 4}]], full_shape(4))
-    with pytest.raises(MalformedChainError):
-        canonicalize([[{1, 2}, {3}]], full_shape(4))  # not a cover of 1..4
-    with pytest.raises(MalformedChainError):
-        canonicalize([[{1}, {2}, {3}, {4}]], full_shape(4))  # 0-hat is not proper
+    with pytest.raises(MalformedChainError, match="not a refinement chain"):
+        canonicalize([[{1, 2}, {3}, {4}], [{1, 3}, {2, 4}]], full_shape(4))
+    with pytest.raises(MalformedChainError, match="does not cover"):
+        canonicalize([[{1, 2}, {3}]], full_shape(4))
+    with pytest.raises(MalformedChainError, match="must be proper"):
+        canonicalize([[{1}, {2}, {3}, {4}]], full_shape(4))  # 0-hat
+    with pytest.raises(MalformedChainError, match="empty partition"):
+        canonicalize([[]], full_shape(4))
+    with pytest.raises(MalformedChainError, match="blocks must be disjoint"):
+        canonicalize([[{1, 2}, {2, 3}, {4}]], full_shape(4))
 
 
 def test_small_facet_counts():
@@ -288,15 +294,20 @@ def test_restriction_composes():
 
 def test_deserialize_rejects_malformed():
     shape = full_shape(4)
-    with pytest.raises(MalformedChainError):
-        ChainType.deserialize("2@2(1@1", shape)  # unbalanced
-    with pytest.raises(MalformedChainError):
-        ChainType.deserialize("22@2", shape)  # wrong letter count
-    with pytest.raises(MalformedChainError):
-        ChainType.deserialize("2@2(1@1,2@1)", shape)  # children exceed parent
+    with pytest.raises(MalformedChainError, match="unbalanced parentheses"):
+        ChainType.deserialize("2@2(1@1", shape)
+    for text in ("222@2", "1.1.1@2"):  # two letters: three counts, bare and dotted
+        with pytest.raises(MalformedChainError, match="has wrong letter count"):
+            ChainType.deserialize(text, Shape((2, 2)))
+    with pytest.raises(MalformedChainError, match="children do not sum to parent content"):
+        ChainType.deserialize("2@2(1@1,2@1),2@2(1@1)", shape)  # children exceed parent
     with pytest.raises(MalformedChainError, match="levels not increasing"):
         ChainType.deserialize("2@2(2@2),2@2(2@2)", shape)  # one rank at two depths
-    with pytest.raises(MalformedChainError):
+    with pytest.raises(MalformedChainError, match="expected a number, got 'x'"):
         ChainType.deserialize("x@1", shape)  # content not a number
-    with pytest.raises(MalformedChainError):
+    with pytest.raises(MalformedChainError, match="expected a number, got ''"):
         ChainType.deserialize("2@", shape)  # missing rank
+    with pytest.raises(MalformedChainError, match="trailing input at 3"):
+        ChainType.deserialize("4@1x", shape)
+    with pytest.raises(MalformedChainError, match="missing '@'"):
+        ChainType.deserialize("4", shape)
