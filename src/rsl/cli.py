@@ -21,11 +21,12 @@ later queries of that table read it instead of recomputing.
 b, bprime and stability ask about one rank set S.  Without a stored
 table they sweep only the subsets of S (``flags.support_table``), never
 the whole table, so ``rsl b --n 16 --ranks 2,3`` answers in milliseconds.
-table and vanish read every S and build the whole table
-(``flags.full_table``), which counts each support's faces in one walk over
-the supports.  No table size is refused before it starts: a query whose S
-has most of the n-2 ranks (say ``rsl b --n 30 --ranks 1,...,28``) starts a
-sweep that cannot finish.
+table and vanish read every S and count the whole table
+(``flags.full_table``) from the repeat patterns of each level, building no
+face.  They refuse n above ``TABLE_MAX_N`` (18) with exit 2 before
+counting.  b and bprime refuse no size: a query whose S has most of the
+n-2 ranks (say ``rsl b --n 30 --ranks 1,...,28``) starts a sweep of 2^28
+supports that cannot finish.
 """
 
 from __future__ import annotations
@@ -46,6 +47,15 @@ CONSTRUCT_MAX_N = 100
 grows about as n^3 on its worst word, the descending run D^(n-3)A: 0.23 s
 at n = 100 and 2.2 s at n = 200 on a 2-vCPU host with Python 3.11.  The
 library's builders take any n."""
+
+TABLE_MAX_N = 18
+"""The largest n whose whole flag table ``table`` and ``vanish`` count.
+On a 2-vCPU host with Python 3.11, ``rsl table --n 18`` takes about 11.5 s
+and 166 MB (the count alone 10 s and 45 MB), each larger n about 2.5 times
+the time of the one before, and its 2^(n-2) entries double the output.
+The bound is sized on the one-letter shape; shapes of many letters cost
+more at the same n ((1^11) counts in 6 s and 129 MB).  ``flags.full_table``
+takes any n."""
 
 
 class UsageError(ValueError):
@@ -98,7 +108,10 @@ def _emit(report: dict, as_csv: bool) -> None:
 
 def _table(n, shape, cache_dir):
     """Flag table entries [(ranks, f, h), ...] and whether they came from the
-    cache.  Reads the cache but never writes it."""
+    cache.  Reads the cache but never writes it.  UsageError above
+    ``TABLE_MAX_N``, before anything is read or counted."""
+    if n > TABLE_MAX_N:
+        raise UsageError(f"whole tables are counted up to n={TABLE_MAX_N}, got n={n}")
     if cache_dir:
         entries = cache.load_table(cache_dir, n, shape)
         if entries is not None:

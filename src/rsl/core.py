@@ -39,7 +39,6 @@ __all__ = [
     "faces_with_support",
     "support_root_ids",
     "support_counts",
-    "coarsen",
     "block_orbits",
     "dualize",
 ]
@@ -451,53 +450,21 @@ def _distinct(forests: list) -> list:
     return forests
 
 
-def _leaf_forests(shape: Shape, d: int, leaf_id) -> list:
-    """The finest level at corank ``d``: every multiset partition of the
-    ground content into d + 1 blocks, as sorted ids ``leaf_id(content)``."""
-    return [tuple(sorted(map(leaf_id, parts))) for parts in multiset_partitions(shape.root_content, d + 1)]
-
-
-def coarsen(forests, num_groups: int, node_of: dict, new_node, groupings: dict) -> list:
-    """The level one coarser over ``forests``, in their order: each multiset
-    partition of a forest's sorted ids into ``num_groups`` groups, each
-    group one node, as the sorted tuple of the node ids.
-
-    ``node_of`` maps a node's sorted child ids to its id; on a miss,
-    ``new_node(children)`` gives the id and ``node_of`` keeps it, so the
-    callback runs once per distinct node.  The lengths of the runs of a
-    forest's ids are the count vector that fixes its partitions, so the
-    partitions are computed once per count vector and number of groups, in
-    the caller's ``groupings`` cache, as getters of each group's ids from
-    the forest.  A coarser forest's ids fix its grouping, so distinct
-    forests give distinct coarser ones, each once."""
-    coarser = []
-    for ids in forests:
-        key = (_run_lengths(ids), num_groups)
-        grouping = groupings.get(key)
-        if grouping is None:
-            grouping = groupings[key] = _position_groupings(*key)
-        for groups in grouping:
-            roots = []
-            for take in groups:
-                children = take(ids)
-                nid = node_of.get(children)
-                if nid is None:
-                    nid = node_of[children] = new_node(children)
-                roots.append(nid)
-            roots.sort()
-            coarser.append(tuple(roots))
-    return coarser
-
-
 def support_root_ids(shape: Shape, dual_levels: tuple, store: ForestStore) -> list:
     """Every orbit type on the strictly increasing coranks ``dual_levels``
     as its sorted root ids in ``store``, built bottom-up without any facet.
 
     The finest level is every multiset partition of the ground content, as
-    leaves, and each coarser level is one ``coarsen`` of the level below,
-    whose callback sums a new node's content and interns it, so
-    ``store.node`` is called once per node created.  AssertionError if an
-    orbit repeats.  No levels gives the one empty forest."""
+    leaves.  Each coarser level takes every multiset partition of each
+    forest's sorted ids into one group per node, and a node is the sorted
+    tuple of its children's ids.  The lengths of the runs of a forest's ids
+    are the count vector that fixes its partitions, so the partitions are
+    computed once per count vector and number of groups, as getters of each
+    group's ids from the forest.  A node's content is summed and interned
+    once, so ``store.node`` is called once per node created.  A coarser
+    forest's ids fix its grouping, so distinct forests give distinct coarser
+    ones, each once; AssertionError if an orbit repeats anyway.  No levels
+    gives the one empty forest."""
     if not dual_levels:
         return [()]
     content_of = {}  # node id -> content
@@ -510,60 +477,74 @@ def support_root_ids(shape: Shape, dual_levels: tuple, store: ForestStore) -> li
             content_of[nid] = content
         return nid
 
-    def new_node(children):
-        content = tuple(map(sum, zip(*[content_of[i] for i in children])))
-        nid = store.node(store.content_id(content), children)
-        content_of[nid] = content
-        return nid
-
-    forests = _leaf_forests(shape, dual_levels[-1], leaf)
+    finest = multiset_partitions(shape.root_content, dual_levels[-1] + 1)
+    forests = [tuple(sorted(map(leaf, parts))) for parts in finest]
     node_of = {}  # sorted children ids -> node id, over every level
     groupings = {}  # (count vector, number of groups) -> getters
     for d in reversed(dual_levels[:-1]):
-        forests = coarsen(forests, d + 1, node_of, new_node, groupings)
+        coarser = []
+        for ids in forests:
+            key = (_run_lengths(ids), d + 1)
+            grouping = groupings.get(key)
+            if grouping is None:
+                grouping = groupings[key] = _position_groupings(*key)
+            for groups in grouping:
+                roots = []
+                for take in groups:
+                    children = take(ids)
+                    nid = node_of.get(children)
+                    if nid is None:
+                        content = tuple(map(sum, zip(*[content_of[i] for i in children])))
+                        nid = node_of[children] = store.node(store.content_id(content), children)
+                        content_of[nid] = content
+                    roots.append(nid)
+                roots.sort()
+                coarser.append(tuple(roots))
+        forests = coarser
     return _distinct(forests)
+
+
+def _coarser_counts(pattern: tuple, memo: dict) -> list:
+    """Counts of the chains that coarsen a level of ``pattern``, the
+    multiplicities of its distinct blocks, as a list indexed by the mask of
+    their coranks, bit c - 1 for corank c < e, where the level has e + 1
+    blocks: entry 0 is the empty chain, and entries 2^(c-1) to 2^c - 1 are
+    the chains whose finest level has corank c.
+
+    Above the leaves a node is the multiset of its children, so grouping
+    the level's blocks into c + 1 nodes is one multiset partition of
+    ``pattern`` into c + 1 parts, and the coarser level's pattern is the
+    multiplicities of that partition's equal parts.  Each pattern is
+    counted once per ``memo``.  AssertionError if a partition repeats."""
+    got = memo.get(pattern)
+    if got is not None:
+        return got
+    got = [1]
+    for c in range(1, sum(pattern) - 1):
+        coarser = {}  # pattern -> number of partitions with it
+        for parts in _distinct(list(multiset_partitions(pattern, c + 1))):
+            key = tuple(sorted(_run_lengths(parts), reverse=True))
+            coarser[key] = coarser.get(key, 0) + 1
+        level = [0] * (1 << (c - 1))
+        for key, k in coarser.items():
+            level = [x + k * y for x, y in zip(level, _coarser_counts(key, memo))]
+        got += level
+    memo[pattern] = got
+    return got
 
 
 def support_counts(shape: Shape) -> dict:
     """f of every support, as {corank mask: number of orbit types}, bit
-    d - 1 standing for corank d, with no face interned or deleted.
+    d - 1 standing for corank d, with no forest built.
 
-    A depth-first walk over the supports, finest corank first.  The faces
-    of a support are built once, as one ``coarsen`` of the faces of the
-    support without its coarsest corank, and f is their number.  Each level
-    has its own id space, a dict from children to the next free id, so a
-    node carries no content and the memory is one path of levels.  Corank
-    1, the coarsest, is counted and never built: each face one level finer
-    has as many groupings into two nodes as its count vector has multiset
-    partitions into two parts.  AssertionError if an orbit repeats."""
-    n = shape.n
-    if n < 2:
+    The finest partition of the ground set has one block per element, and
+    two blocks are equal when their letters are, so its pattern is the
+    shape's parts: every chain coarsens it, and ``_coarser_counts`` counts
+    them level by level from the patterns alone (the multiset transform of
+    Harary and Palmer, *Graphical Enumeration*, 1973)."""
+    if shape.n < 2:
         raise ValueError("need n >= 2")
-    f = {0: 1}
-    pairs = {}  # count vector -> its multiset partitions into two parts
-    groupings = {}  # (count vector, number of groups) -> getters
-
-    def descend(mask: int, d: int, forests: list) -> None:
-        f[mask] = len(_distinct(forests))
-        if d == 1:
-            return
-        total = 0
-        for ids in forests:
-            c = _run_lengths(ids)
-            k = pairs.get(c)
-            if k is None:
-                k = pairs[c] = sum(1 for _ in multiset_partitions(c, 2))
-            total += k
-        f[mask | 1] = total
-        for e in range(d - 1, 1, -1):
-            node_of = {}  # the id space of the level at corank e: ids 0, 1, ...
-            coarser = coarsen(forests, e + 1, node_of, lambda children: len(node_of), groupings)
-            descend(mask | 1 << (e - 1), e, coarser)
-
-    for d in range(n - 2, 0, -1):
-        leaf_of = {}
-        descend(1 << (d - 1), d, _leaf_forests(shape, d, lambda c: leaf_of.setdefault(c, len(leaf_of))))
-    return f
+    return dict(enumerate(_coarser_counts(shape.root_content, {})))
 
 
 def faces_with_support(n: int, shape, ranks) -> frozenset:

@@ -9,12 +9,12 @@ representation.  The one-letter shape gives b_S(n); the hook shape
 
 Two builders serve two kinds of call.  ``full_table``, the cached table
 over every support S inside {1..n-2} that every question about all
-supports reads, counts faces with ``core.support_counts``: one depth-first
-walk over the supports that builds each support's faces bottom-up once,
-counts the coarsest level without building it, and interns and deletes
-nothing.  ``support_table``, the table over the subsets of one support S
-that a question about one S reads (h_S reads only the f_T with T inside
-S), is one ``kernel.sweep`` from the faces of S: they are built bottom-up
+supports reads, counts faces with ``core.support_counts`` and builds none:
+above the ground set the coarser levels of a level depend only on how
+often each of its distinct blocks repeats, so each level is counted once
+per such repeat pattern.  ``support_table``, the table over the subsets
+of one support S that a question about one S reads (h_S reads only the
+f_T with T inside S), is one ``kernel.sweep`` from the faces of S: they are built bottom-up
 straight into a ForestStore (``core.support_root_ids``; no ChainType is
 built), and the faces of each subset are the level deletions of the faces
 of its canonical parent.  This is exact because every face with support T
@@ -105,8 +105,8 @@ def _table_cache(n: int, parts: tuple) -> FlagTable:
 
 
 def full_table(n: int, shape) -> FlagTable:
-    """The complete flag table over all rank subsets, from one walk over
-    the supports (``core.support_counts``)."""
+    """The complete flag table over all rank subsets, counted level by
+    level from the repeat patterns of the blocks (``core.support_counts``)."""
     return _table_cache(n, checked_shape(n, shape).parts)
 
 

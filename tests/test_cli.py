@@ -430,9 +430,9 @@ def test_query_miss_sweeps_only_the_subsets_of_its_ranks(tmp_path, capsys, monke
 
 
 def test_b_beyond_any_whole_table(tmp_path, capsys, monkeypatch):
-    """The whole n = 16 table would walk E_15 = 1,903,757,312 facets; the
-    subsets of {2, 3} are four supports.  Building the whole table fails at
-    once here, instead of running out of memory."""
+    """The subsets of {2, 3} are four supports, so b sweeps them and never
+    counts the whole n = 16 table (E_15 = 1,903,757,312 facet orbits, about
+    2 s); asking for the whole table fails at once here."""
 
     def no_full_table(*args):
         raise AssertionError("rsl b built the whole n = 16 table")
@@ -441,6 +441,18 @@ def test_b_beyond_any_whole_table(tmp_path, capsys, monkeypatch):
     code, doc = run_json(capsys, "--cache-dir", str(tmp_path), "b", "--n", "16", "--ranks", "2,3")
     assert code == 0
     assert doc["results"]["b"] == 1 and doc["cache_hit"] is False
+    assert os.listdir(tmp_path) == []
+
+
+def test_whole_table_above_the_bound_is_refused_before_counting(tmp_path, capsys, monkeypatch):
+    def no_count(*args):
+        raise AssertionError("a refused table was counted")
+
+    monkeypatch.setattr(cli.flags, "full_table", no_count)
+    n = str(cli.TABLE_MAX_N + 1)
+    for argv in (("table", "--n", n), ("vanish", "--n", n), ("--cache-dir", str(tmp_path), "table", "--n", n)):
+        code, doc = run_json(capsys, *argv)
+        assert code == 2 and f"up to n={cli.TABLE_MAX_N}, got n={n}" in doc["error"], argv
     assert os.listdir(tmp_path) == []
 
 

@@ -25,7 +25,7 @@ from rsl import (
     vanishing_predicates,
 )
 
-from rsl import flags, oracles
+from rsl import core, flags, oracles
 from rsl.kernel import ForestStore
 
 
@@ -73,7 +73,7 @@ def test_nonnegative_h_full_shape():
 
 
 def test_unquotiented_matches_stirling_products():
-    for n in (4, 5, 6):
+    for n in range(2, 10):
         table = full_table(n, (1,) * n)
         for s in _subsets(n):
             assert table.f[frozenset(s)] == oracles.classical_flag_f(n, s)
@@ -112,19 +112,57 @@ WALK_ORACLE_CASES = (
 
 @pytest.mark.parametrize("n, shape", WALK_ORACLE_CASES, ids=str)
 def test_full_table_walk_equals_the_sweep(n, shape):
-    """full_table counts each support's faces in one walk over the supports;
-    the sweep of the full support, which deletes levels from its top faces,
-    is its oracle."""
-    walked = full_table(n, shape)
+    """full_table counts every support's faces from the repeat patterns of
+    each level, building none; the sweep of the full support, which builds
+    the top faces and deletes levels from them, is its oracle."""
+    counted = full_table(n, shape)
     swept = flags.support_table(n, shape, range(1, n - 1))
-    assert walked.f == swept.f
-    assert walked.h == swept.h
+    assert counted.f == swept.f
+    assert counted.h == swept.h
+
+
+def _entries_digest(n):
+    blob = json.dumps(full_table(n, (n,)).entries(), separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 def test_full_table_11_digest():
-    # the digest was computed by the deletion sweep, not by the walk
-    blob = json.dumps(full_table(11, (11,)).entries(), separators=(",", ":")).encode()
-    assert hashlib.sha256(blob).hexdigest() == "e74b98802eace9c1a7998271214f342d17fc231cd44d0647fdbed95379c0d866"
+    # the digest was computed by the deletion sweep, not by the count
+    assert _entries_digest(11) == "e74b98802eace9c1a7998271214f342d17fc231cd44d0647fdbed95379c0d866"
+
+
+def test_full_table_12_and_13_digests():
+    # (12) from the deletion sweep, (13) from a walk that built each support's faces
+    assert _entries_digest(12) == "12216b69325acdb17dbf7c8a04c9afdb3068e45875c2d39d5552c5b1f7982a76"
+    assert _entries_digest(13) == "0150e44820fe65acaaea30972d6d0c58b3c7c1d03770edbb1d6aa51e7a74cec2"
+
+
+def test_full_support_counts_are_euler_numbers():
+    """The facet orbits of (n) are counted by E_(n-1) and those of the hook
+    (n-1, 1) by E_n, up to sizes no builder of faces reaches."""
+    for n in range(2, 17):
+        assert core.support_counts(Shape((n,)))[(1 << (n - 2)) - 1] == oracles.euler_number(n - 1), n
+    for n in range(2, 14):
+        assert core.support_counts(Shape((n - 1, 1)))[(1 << (n - 2)) - 1] == oracles.euler_number(n), n
+
+
+@pytest.mark.parametrize("level", ("finest", "coarser"))
+def test_count_refuses_a_repeated_partition(monkeypatch, level):
+    """The count adds one partition per grouping, so a multiset partition
+    emitted twice, of the ground content or of a coarser level's repeat
+    pattern, raises instead of counting twice."""
+    real = core.multiset_partitions
+    shape = Shape((6,))
+
+    def first_partition_twice(content, num_parts):
+        parts = list(real(content, num_parts))
+        if (content == shape.root_content) == (level == "finest"):
+            parts = parts[:1] + parts
+        return parts
+
+    monkeypatch.setattr(core, "multiset_partitions", first_partition_twice)
+    with pytest.raises(AssertionError, match="duplicate"):
+        core.support_counts(shape)
 
 
 @pytest.mark.parametrize("n, shape", [(7, (7,)), (8, (8,)), (8, (7, 1)), (8, (4, 4)), (7, (3, 2, 2))])
