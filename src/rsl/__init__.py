@@ -5,13 +5,15 @@ order complex by a Young subgroup, verifies the lexicographic partitioning
 of the quotient, and builds the explicit facet families behind the
 positivity and vanishing results.
 
-``construct`` (the facet builders) and ``vanishing`` (the vanishing
-predicates) load on first use: the first access to either module, or to
-one of the names below that they define, imports it (PEP 562).  Every
-``rsl`` CLI request runs in a fresh process, and most never build a
-facet, so they skip compiling those modules.  ``dir(rsl)`` and
-``from rsl import *`` still list and bind the deferred names.  Every
-other submodule loads with ``rsl``.
+``bars`` (the bar-insertion facet walk), ``construct`` (the facet
+builders) and ``vanishing`` (the vanishing predicates) load on first use:
+the first access to one of these modules, or to one of the names below
+that it defines, imports it (PEP 562).  Every ``rsl`` CLI request runs in
+a fresh process, and most never walk a facet, so they skip compiling
+those modules.  ``dir(rsl)`` and ``from rsl import *`` still list and
+bind the deferred names.  ``shapes``, ``kernel``, ``core``, ``orders``,
+``flags`` and ``partitioning`` load with ``rsl``; ``cache``, ``cli``,
+``oracles`` and ``acceptance`` load when imported.
 """
 
 from .shapes import (
@@ -42,19 +44,6 @@ from .orders import (
     reverse_length,
     verify_lengthening,
 )
-from .bars import (
-    BarInsertion,
-    CoverLabel,
-    DescentWord,
-    InsertionFacet,
-    block_conditions,
-    cover_labels,
-    descent_set,
-    descent_word,
-    enumerate_insertion_facets,
-    facet_to_insertions,
-    min_extension,
-)
 from .flags import (
     FlagTable,
     b_prime,
@@ -75,6 +64,19 @@ from . import flags
 __version__ = "0.1.0"
 
 _DEFERRED = {
+    "bars": (
+        "BarInsertion",
+        "CoverLabel",
+        "DescentWord",
+        "InsertionFacet",
+        "block_conditions",
+        "cover_labels",
+        "descent_set",
+        "descent_word",
+        "enumerate_insertion_facets",
+        "facet_to_insertions",
+        "min_extension",
+    ),
     "construct": (
         "ConstructionError",
         "WordUnsupportedError",

@@ -8,7 +8,6 @@ and an atomic rename.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -24,6 +23,8 @@ COMPUTING_MODULES = ("shapes", "core", "kernel", "flags")
 def code_fingerprint() -> str:
     """sha256 over the sources of the computing modules; read on first use,
     not at import."""
+    import hashlib  # loaded at the first digest, so a request that reads no table skips it
+
     h = hashlib.sha256()
     here = os.path.dirname(os.path.abspath(__file__))
     for name in COMPUTING_MODULES:
@@ -45,6 +46,8 @@ def _key(n: int, shape: Shape) -> str:
 
 
 def _digest(payload) -> str:
+    import hashlib
+
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 

@@ -7,10 +7,13 @@ CSV for tables with --csv.  Exit codes: 0 success, 1 verification failure,
 2 usage error.
 
 Each request runs in a fresh process, so a module that only some
-subcommands need loads inside them: ``construct`` loads the facet
-builders, ``vanish`` the vanishing predicates, and ``verify-all`` the
-acceptance battery and its oracles.  ``construct`` refuses n above ``CONSTRUCT_MAX_N`` (100),
-counting n as the word length + 2 when --n is not given, with exit 2.
+subcommands need loads inside them: ``construct`` and
+``partition-verify`` load the facet walk (``bars``), ``construct`` also
+the facet builders, ``vanish`` the vanishing predicates, and
+``verify-all`` the acceptance battery and its oracles; table, b, bprime,
+stability and vanish never load the walk.  ``construct`` refuses n above
+``CONSTRUCT_MAX_N`` (100), counting n as the word length + 2 when --n is
+not given, with exit 2.
 
 With --cache-dir (or RSL_CACHE_DIR), table, b, bprime, vanish and
 stability read flag tables from the disk cache, and report cache_hit
@@ -21,12 +24,14 @@ later queries of that table read it instead of recomputing.
 b, bprime and stability ask about one rank set S.  Without a stored
 table they sweep only the subsets of S (``flags.support_table``), never
 the whole table, so ``rsl b --n 16 --ranks 2,3`` answers in milliseconds.
-table and vanish read every S and count the whole table
+Before the sweep they count the orbit types of S (``core.support_count``)
+and refuse, with exit 2, an S with more than ``ONE_S_MAX_FACES``
+(200,000); the message points to ``rsl table`` when that table is
+counted.  table and vanish read every S and count the whole table
 (``flags.full_table``) from the repeat patterns of each level, building no
-face.  They refuse n above ``TABLE_MAX_N`` (18) with exit 2 before
-counting.  b and bprime refuse no size: a query whose S has most of the
-n-2 ranks (say ``rsl b --n 30 --ranks 1,...,28``) starts a sweep of 2^28
-supports that cannot finish.
+face.  They refuse, with exit 2 before counting, n above ``TABLE_MAX_N``
+(18) and a shape whose letters have more multiset partitions than
+``TABLE_GROWTH`` allows at its n.
 """
 
 from __future__ import annotations
@@ -38,8 +43,8 @@ import sys
 import time
 
 from . import cache, flags, orders, partitioning
-from .bars import descent_set, descent_word, facet_block_conditions
-from .shapes import RankSet, checked_shape, full_shape, hook_shape
+from .core import support_count
+from .shapes import RankSet, checked_shape, full_shape, hook_shape, multiset_partition_count
 
 
 CONSTRUCT_MAX_N = 100
@@ -53,9 +58,31 @@ TABLE_MAX_N = 18
 On a 2-vCPU host with Python 3.11, ``rsl table --n 18`` takes about 11.5 s
 and 166 MB (the count alone 10 s and 45 MB), each larger n about 2.5 times
 the time of the one before, and its 2^(n-2) entries double the output.
-The bound is sized on the one-letter shape; shapes of many letters cost
-more at the same n ((1^11) counts in 6 s and 129 MB).  ``flags.full_table``
-takes any n."""
+``flags.full_table`` takes any n."""
+
+TABLE_GROWTH = 3.5
+"""How many times more multiset partitions of its letters
+(``shapes.multiset_partition_count``, which the count enumerates at its
+first level) a shape may have for each unit of n below ``TABLE_MAX_N``
+than the one-letter shape (TABLE_MAX_N) has, p(18) = 385.  A shape of
+many letters costs more at one n.  Counted alone, one process each on a
+busy 2-vCPU host where (18) took 22 s: (17,1) took over 45 s, (8,8) 26 s,
+(6,6,3) 40 s, (4,4,3,3) 32 s and (5,5,5) 31 s, and each is refused;
+(12,4) took 24 s, (8,7) 8 s, (5,5,4) 13 s, (3,3,3,3,1) 18 s,
+(2,2,2,2,1,1,1,1) 23 s and (1^11) 11 s, and each is counted.  (1^12)
+took 87 s and 764 MB on a quieter host, and (4^4), (3^5) and (2^7) did
+not finish in 100 s; each is refused."""
+
+ONE_S_MAX_FACES = 200_000
+"""The most orbit types of support S (f_S, ``core.support_count``) that
+b, bprime and stability sweep without a stored table.  The sweep takes
+about 15 to 50 us and 1 KB per such orbit on a 2-vCPU host with
+Python 3.11: f_{1..8}(20) = 25,444 sweeps in 1.4 s, f_{1..9}(14) =
+192,627 in 10 s and 178 MB, and f_{1..10}(14) = 1,397,107 did not finish
+in 120 s.  The count stops within one level's partitions of passing the
+bound: 0.01 s for S = {1..10} at n = 14, and up to 9 s for some refused
+sets at n = 30, where the sweep would first enumerate the same
+partitions."""
 
 
 class UsageError(ValueError):
@@ -106,12 +133,29 @@ def _emit(report: dict, as_csv: bool) -> None:
         print()
 
 
+def _table_refusal(n, shape):
+    """Why the whole table of (n, shape) is not counted, or None: n above
+    ``TABLE_MAX_N``, or more multiset partitions of the shape's letters
+    than ``TABLE_GROWTH`` allows at n."""
+    if n > TABLE_MAX_N:
+        return f"whole tables are counted up to n={TABLE_MAX_N}, got n={n}"
+    limit = int(multiset_partition_count((TABLE_MAX_N,), 10**6) * TABLE_GROWTH ** (TABLE_MAX_N - n))
+    if multiset_partition_count(shape.root_content, limit) > limit:
+        parts = ",".join(map(str, shape.parts))
+        return (
+            f"whole tables at n={n} are counted for shapes whose letters have at most "
+            f"{limit} multiset partitions; ({parts}) has more"
+        )
+    return None
+
+
 def _table(n, shape, cache_dir):
     """Flag table entries [(ranks, f, h), ...] and whether they came from the
-    cache.  Reads the cache but never writes it.  UsageError above
-    ``TABLE_MAX_N``, before anything is read or counted."""
-    if n > TABLE_MAX_N:
-        raise UsageError(f"whole tables are counted up to n={TABLE_MAX_N}, got n={n}")
+    cache.  Reads the cache but never writes it.  UsageError for a table
+    that ``_table_refusal`` refuses, before anything is read or counted."""
+    refusal = _table_refusal(n, shape)
+    if refusal:
+        raise UsageError(refusal)
     if cache_dir:
         entries = cache.load_table(cache_dir, n, shape)
         if entries is not None:
@@ -122,12 +166,24 @@ def _table(n, shape, cache_dir):
 def _h_value(n, shape, ranks, cache_dir):
     """h of the one rank set ``ranks`` (a frozenset of lattice ranks) and
     whether it came from the cache.  A stored table is read; otherwise only
-    the subsets of ``ranks`` are swept.  Never writes the cache."""
+    the subsets of ``ranks`` are swept, and UsageError, before the sweep,
+    when S has more than ``ONE_S_MAX_FACES`` orbit types.  Never writes
+    the cache."""
     if cache_dir:
         entries = cache.load_table(cache_dir, n, shape)
         if entries is not None:
             key = tuple(sorted(ranks))
             return next(h for s, _, h in entries if s == key), True
+    dual_levels = RankSet.primal(n, ranks).as_dual().sorted()
+    if support_count(shape, dual_levels, ONE_S_MAX_FACES) > ONE_S_MAX_FACES:
+        message = (
+            f"S={','.join(map(str, sorted(ranks)))} has more than {ONE_S_MAX_FACES} "
+            f"orbit types at n={n}, too many to sweep"
+        )
+        if _table_refusal(n, shape) is None:
+            lam = "" if len(shape.parts) == 1 else f" --lambda {','.join(map(str, shape.parts))}"
+            message += f"; rsl table --n {n}{lam} counts every S"
+        raise UsageError(message)
     return flags.support_table(n, shape, ranks).h[ranks], False
 
 
@@ -188,6 +244,8 @@ def cmd_partition_verify(args):
 
 def _facet_records(scheme) -> list:
     """The per-facet report of ``partition-verify --facets``."""
+    from .bars import descent_word, facet_block_conditions
+
     records = []
     for facet, min_face, dsup in zip(scheme.facets, scheme.minimal_faces, scheme.min_dual_supports):
         strict, relaxed = facet_block_conditions(facet)
@@ -207,6 +265,7 @@ def _facet_records(scheme) -> list:
 
 def cmd_construct(args):
     from . import construct  # the facet builders load only for this command
+    from .bars import descent_set, descent_word
 
     n = args.n
     if n is None and args.word:

@@ -39,6 +39,7 @@ __all__ = [
     "faces_with_support",
     "support_root_ids",
     "support_counts",
+    "support_count",
     "block_orbits",
     "dualize",
 ]
@@ -545,6 +546,30 @@ def support_counts(shape: Shape) -> dict:
     if shape.n < 2:
         raise ValueError("need n >= 2")
     return dict(enumerate(_coarser_counts(shape.root_content, {})))
+
+
+def support_count(shape: Shape, dual_levels: tuple, limit: int) -> int:
+    """f of the one support on the strictly increasing coranks
+    ``dual_levels``, counted from the patterns as in ``support_counts``, or
+    ``limit`` + 1 once it passes ``limit``.
+
+    Level by level from the finest, each pattern keeps the number of chain
+    prefixes that end in it.  Distinct prefixes extend to distinct orbits of
+    the support, so the prefixes counted so far never exceed f, and the
+    count stops within one level's partitions of passing ``limit``."""
+    level = {shape.root_content: 1}
+    for d in reversed(dual_levels):
+        coarser = {}
+        total = 0
+        for pattern, k in level.items():
+            for parts in multiset_partitions(pattern, d + 1):
+                key = tuple(sorted(_run_lengths(parts), reverse=True))
+                coarser[key] = coarser.get(key, 0) + k
+                total += k
+                if total > limit:
+                    return limit + 1
+        level = coarser
+    return sum(level.values())
 
 
 def faces_with_support(n: int, shape, ranks) -> frozenset:

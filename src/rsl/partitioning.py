@@ -8,6 +8,8 @@ the ordered facets reads off every interval.  The sweep never trusts
 descent sets: the minimal face is always computed from actual membership,
 and the descent characterization is a statement to verify afterwards.
 Coverage is orbit identity with the facet orbits of ``core.support_root_ids``.
+The facet walk (``bars``) is imported inside the two functions that use it,
+so ``import rsl`` does not load it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
-from .bars import InsertionFacet, enumerate_insertion_facets, facet_root_ids
 from .core import ChainType, support_root_ids
 from .kernel import ForestStore, sweep
 from .orders import BlockOrder, default_order, verify_lengthening
@@ -81,6 +82,8 @@ def order_facets(n: int, shape, order: Optional[BlockOrder] = None) -> Partition
         raise LengtheningError(
             f"order {order} fails the lengthening condition for n={n}, shape={shape}"
         )
+    from .bars import InsertionFacet, enumerate_insertion_facets  # the walk loads on first use
+
     facets = enumerate_insertion_facets(n, shape, order)
     keyed = sorted(zip(map(InsertionFacet.sort_key, facets), facets), key=itemgetter(0))
     for (key_a, a), (key_b, b) in zip(keyed, keyed[1:]):
@@ -109,6 +112,8 @@ def minimal_new_faces(scheme: PartitionScheme) -> tuple:
 def _owner_sweep(scheme: PartitionScheme, store: ForestStore) -> list:
     """The work of ``minimal_new_faces``, in ``store``; returns the facets'
     root ids there."""
+    from .bars import facet_root_ids
+
     m = scheme.n - 2
     full = (1 << m) - 1
     tops = facet_root_ids(store, scheme.facets)

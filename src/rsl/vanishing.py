@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .bars import block_conditions
 from .core import ChainType, block_orbits, canonicalize, faces_with_support
 from .shapes import RankSet, content_size, full_shape
 
@@ -184,6 +183,8 @@ def theorem31_witness(ranks, n: int) -> Optional[ChainType]:
     hypotheses: pair blocks in i distinct-orbit nontrivial blocks of the
     bottom upper element, a spare distinct orbit, and the strict non-equal
     block condition on the lex-least extension."""
+    from .bars import block_conditions
+
     shape = _tail_shape(ranks, n)
     if shape is None:
         return None

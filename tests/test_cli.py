@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from rsl import b_prime, cache, cli, flag_h, full_table
+from rsl import b_prime, bars, cache, cli, flag_h, full_table
 from rsl.cli import main
 from rsl.shapes import Shape, full_shape
 
@@ -81,7 +81,7 @@ def test_partition_verify_builds_facet_records_only_when_asked(capsys, monkeypat
     def refuse(facet):
         raise AssertionError("per-facet report built without --facets")
 
-    monkeypatch.setattr(cli, "facet_block_conditions", refuse)
+    monkeypatch.setattr(bars, "facet_block_conditions", refuse)
     code, doc = run_json(capsys, "partition-verify", "--n", "6")
     assert code == 0
     assert doc["results"]["facets"] is None
@@ -147,20 +147,54 @@ def _run_fresh(code):
 
 def test_cli_import_leaves_the_battery_out():
     """Every CLI request is a fresh process, so ``import rsl.cli`` loads only
-    what every request may run.  The facet builders, the vanishing
-    predicates, the acceptance battery and its oracles load in the
-    subcommands that use them."""
-    out = _run_fresh("import sys, rsl.cli; print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'rsl')))")
-    assert out.split() == sorted(
-        ["rsl", "rsl.shapes", "rsl.kernel", "rsl.core", "rsl.orders", "rsl.bars",
+    what every request may run.  The facet walk, the facet builders, the
+    vanishing predicates, the acceptance battery and its oracles load in the
+    subcommands that use them, and ``hashlib`` at the cache's first digest."""
+    out = _run_fresh(
+        "import sys, rsl.cli; print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'rsl')));"
+        " print('hashlib' in sys.modules)"
+    )
+    modules, hashlib_loaded = out.splitlines()
+    assert modules.split() == sorted(
+        ["rsl", "rsl.shapes", "rsl.kernel", "rsl.core", "rsl.orders",
          "rsl.flags", "rsl.partitioning", "rsl.cache", "rsl.cli"]
     )
+    assert hashlib_loaded == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, walks",
+    [
+        (["table", "--n", "5"], False),
+        (["b", "--n", "6", "--ranks", "2"], False),
+        (["bprime", "--n", "6", "--ranks", "2"], False),
+        (["stability", "--ranks", "2", "--n", "5", "--m", "6"], False),
+        (["vanish", "--n", "6"], False),
+        (["construct", "--word", "DDA", "--n", "5"], True),
+        (["partition-verify", "--n", "5"], True),
+    ],
+)
+def test_only_facet_requests_load_the_walk(argv, walks):
+    """A request loads the facet walk (``rsl.bars``) only when it builds or
+    orders facets."""
+    code = f"""
+import contextlib, io, sys
+from rsl.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main({argv!r})
+print(code, 'rsl.bars' in sys.modules)
+"""
+    assert _run_fresh(code).split() == ["0", str(walks)]
 
 
 def test_deferred_names_resolve_on_first_use():
-    """A bare ``import rsl`` loads neither ``construct`` nor ``vanishing``, yet
-    lists their names, and each resolves to the defining module's object."""
+    """A bare ``import rsl`` loads none of ``bars``, ``construct`` and
+    ``vanishing``, yet lists their names, and each resolves to the defining
+    module's object."""
     deferred = {
+        "bars": ["BarInsertion", "CoverLabel", "DescentWord", "InsertionFacet", "block_conditions",
+                 "cover_labels", "descent_set", "descent_word", "enumerate_insertion_facets",
+                 "facet_to_insertions", "min_extension"],
         "construct": ["ConstructionError", "WordUnsupportedError", "build_bprime",
                       "build_descending_run", "build_theorem22", "build_word"],
         "vanishing": ["RankSetShape", "WitnessChain", "chain_condition_search", "classify_rank_set",
@@ -169,7 +203,7 @@ def test_deferred_names_resolve_on_first_use():
     code = f"""
 import sys, rsl
 deferred = {deferred!r}
-assert not {{'rsl.construct', 'rsl.vanishing'}} & set(sys.modules), 'loaded by import rsl'
+assert not {{'rsl.bars', 'rsl.construct', 'rsl.vanishing'}} & set(sys.modules), 'loaded by import rsl'
 listed = set(dir(rsl))
 for module, names in deferred.items():
     assert {{module, *names}} <= listed, module
@@ -453,6 +487,62 @@ def test_whole_table_above_the_bound_is_refused_before_counting(tmp_path, capsys
     for argv in (("table", "--n", n), ("vanish", "--n", n), ("--cache-dir", str(tmp_path), "table", "--n", n)):
         code, doc = run_json(capsys, *argv)
         assert code == 2 and f"up to n={cli.TABLE_MAX_N}, got n={n}" in doc["error"], argv
+    assert os.listdir(tmp_path) == []
+
+
+def test_one_s_query_above_the_bound_is_refused_before_sweeping(tmp_path, capsys, monkeypatch):
+    """f_{1..10}(12) is E_11 = 353,792 facet orbits, above the one-S bound:
+    b, bprime and stability refuse it before any sweep, and point to
+    ``rsl table`` where the whole table is counted.  A stored table still
+    answers."""
+
+    def no_sweep(*args):
+        raise AssertionError("a refused support was swept")
+
+    monkeypatch.setattr(cli.flags, "support_table", no_sweep)
+    top = ",".join(map(str, range(1, 11)))
+    for argv, pointer in (
+        (("b", "--n", "12", "--ranks", top), "; rsl table --n 12 counts every S"),
+        (("bprime", "--n", "12", "--ranks", top), "; rsl table --n 12 --lambda 11,1 counts every S"),
+        (("bprime", "--n", "18", "--ranks", top), ""),  # the (17,1) table is refused too
+        (("stability", "--ranks", top, "--n", "21", "--m", "22"), ""),
+    ):
+        code, doc = run_json(capsys, "--cache-dir", str(tmp_path), *argv)
+        n = argv[argv.index("--n") + 1]
+        refusal = f"more than {cli.ONE_S_MAX_FACES} orbit types at n={n}, too many to sweep"
+        assert code == 2 and doc["error"].endswith(refusal + pointer), (argv, doc)
+    table = full_table(12, full_shape(12))
+    cache.store_table(str(tmp_path), table)
+    code, doc = run_json(capsys, "--cache-dir", str(tmp_path), "b", "--n", "12", "--ranks", top)
+    assert code == 0 and doc["cache_hit"]
+    assert doc["results"]["b"] == table.h[frozenset(range(1, 11))]
+
+
+COUNTED_SHAPES = [
+    (9,), (7, 1), (4, 4), (18,), (8, 7), (12, 4), (5, 5, 4), (7, 7, 1),
+    (3, 3, 3, 3, 1), (3, 3, 3, 2, 2), (2, 2, 2, 2, 1, 1, 1, 1), (1,) * 11,
+]
+REFUSED_SHAPES = [
+    (17, 1), (16, 2), (8, 8), (9, 8), (6, 6, 3), (5, 5, 5), (4, 4, 3, 3), (4, 4, 4, 2),
+    (1,) * 12, (4, 4, 4, 4), (3,) * 5, (2,) * 7,
+]
+
+
+def test_whole_table_bound_reads_the_shape(tmp_path, capsys, monkeypatch):
+    """The shapes the bound was sized on fall on the measured side of it:
+    each counted one took at most about as long as (18), each refused one
+    longer (``cli.TABLE_GROWTH``).  A refused shape exits 2 before counting."""
+    for parts in COUNTED_SHAPES:
+        assert cli._table_refusal(sum(parts), Shape(parts)) is None, parts
+    for parts in REFUSED_SHAPES:
+        assert "multiset partitions" in cli._table_refusal(sum(parts), Shape(parts)), parts
+
+    def no_count(*args):
+        raise AssertionError("a refused table was counted")
+
+    monkeypatch.setattr(cli.flags, "full_table", no_count)
+    code, doc = run_json(capsys, "--cache-dir", str(tmp_path), "table", "--n", "16", "--lambda", "4,4,4,4")
+    assert code == 2 and "(4,4,4,4) has more" in doc["error"], doc
     assert os.listdir(tmp_path) == []
 
 

@@ -121,6 +121,27 @@ def test_full_table_walk_equals_the_sweep(n, shape):
     assert counted.h == swept.h
 
 
+@pytest.mark.parametrize("n, shape", WALK_ORACLE_CASES, ids=str)
+def test_one_support_count_is_the_table_entry(n, shape):
+    """``core.support_count`` counts f of one support level by level from
+    the finest, with no table; the whole table is its oracle.  Under a limit
+    below f it stops at limit + 1."""
+    shape = Shape(shape)
+    for s, f in full_table(n, shape).f.items():
+        dual_levels = RankSet.primal(n, s).as_dual().sorted()
+        assert core.support_count(shape, dual_levels, f) == f, sorted(s)
+        assert core.support_count(shape, dual_levels, f // 2) == f // 2 + 1, sorted(s)
+
+
+def test_one_support_count_at_the_query_bound():
+    """f_{1..9}(14), the largest support the one-S bound was sized on, and
+    f_{1..10}(14) = E_13 restricted to ten ranks, far above it."""
+    ranks = lambda top: RankSet.primal(14, range(1, top + 1)).as_dual().sorted()
+    assert core.support_count(Shape((14,)), ranks(9), 10**9) == 192_627
+    assert core.support_count(Shape((14,)), ranks(10), 10**9) == 1_397_107
+    assert core.support_count(Shape((14,)), ranks(12), 10**9) == oracles.euler_number(13)
+
+
 def _entries_digest(n):
     blob = json.dumps(full_table(n, (n,)).entries(), separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()

@@ -12,6 +12,7 @@ from rsl.shapes import (
     dualize,
     full_shape,
     hook_shape,
+    multiset_partition_count,
     multiset_partitions,
     unit_contents,
 )
@@ -87,6 +88,22 @@ def test_multiset_partitions_match_set_partition_oracle(content):
         assert all(list(p) == sorted(p, reverse=True) for p in got)
         assert len(set(got)) == len(got)
         assert set(got) == expected
+
+
+@pytest.mark.parametrize("content", [(1,), (6,), (3, 1), (2, 2), (2, 1, 1), (3, 2, 1), (1,) * 6, (2, 2, 2), (0, 4, 1)])
+def test_multiset_partition_count_is_the_enumeration(content):
+    """The coin-change count equals the partitions enumerated into every
+    number of parts; under a lower limit it stops at limit + 1."""
+    want = sum(1 for k in range(1, content_size(content) + 1) for _ in multiset_partitions(content, k))
+    assert multiset_partition_count(content, want) == want
+    assert multiset_partition_count(content, want // 2) == want // 2 + 1
+
+
+def test_multiset_partition_count_known_values():
+    bell = [1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570]
+    assert [multiset_partition_count((1,) * k, 10**6) for k in range(1, 12)] == bell
+    assert multiset_partition_count((18,), 10**6) == 385  # p(18)
+    assert multiset_partition_count((1,) * 18, 385) == 386  # Bell(18) is about 6.8e11
 
 
 def test_rank_set_validation_and_views():
