@@ -136,10 +136,13 @@ def test_one_support_count_is_the_table_entry(n, shape):
 def test_one_support_count_at_the_query_bound():
     """f_{1..9}(14), the largest support the one-S bound was sized on, and
     f_{1..10}(14) = E_13 restricted to ten ranks, far above it."""
-    ranks = lambda top: RankSet.primal(14, range(1, top + 1)).as_dual().sorted()
-    assert core.support_count(Shape((14,)), ranks(9), 10**9) == 192_627
-    assert core.support_count(Shape((14,)), ranks(10), 10**9) == 1_397_107
-    assert core.support_count(Shape((14,)), ranks(12), 10**9) == oracles.euler_number(13)
+    def count(top):
+        dual_levels = RankSet.primal(14, range(1, top + 1)).as_dual().sorted()
+        return core.support_count(Shape((14,)), dual_levels, 10**9)
+
+    assert count(9) == 192_627
+    assert count(10) == 1_397_107
+    assert count(12) == oracles.euler_number(13)
 
 
 def _entries_digest(n):
