@@ -50,15 +50,13 @@ one of the two left children it compares is split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
-
 from .core import ChainType
 from .kernel import ForestStore
 from .orders import BlockOrder, default_order
 from .shapes import (
     Content,
     RankSet,
+    Record,
     add_contents,
     as_shape,
     bipartitions,
@@ -92,31 +90,45 @@ class ExtensionTieError(RuntimeError):
     """Two distinct facets produced identical label sequences."""
 
 
-@dataclass(frozen=True, slots=True)
-class BarInsertion:
-    position: int  # ball gap, 1..n-1
-    left: Content
-    right: Content
-    parent_rank: int  # corank at which the split block was created (0 = root)
+class BarInsertion(Record):
+    """A bar at ball gap ``position`` (1..n-1) that splits a block into
+    ``left`` and ``right``; ``parent_rank`` is the corank at which the split
+    block was created (0 = root)."""
+
+    __slots__ = ("position", "left", "right", "parent_rank")
+
+    def __init__(self, position: int, left: Content, right: Content, parent_rank: int):
+        # one statement per field: facet walks build one insertion per step
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "parent_rank", parent_rank)
 
 
-@dataclass(frozen=True, slots=True)
-class CoverLabel:
-    position: int
-    bars_left: int
-    w: tuple  # sorted bar positions present after the step
-    w_b: Content  # word of the block left of the new bar (the left child)
-    prefix: tuple  # contents of all blocks left of the new bar, left child last
-    r: int
+class CoverLabel(Record):
+    """The label of covering relation t: ``w`` holds the sorted bar
+    positions present after the step, ``w_b`` the word of the block left of
+    the new bar (the left child), and ``prefix`` the contents of all blocks
+    left of the new bar, left child last."""
+
+    __slots__ = ("position", "bars_left", "w", "w_b", "prefix", "r")
+
+    def __init__(self, position: int, bars_left: int, w: tuple, w_b: Content, prefix: tuple, r: int):
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "bars_left", bars_left)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w_b", w_b)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "r", r)
 
 
-@dataclass(frozen=True, slots=True)
-class DescentWord:
-    letters: str
+class DescentWord(Record):
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        if any(ch not in "AD" for ch in self.letters):
-            raise ValueError(f"descent word must be over {{A, D}}, not {self.letters!r}")
+    def __init__(self, letters: str):
+        if any(ch not in "AD" for ch in letters):
+            raise ValueError(f"descent word must be over {{A, D}}, not {letters!r}")
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def from_dual_set(cls, n: int, dual_ranks) -> "DescentWord":
@@ -159,15 +171,21 @@ def _label_key(earlier, position: int, left: Content, prefix: tuple, r: int, ord
     )
 
 
-class _Record(NamedTuple):
-    """What the bar-insertion steps of a facet leave; entry t-1 of each
-    tuple is insertion t.  Every view of the facet (labels, sort key,
-    forest, descents, diagram) reads it."""
+class _Steps(Record):
+    """What the bar-insertion steps of a facet leave: the contents of the
+    final, fully refined ``row``, and per insertion t, as entry t-1 of each
+    tuple, the (row index, content) of the block it ``splits``, the
+    contents of the blocks left of that block (``prefixes``), and the step
+    at which its left child is split (``left_split``).  Every view of the
+    facet (labels, sort key, forest, descents, diagram) reads it."""
 
-    row: tuple  # contents of the final, fully refined row
-    splits: tuple  # (row index, content) of the split block
-    prefixes: tuple  # contents of the blocks left of the split block
-    left_split: tuple  # step at which insertion t's left child is split
+    __slots__ = ("row", "splits", "prefixes", "left_split")
+
+    def __init__(self, row: tuple, splits: tuple, prefixes: tuple, left_split: tuple):
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "splits", splits)
+        object.__setattr__(self, "prefixes", prefixes)
+        object.__setattr__(self, "left_split", left_split)
 
 
 # -- the one bar-insertion step ----------------------------------------------------
@@ -189,7 +207,7 @@ def _splittable(row):
         prev = gid
 
 
-def _block_at(row, position: int) -> Optional[int]:
+def _block_at(row, position: int) -> int | None:
     """Row index of the splittable block whose gaps hold ``position``, or
     None: the lookup for builders that start from a bar's position."""
     for idx in _splittable(row):
@@ -213,7 +231,7 @@ def _split_row(row, idx: int, left: Content, right: Content, t: int) -> list:
     return row[:idx] + children + row[idx + 1 :]
 
 
-def _descent(insertions, splits, left_split, key, t: int) -> Optional[bool]:
+def _descent(insertions, splits, left_split, key, t: int) -> bool | None:
     """Whether corank t is a topological descent, read from the record of
     a facet or of a walk past step t+1: the three conditions of the module
     docstring.  None while condition 3 is open, that is while both size-two
@@ -311,8 +329,8 @@ class _Walk:
             setattr(twin, name, getattr(self, name)[:])  # a push adds a new row, changes none
         return twin
 
-    def record(self) -> _Record:
-        return _Record(
+    def record(self) -> _Steps:
+        return _Steps(
             tuple(b[0] for b in self.rows[-1]),
             tuple(self.splits),
             tuple(self.prefixes),
@@ -489,7 +507,7 @@ def facet_root_ids(store: ForestStore, facets) -> list:
     return out
 
 
-def enumerate_insertion_facets(n: int, shape, order: Optional[BlockOrder] = None):
+def enumerate_insertion_facets(n: int, shape, order: BlockOrder | None = None):
     """All normalized facets as InsertionFacets, one per orbit, depth first
     over every splittable block and every split of it, oriented.
 
@@ -538,7 +556,7 @@ def _target_bipartitions(targets):
         yield (t1, t2) if t1 <= t2 else (t2, t1)
 
 
-def min_extension(c: ChainType, order: Optional[BlockOrder] = None) -> InsertionFacet:
+def min_extension(c: ChainType, order: BlockOrder | None = None) -> InsertionFacet:
     """Lexicographically least facet containing the face, under the label order.
 
     A greedy search over coranks on ``_Walk``s.  Each walk carries target
@@ -613,7 +631,7 @@ def min_extension(c: ChainType, order: Optional[BlockOrder] = None) -> Insertion
     return InsertionFacet._walked(shape, branches[0][0])
 
 
-def facet_to_insertions(c: ChainType, order: Optional[BlockOrder] = None) -> InsertionFacet:
+def facet_to_insertions(c: ChainType, order: BlockOrder | None = None) -> InsertionFacet:
     """The normalized insertion sequence of a maximal chain orbit."""
     if not c.is_maximal():
         raise NotMaximalError(f"chain with support {c.support} is not maximal")
@@ -656,6 +674,6 @@ def facet_block_conditions(facet: InsertionFacet) -> tuple:
     return (worst < 2, worst < 3)
 
 
-def block_conditions(c: ChainType, order: Optional[BlockOrder] = None) -> tuple:
+def block_conditions(c: ChainType, order: BlockOrder | None = None) -> tuple:
     """The block conditions evaluated on the lex-least extension of a face."""
     return facet_block_conditions(min_extension(c, order))

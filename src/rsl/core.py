@@ -15,7 +15,6 @@ operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .kernel import ForestStore
@@ -23,6 +22,7 @@ from .shapes import (
     Content,
     MalformedChainError,
     RankSet,
+    Record,
     Shape,
     as_shape,
     checked_shape,
@@ -51,13 +51,18 @@ def _sorted_nodes(nodes) -> tuple:
     return tuple(sorted(nodes))
 
 
-@dataclass(frozen=True, slots=True)
-class ChainType:
-    """Canonical form of one orbit of a chain strictly between 0-hat and 1-hat."""
+class ChainType(Record):
+    """Canonical form of one orbit of a chain strictly between 0-hat and 1-hat.
 
-    shape: Shape
-    dual_levels: tuple  # strictly increasing coranks; depth j <-> dual_levels[j]
-    roots: tuple  # canonical nested nodes at the coarsest level
+    ``dual_levels`` are strictly increasing coranks, depth j <-> dual_levels[j];
+    ``roots`` are the canonical nested nodes at the coarsest level."""
+
+    __slots__ = ("shape", "dual_levels", "roots")
+
+    def __init__(self, shape: Shape, dual_levels: tuple, roots: tuple):
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "dual_levels", dual_levels)
+        object.__setattr__(self, "roots", roots)
 
     @property
     def n(self) -> int:

@@ -26,12 +26,11 @@ transform, and each is the other's oracle in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import support_counts, support_root_ids
 from .kernel import ForestStore, sweep
-from .shapes import RankSet, Shape, checked_shape, full_shape, hook_shape
+from .shapes import RankSet, Record, Shape, checked_shape, full_shape, hook_shape
 
 __all__ = [
     "FlagTable",
@@ -46,12 +45,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class FlagTable:
-    n: int
-    shape: Shape
-    f: dict  # frozenset of lattice ranks -> count
-    h: dict
+class FlagTable(Record):
+    """f and h of every support, each a dict keyed by frozensets of lattice
+    ranks."""
+
+    __slots__ = ("n", "shape", "f", "h")
+
+    def __init__(self, n: int, shape: Shape, f: dict, h: dict):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "h", h)
 
     def entries(self):
         """(ranks tuple, f, h) sorted by (size, ranks)."""

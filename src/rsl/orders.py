@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from collections.abc import Callable
 
-from .shapes import Content, Shape, add_contents, as_shape, checked_shape, content_size, content_word
+from .shapes import Content, Record, Shape, add_contents, as_shape, checked_shape, content_size, content_word
 
 
 class BlockOrderDomainError(ValueError):
@@ -27,20 +26,25 @@ def _length_lex_key(c: Content) -> tuple:
     return (content_size(c), content_word(c))
 
 
-@dataclass(frozen=True, slots=True)
-class BlockOrder:
+class BlockOrder(Record):
     """Total order on realizable block contents.
 
     ``key`` must map a content to a sortable tuple.  The distinguished
     order never needs to compare two coexisting blocks containing the
     multiplicity-one letter s; ``compare`` enforces that, while ``key`` stays
     total (ties between two s-blocks fall back to length-lex) so that label
-    sequences of distinct facets remain comparable.
+    sequences of distinct facets remain comparable.  ``s`` is the 0-based
+    letter index of the distinguished order, else None.  Equality and hash
+    leave out ``key``.
     """
 
-    kind: str
-    key: Callable[[Content], tuple] = field(compare=False)
-    s: Optional[int] = None  # 0-based letter index, distinguished order only
+    __slots__ = ("kind", "key", "s")
+    _compared = ("kind", "s")
+
+    def __init__(self, kind: str, key: Callable[[Content], tuple], s: int | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "s", s)
 
     def compare(self, b1: Content, b2: Content) -> int:
         if self.kind == "distinguished" and b1[self.s] and b2[self.s]:

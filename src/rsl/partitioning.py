@@ -15,14 +15,12 @@ so ``import rsl`` does not load it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional
 
 from .core import ChainType, support_root_ids
 from .kernel import ForestStore, sweep
 from .orders import BlockOrder, default_order, verify_lengthening
-from .shapes import Shape, as_shape
+from .shapes import Record, Shape, as_shape
 
 __all__ = [
     "PartitionScheme",
@@ -41,27 +39,37 @@ class LabelTieError(RuntimeError):
     """Two distinct facets share a label sequence."""
 
 
-@dataclass(frozen=True, slots=True)
-class PartitionFailure:
-    facet_index: int
-    reason: str
-    detail: str
+class PartitionFailure(Record):
+    __slots__ = ("facet_index", "reason", "detail")
+
+    def __init__(self, facet_index: int, reason: str, detail: str):
+        object.__setattr__(self, "facet_index", facet_index)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(slots=True)
 class PartitionScheme:
-    n: int
-    shape: Shape
-    order: BlockOrder
-    facets: tuple  # InsertionFacet, lex order
-    minimal_faces: Optional[tuple] = None  # ChainType per facet
-    min_dual_supports: Optional[tuple] = None  # frozenset per facet
-    new_face_counts: Optional[tuple] = None
-    status: str = "ordered"  # ordered | partitioned | verified | failed
-    failures: tuple = ()
-    h_via_partitioning: Optional[dict] = None  # frozenset of coranks -> count
-    face_counts: Optional[dict] = None  # frozenset of lattice ranks -> distinct faces
-    total_faces: Optional[int] = None
+    """The ordered facets of (n, shape) and what the checks found; the
+    checks fill in the fields after the facets."""
+
+    __slots__ = (
+        "n", "shape", "order", "facets", "minimal_faces", "min_dual_supports", "new_face_counts",
+        "status", "failures", "h_via_partitioning", "face_counts", "total_faces",
+    )
+
+    def __init__(self, n: int, shape: Shape, order: BlockOrder, facets: tuple):
+        self.n = n
+        self.shape = shape
+        self.order = order
+        self.facets = facets  # InsertionFacet, lex order
+        self.minimal_faces: tuple | None = None  # ChainType per facet
+        self.min_dual_supports: tuple | None = None  # frozenset per facet
+        self.new_face_counts: tuple | None = None
+        self.status = "ordered"  # ordered | partitioned | verified | failed
+        self.failures = ()
+        self.h_via_partitioning: dict | None = None  # frozenset of coranks -> count
+        self.face_counts: dict | None = None  # frozenset of lattice ranks -> distinct faces
+        self.total_faces: int | None = None
 
     def interval_size_sum(self) -> int:
         if self.new_face_counts is None:
@@ -69,7 +77,7 @@ class PartitionScheme:
         return sum(self.new_face_counts)
 
 
-def order_facets(n: int, shape, order: Optional[BlockOrder] = None) -> PartitionScheme:
+def order_facets(n: int, shape, order: BlockOrder | None = None) -> PartitionScheme:
     """Facets sorted by componentwise-lex label comparison.
 
     Refuses orders that fail the lengthening condition, since the exchange
@@ -161,7 +169,7 @@ def _owner_sweep(scheme: PartitionScheme, store: ForestStore) -> list:
     return tops
 
 
-def verify_partitioning(n: int, shape, order: Optional[BlockOrder] = None) -> PartitionScheme:
+def verify_partitioning(n: int, shape, order: BlockOrder | None = None) -> PartitionScheme:
     """Disjointness and coverage of the intervals over all face orbits: the
     whole pipeline from ``order_facets``.  On success fills
     ``h_via_partitioning``: corank support of G_i -> number of intervals.

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 Content = tuple  # count vector, one entry per letter
 
@@ -29,14 +28,54 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
-@dataclass(frozen=True, slots=True)
-class Shape:
+class Record:
+    """A frozen record: a slotted class whose fields are its ``__slots__``,
+    each set once, by its ``__init__``, with ``object.__setattr__``.
+    Assigning or deleting a field raises AttributeError.  Equality, hash
+    and repr read the fields in order, and records of two classes are never
+    equal.  A class may name in ``_compared`` the fields that equality and
+    hash read (all of them by default).  ``__init__`` takes the fields in
+    order."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        names = cls.__dict__.get("_compared", cls.__slots__)
+        get = operator.attrgetter(*names)
+        # the compared values as one tuple, even for one field
+        cls._values = property(get if len(names) > 1 else lambda record: (get(record),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record through its __init__
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Shape(Record):
     """Weakly decreasing positive parts; quotient group is the Young subgroup."""
 
-    parts: tuple
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(_integer(p, "shape part") for p in self.parts)
+    def __init__(self, parts):
+        parts = tuple(_integer(p, "shape part") for p in parts)
         object.__setattr__(self, "parts", parts)
         if not parts:
             raise ValueError("shape needs at least one part")
@@ -160,29 +199,44 @@ def multiset_partitions(c: Content, num_parts: int) -> Iterator[tuple]:
     """Partitions of content c into exactly num_parts nonempty parts.
 
     Parts are emitted as a weakly decreasing tuple (no permuted duplicates).
+    They are chosen on an explicit stack, one frame per part, so the
+    recursion limit does not bound num_parts.
     """
     size = content_size(c)
     if num_parts < 1 or num_parts > size:
         return
+    if num_parts == 1:
+        yield (c,)
+        return
 
-    def rec(remaining: Content, parts_left: int, max_part: Content):
-        rem_size = content_size(remaining)
-        if parts_left == 1:
-            if remaining <= max_part and rem_size >= 1:
-                yield (remaining,)
-            return
-        # a part without the first letter left lies below the part holding it
-        first = next(i for i, x in enumerate(remaining) if x)
-        for part in sub_contents_iter(remaining):
+    chosen = []  # the parts above the top frame, largest first
+    # a frame: what is left to split, its size, the largest part allowed, its
+    # first letter (a part without it lies below the part holding it), and
+    # the candidate parts not yet tried
+    first = next(i for i, x in enumerate(c) if x)
+    stack = [(c, size, c, first, sub_contents_iter(c))]
+    while stack:
+        remaining, rem_size, max_part, first, options = stack[-1]
+        parts_left = num_parts - len(stack)  # after the next part
+        for part in options:
             if part > max_part or not part[first]:
                 continue
-            # each later part has size >= 1
-            if rem_size - content_size(part) < parts_left - 1:
+            part_size = content_size(part)
+            if rem_size - part_size < parts_left:  # each later part has size >= 1
                 continue
-            for rest in rec(sub_contents(remaining, part), parts_left - 1, part):
-                yield (part,) + rest
-
-    yield from rec(c, num_parts, c)
+            rest = sub_contents(remaining, part)
+            if parts_left == 1:
+                if rest <= part:
+                    yield (*chosen, part, rest)
+                continue
+            chosen.append(part)
+            first = next(i for i, x in enumerate(rest) if x)
+            stack.append((rest, rem_size - part_size, part, first, sub_contents_iter(rest)))
+            break
+        else:
+            stack.pop()
+            if chosen:
+                chosen.pop()
 
 
 def multiset_partition_count(c: Content, limit: int) -> int:
@@ -218,21 +272,19 @@ def multiset_partition_count(c: Content, limit: int) -> int:
     return count
 
 
-@dataclass(frozen=True, slots=True)
-class RankSet:
+class RankSet(Record):
     """A set of proper ranks of the partition lattice on n elements.
 
     Ranks live in [1, n-2].  ``dual=False`` means ranks of the lattice itself
     (rank = n - number of blocks); ``dual=True`` means coranks.
     """
 
-    n: int
-    ranks: frozenset
-    dual: bool = False
+    __slots__ = ("n", "ranks", "dual")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _integer(self.n, "n"))
-        object.__setattr__(self, "ranks", frozenset(_integer(r, "rank") for r in self.ranks))
+    def __init__(self, n: int, ranks: frozenset, dual: bool = False):
+        object.__setattr__(self, "n", _integer(n, "n"))
+        object.__setattr__(self, "ranks", frozenset(_integer(r, "rank") for r in ranks))
+        object.__setattr__(self, "dual", dual)
         if self.n < 2:
             raise ValueError("need n >= 2")
         bad = [r for r in self.ranks if not 1 <= r <= self.n - 2]

@@ -15,12 +15,10 @@ the skeleton criterion to that orbit count: invariant homology of the
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
-from typing import Optional
 
 from .core import ChainType, block_orbits, canonicalize, faces_with_support
-from .shapes import RankSet, content_size, full_shape
+from .shapes import RankSet, Record, content_size, full_shape
 
 __all__ = [
     "RankSetShape",
@@ -33,23 +31,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class RankSetShape:
-    """Exhaustive, mutually exclusive classification of a rank set."""
+class RankSetShape(Record):
+    """Exhaustive, mutually exclusive classification of a rank set: ``kind``
+    is "initial-segment", "initial-plus-tail" or "no-1"."""
 
-    kind: str  # "initial-segment" | "initial-plus-tail" | "no-1"
-    i: int
-    js: tuple
+    __slots__ = ("kind", "i", "js")
+
+    def __init__(self, kind: str, i: int, js: tuple):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "js", js)
 
     @property
     def l(self) -> int:
         return len(self.js)
 
 
-@dataclass(frozen=True, slots=True)
-class WitnessChain:
-    chain: ChainType
-    orbit_count: int  # distinct stabilizer orbits of nontrivial bottom blocks
+class WitnessChain(Record):
+    """A chain and its count of distinct stabilizer orbits of nontrivial
+    bottom blocks."""
+
+    __slots__ = ("chain", "orbit_count")
+
+    def __init__(self, chain: ChainType, orbit_count: int):
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "orbit_count", orbit_count)
 
 
 def classify_rank_set(ranks, n: int) -> RankSetShape:
@@ -98,7 +104,7 @@ def vanishing_predicates(ranks, n: int) -> frozenset:
     return frozenset(fired)
 
 
-def _tail_shape(ranks, n: int) -> Optional[RankSetShape]:
+def _tail_shape(ranks, n: int) -> RankSetShape | None:
     """The classification of S = {1..i, j_1..j_l} a witness search reads, or
     None for an initial segment, which has no upper chain to carry one."""
     shape = classify_rank_set(ranks, n)
@@ -148,7 +154,7 @@ def _attach_alpha(beta: ChainType, block_indices, i: int) -> ChainType:
     return canonicalize(chain + explicit, full_shape(beta.n))
 
 
-def chain_condition_search(ranks, n: int) -> Optional[WitnessChain]:
+def chain_condition_search(ranks, n: int) -> WitnessChain | None:
     """Search for the chain forced by positivity over S = {1..i, j_1..j_l}.
 
     Scans every orbit of support {j_1..j_l}; a witness needs at least i+1
@@ -178,7 +184,7 @@ def delta_beta_nonvanishing(beta: ChainType, i: int) -> bool:
     return bool(_surviving_orbits(beta, i))
 
 
-def theorem31_witness(ranks, n: int) -> Optional[ChainType]:
+def theorem31_witness(ranks, n: int) -> ChainType | None:
     """A full chain of support {1..i, j_1..j_l} meeting the positivity
     hypotheses: pair blocks in i distinct-orbit nontrivial blocks of the
     bottom upper element, a spare distinct orbit, and the strict non-equal

@@ -134,11 +134,12 @@ def test_verify_all_quick(capsys):
     assert len(doc["results"]["criteria"]) == 14
 
 
-def _run_fresh(code):
-    """The stdout of ``code`` run in a fresh interpreter that imports rsl from src."""
+def _run_fresh(code, *flags):
+    """The stdout of ``code`` run in a fresh interpreter, started with the
+    interpreter ``flags``, that imports rsl from src."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -149,17 +150,41 @@ def test_cli_import_leaves_the_battery_out():
     """Every CLI request is a fresh process, so ``import rsl.cli`` loads only
     what every request may run.  The facet walk, the facet builders, the
     vanishing predicates, the acceptance battery and its oracles load in the
-    subcommands that use them, and ``hashlib`` at the cache's first digest."""
+    subcommands that use them, and ``hashlib`` at the cache's first digest.
+    Records are slotted classes on ``shapes.Record``, so neither
+    ``dataclasses`` nor the ``inspect`` it imports loads."""
     out = _run_fresh(
         "import sys, rsl.cli; print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'rsl')));"
-        " print('hashlib' in sys.modules)"
+        " print(*(m in sys.modules for m in ('hashlib', 'dataclasses', 'inspect')))"
     )
-    modules, hashlib_loaded = out.splitlines()
+    modules, loaded = out.splitlines()
     assert modules.split() == sorted(
         ["rsl", "rsl.shapes", "rsl.kernel", "rsl.core", "rsl.orders",
          "rsl.flags", "rsl.partitioning", "rsl.cache", "rsl.cli"]
     )
-    assert hashlib_loaded == "False"
+    assert loaded.split() == ["False", "False", "False"]
+
+
+def test_no_rsl_module_loads_dataclasses():
+    """Importing every rsl module, the deferred ones too, loads no
+    ``dataclasses``."""
+    package = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "rsl")
+    modules = sorted(name[:-3] for name in os.listdir(package) if name.endswith(".py") and name != "__init__.py")
+    assert {"bars", "construct", "vanishing", "acceptance", "oracles"} <= set(modules)
+    code = f"""
+import importlib, sys
+for name in {modules!r}:
+    importlib.import_module('rsl.' + name)
+print('dataclasses' in sys.modules)
+"""
+    assert _run_fresh(code).strip() == "False"
+
+
+def test_cli_import_loads_no_typing():
+    """rsl's annotations name ``collections.abc`` types and ``X | None``, so
+    ``import rsl.cli`` does not load ``typing``; run without the site
+    hooks, which may import it themselves."""
+    assert _run_fresh("import sys, rsl.cli; print('typing' in sys.modules)", "-S").strip() == "False"
 
 
 @pytest.mark.parametrize(
@@ -461,6 +486,16 @@ def test_query_miss_sweeps_only_the_subsets_of_its_ranks(tmp_path, capsys, monke
     assert code == 0 and doc["cache_hit"] is False
     assert doc["results"]["values" if argv[0] == "stability" else argv[0]] == want
     assert os.listdir(tmp_path) == []
+
+
+def test_b_past_the_recursion_limit(capsys):
+    """S = {1} asks for the partitions of n elements into n - 1 blocks;
+    choosing those blocks nests no call per block, so an n past the
+    recursion limit answers, with Hanlon's 0 for an initial segment."""
+    n = sys.getrecursionlimit() + 100
+    code, doc = run_json(capsys, "b", "--n", str(n), "--ranks", "1")
+    assert code == 0
+    assert doc["results"]["b"] == 0
 
 
 def test_b_beyond_any_whole_table(tmp_path, capsys, monkeypatch):

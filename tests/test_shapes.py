@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from rsl import b_prime, build_bprime, flag_h, full_table, oracles
@@ -88,6 +90,25 @@ def test_multiset_partitions_match_set_partition_oracle(content):
         assert all(list(p) == sorted(p, reverse=True) for p in got)
         assert len(set(got)) == len(got)
         assert set(got) == expected
+
+
+def test_multiset_partitions_order():
+    assert list(multiset_partitions((6,), 3)) == [((2,), (2,), (2,)), ((3,), (2,), (1,)), ((4,), (1,), (1,))]
+    assert list(multiset_partitions((2, 2), 2)) == [
+        ((1, 1), (1, 1)), ((1, 2), (1, 0)), ((2, 0), (0, 2)), ((2, 1), (0, 1))
+    ]
+    assert list(multiset_partitions((2, 1, 1), 3)) == [
+        ((1, 0, 0), (1, 0, 0), (0, 1, 1)),
+        ((1, 0, 1), (1, 0, 0), (0, 1, 0)),
+        ((1, 1, 0), (1, 0, 0), (0, 0, 1)),
+        ((2, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ]
+    assert list(multiset_partitions((0, 3), 2)) == [((0, 2), (0, 1))]
+
+
+def test_multiset_partitions_past_the_recursion_limit():
+    n = sys.getrecursionlimit() + 100  # one stack frame per part, none on the call stack
+    assert list(multiset_partitions((n,), n - 1)) == [((2,),) + ((1,),) * (n - 2)]
 
 
 @pytest.mark.parametrize("content", [(1,), (6,), (3, 1), (2, 2), (2, 1, 1), (3, 2, 1), (1,) * 6, (2, 2, 2), (0, 4, 1)])
