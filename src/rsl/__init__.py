@@ -12,8 +12,9 @@ that it defines, imports it (PEP 562).  Every ``rsl`` CLI request runs in
 a fresh process, and most never walk a facet, so they skip compiling
 those modules.  ``dir(rsl)`` and ``from rsl import *`` still list and
 bind the deferred names.  ``shapes``, ``kernel``, ``core``, ``orders``,
-``flags`` and ``partitioning`` load with ``rsl``; ``cache``, ``cli``,
-``oracles`` and ``acceptance`` load when imported.
+``flags`` and ``partitioning`` load with ``rsl``; ``classes`` loads with
+the first whole flag table; ``cache``, ``cli``, ``oracles`` and
+``acceptance`` load when imported.
 """
 
 from .shapes import (

@@ -8,17 +8,21 @@ All checks are exact integer statements at the ranges fixed below.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
+import json
 import random
 import sys
 import time
 
-from . import bars, construct, core, flags, oracles, orders, partitioning, vanishing
+from . import bars, classes, construct, core, flags, oracles, orders, partitioning, vanishing
 from .shapes import RankSet, full_shape, hook_shape, multiset_partitions
 
 FULL_SHAPE_PARTITION_MAX_N = 7
 HOOK_PARTITION_MAX_N = 8
 CANONICAL_PAIRS = 1000  # random chain pairs per n = 3..6 that criterion 12 canonicalizes
+SHAPES_DIGEST_N = 12
+SHAPES_DIGEST = "a2d545b5c04642db8bcf713ea85224d5d02736147526153a242f84ef0c549967"
 
 
 def _report(num, name, passed, detail, t0):
@@ -361,6 +365,20 @@ def criterion_14():
     return _report(14, "one-support tables to n = 20", not bad, f"{len(stable)} sets; violations: {bad}", t0)
 
 
+def criterion_15():
+    """The whole tables of all 77 shapes of n = 12 hash to one pinned sha256:
+    a JSON list, the largest first part first, of [parts, entries] per
+    shape.  The Burnside count and the pattern count, which share no code,
+    gave the same digest when it was pinned."""
+    t0 = time.perf_counter()
+    n = SHAPES_DIGEST_N
+    shapes = classes.cycle_types(n)
+    tables = [[list(parts), flags.full_table(n, parts).entries()] for parts in shapes]
+    digest = hashlib.sha256(json.dumps(tables, separators=(",", ":")).encode()).hexdigest()
+    detail = f"{len(shapes)} shapes; sha256 {digest}"
+    return _report(15, f"whole tables of every shape of {n}", digest == SHAPES_DIGEST, detail, t0)
+
+
 CRITERIA = [
     criterion_1,
     criterion_2,
@@ -376,6 +394,7 @@ CRITERIA = [
     criterion_12,
     criterion_13,
     criterion_14,
+    criterion_15,
 ]
 
 

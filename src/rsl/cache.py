@@ -16,7 +16,7 @@ from functools import lru_cache
 from .shapes import Shape, as_shape
 
 # The modules whose code decides a table's entries.
-COMPUTING_MODULES = ("shapes", "core", "kernel", "flags")
+COMPUTING_MODULES = ("shapes", "core", "kernel", "flags", "classes")
 
 
 @lru_cache(maxsize=None)

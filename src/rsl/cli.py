@@ -28,10 +28,9 @@ Before the sweep they count the orbit types of S (``core.support_count``)
 and refuse, with exit 2, an S with more than ``ONE_S_MAX_FACES``
 (200,000); the message points to ``rsl table`` when that table is
 counted.  table and vanish read every S and count the whole table
-(``flags.full_table``) from the repeat patterns of each level, building no
-face.  They refuse, with exit 2 before counting, n above ``TABLE_MAX_N``
-(18) and a shape whose letters have more multiset partitions than
-``TABLE_GROWTH`` allows at its n.
+(``flags.full_table``) by Burnside's lemma over the cycle types of the
+Young subgroup, building no face.  They refuse, with exit 2 before
+counting, n above ``TABLE_MAX_N`` (18), whatever the shape.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import time
 
 from . import cache, flags, orders, partitioning
 from .core import support_count
-from .shapes import RankSet, checked_shape, full_shape, hook_shape, multiset_partition_count
+from .shapes import RankSet, checked_shape, full_shape, hook_shape
 
 
 CONSTRUCT_MAX_N = 100
@@ -55,23 +54,12 @@ library's builders take any n."""
 
 TABLE_MAX_N = 18
 """The largest n whose whole flag table ``table`` and ``vanish`` count.
-On a 2-vCPU host with Python 3.11, ``rsl table --n 18`` takes about 11.5 s
-and 166 MB (the count alone 10 s and 45 MB), each larger n about 2.5 times
-the time of the one before, and its 2^(n-2) entries double the output.
-``flags.full_table`` takes any n."""
-
-TABLE_GROWTH = 3.5
-"""How many times more multiset partitions of its letters
-(``shapes.multiset_partition_count``, which the count enumerates at its
-first level) a shape may have for each unit of n below ``TABLE_MAX_N``
-than the one-letter shape (TABLE_MAX_N) has, p(18) = 385.  A shape of
-many letters costs more at one n.  Counted alone, one process each on a
-busy 2-vCPU host where (18) took 22 s: (17,1) took over 45 s, (8,8) 26 s,
-(6,6,3) 40 s, (4,4,3,3) 32 s and (5,5,5) 31 s, and each is refused;
-(12,4) took 24 s, (8,7) 8 s, (5,5,4) 13 s, (3,3,3,3,1) 18 s,
-(2,2,2,2,1,1,1,1) 23 s and (1^11) 11 s, and each is counted.  (1^12)
-took 87 s and 764 MB on a quieter host, and (4^4), (3^5) and (2^7) did
-not finish in 100 s; each is refused."""
+On a 2-vCPU host with Python 3.11, ``rsl table --n 18`` takes about 3 s
+and 151 MB, most of it the 2^(n-2) entries of the table and its report,
+which double with each larger n; the count alone takes 0.5 s and 32 MB,
+and 0.84 s and 44 MB at n = 19.  No shape of n costs more to count than
+(n): at n = 18, (17,1) took 0.44 s, (9,9) 0.43 s, (6,6,6) 0.40 s and
+(1^18) 0.12 s.  ``flags.full_table`` takes any n."""
 
 ONE_S_MAX_FACES = 200_000
 """The most orbit types of support S (f_S, ``core.support_count``) that
@@ -133,19 +121,11 @@ def _emit(report: dict, as_csv: bool) -> None:
         print()
 
 
-def _table_refusal(n, shape):
-    """Why the whole table of (n, shape) is not counted, or None: n above
-    ``TABLE_MAX_N``, or more multiset partitions of the shape's letters
-    than ``TABLE_GROWTH`` allows at n."""
+def _table_refusal(n):
+    """Why the whole table at n is not counted, or None: n above
+    ``TABLE_MAX_N``."""
     if n > TABLE_MAX_N:
         return f"whole tables are counted up to n={TABLE_MAX_N}, got n={n}"
-    limit = int(multiset_partition_count((TABLE_MAX_N,), 10**6) * TABLE_GROWTH ** (TABLE_MAX_N - n))
-    if multiset_partition_count(shape.root_content, limit) > limit:
-        parts = ",".join(map(str, shape.parts))
-        return (
-            f"whole tables at n={n} are counted for shapes whose letters have at most "
-            f"{limit} multiset partitions; ({parts}) has more"
-        )
     return None
 
 
@@ -153,7 +133,7 @@ def _table(n, shape, cache_dir):
     """Flag table entries [(ranks, f, h), ...] and whether they came from the
     cache.  Reads the cache but never writes it.  UsageError for a table
     that ``_table_refusal`` refuses, before anything is read or counted."""
-    refusal = _table_refusal(n, shape)
+    refusal = _table_refusal(n)
     if refusal:
         raise UsageError(refusal)
     if cache_dir:
@@ -180,7 +160,7 @@ def _h_value(n, shape, ranks, cache_dir):
             f"S={','.join(map(str, sorted(ranks)))} has more than {ONE_S_MAX_FACES} "
             f"orbit types at n={n}, too many to sweep"
         )
-        if _table_refusal(n, shape) is None:
+        if _table_refusal(n) is None:
             lam = "" if len(shape.parts) == 1 else f" --lambda {','.join(map(str, shape.parts))}"
             message += f"; rsl table --n {n}{lam} counts every S"
         raise UsageError(message)

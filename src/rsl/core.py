@@ -11,6 +11,12 @@ conversely any such permutation induces an isomorphism.
 Canonical form is AHU-style: children are sorted recursively by their
 (content, children) encoding, so equality and hashing are plain tuple
 operations.
+
+The faces of one support are built bottom-up as store ids
+(``support_root_ids``), and counted with none built (``support_count``),
+each coarser level a multiset partition of the level below.  Whole tables
+are counted elsewhere, by Burnside's lemma over cycle types
+(``rsl.classes``).
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ __all__ = [
     "enumerate_facet_orbits",
     "faces_with_support",
     "support_root_ids",
-    "support_counts",
     "support_count",
     "block_orbits",
     "dualize",
@@ -510,57 +515,21 @@ def support_root_ids(shape: Shape, dual_levels: tuple, store: ForestStore) -> li
     return _distinct(forests)
 
 
-def _coarser_counts(pattern: tuple, memo: dict) -> list:
-    """Counts of the chains that coarsen a level of ``pattern``, the
-    multiplicities of its distinct blocks, as a list indexed by the mask of
-    their coranks, bit c - 1 for corank c < e, where the level has e + 1
-    blocks: entry 0 is the empty chain, and entries 2^(c-1) to 2^c - 1 are
-    the chains whose finest level has corank c.
-
-    Above the leaves a node is the multiset of its children, so grouping
-    the level's blocks into c + 1 nodes is one multiset partition of
-    ``pattern`` into c + 1 parts, and the coarser level's pattern is the
-    multiplicities of that partition's equal parts.  Each pattern is
-    counted once per ``memo``.  AssertionError if a partition repeats."""
-    got = memo.get(pattern)
-    if got is not None:
-        return got
-    got = [1]
-    for c in range(1, sum(pattern) - 1):
-        coarser = {}  # pattern -> number of partitions with it
-        for parts in _distinct(list(multiset_partitions(pattern, c + 1))):
-            key = tuple(sorted(_run_lengths(parts), reverse=True))
-            coarser[key] = coarser.get(key, 0) + 1
-        level = [0] * (1 << (c - 1))
-        for key, k in coarser.items():
-            level = [x + k * y for x, y in zip(level, _coarser_counts(key, memo))]
-        got += level
-    memo[pattern] = got
-    return got
-
-
-def support_counts(shape: Shape) -> dict:
-    """f of every support, as {corank mask: number of orbit types}, bit
-    d - 1 standing for corank d, with no forest built.
-
-    The finest partition of the ground set has one block per element, and
-    two blocks are equal when their letters are, so its pattern is the
-    shape's parts: every chain coarsens it, and ``_coarser_counts`` counts
-    them level by level from the patterns alone (the multiset transform of
-    Harary and Palmer, *Graphical Enumeration*, 1973)."""
-    if shape.n < 2:
-        raise ValueError("need n >= 2")
-    return dict(enumerate(_coarser_counts(shape.root_content, {})))
-
-
 def support_count(shape: Shape, dual_levels: tuple, limit: int) -> int:
     """f of the one support on the strictly increasing coranks
-    ``dual_levels``, counted from the patterns as in ``support_counts``, or
-    ``limit`` + 1 once it passes ``limit``.
+    ``dual_levels``, or ``limit`` + 1 once it passes ``limit``, with no
+    forest built.
 
-    Level by level from the finest, each pattern keeps the number of chain
-    prefixes that end in it.  Distinct prefixes extend to distinct orbits of
-    the support, so the prefixes counted so far never exceed f, and the
+    Above the ground set a block is the multiset of the blocks it joins, so
+    what lies above a level depends only on its pattern: how many times
+    each of its distinct blocks repeats.  The ground set's pattern is the
+    shape's parts.  Level by level from the finest, grouping a level into
+    d + 1 blocks is one multiset partition of its pattern into d + 1 parts,
+    and the coarser level's pattern is the multiplicities of that
+    partition's equal parts (the multiset transform of Harary and Palmer,
+    *Graphical Enumeration*, 1973).  Each pattern keeps the number of chain
+    prefixes that end in it.  Distinct prefixes extend to distinct orbits
+    of the support, so the prefixes counted so far never exceed f, and the
     count stops within one level's partitions of passing ``limit``."""
     level = {shape.root_content: 1}
     for d in reversed(dual_levels):

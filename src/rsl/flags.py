@@ -7,28 +7,30 @@ multiplicity of the trivial character in the rank-selected homology
 representation.  The one-letter shape gives b_S(n); the hook shape
 (n-1, 1) gives b'_S(n).
 
-Two builders serve two kinds of call.  ``full_table``, the cached table
-over every support S inside {1..n-2} that every question about all
-supports reads, counts faces with ``core.support_counts`` and builds none:
-above the ground set the coarser levels of a level depend only on how
-often each of its distinct blocks repeats, so each level is counted once
-per such repeat pattern.  ``support_table``, the table over the subsets
-of one support S that a question about one S reads (h_S reads only the
-f_T with T inside S), is one ``kernel.sweep`` from the faces of S: they are built bottom-up
-straight into a ForestStore (``core.support_root_ids``; no ChainType is
-built), and the faces of each subset are the level deletions of the faces
-of its canonical parent.  This is exact because every face with support T
-is the restriction of some face on any superset of T, so each subset is
-reached by one deletion per parent face, and memoized deletion
-materializes each distinct face once.  Both end in the same Moebius
-transform, and each is the other's oracle in the tests.
+Two builders serve two kinds of call.  ``full_table``, the table over
+every support S inside {1..n-2} that every question about all supports
+reads, counts orbits by Burnside's lemma over cycle types
+(``classes.orbit_counts``) and builds no face: f_S is the class-weighted
+average of the chains of support S that each element of the Young subgroup
+fixes, and that number depends only on its cycle type.  ``rsl.classes``
+loads with the first whole table, so a process that builds none never
+compiles it.  ``support_table``, the table over the subsets of one
+support S that a question about one S reads (h_S reads only the f_T with
+T inside S), is one ``kernel.sweep`` from the faces of S: they are built
+bottom-up straight into a ForestStore (``core.support_root_ids``; no
+ChainType is built), and the faces of each subset are the level deletions
+of the faces of its canonical parent.  This is exact because every face
+with support T is the restriction of some face on any superset of T, so
+each subset is reached by one deletion per parent face, and memoized
+deletion materializes each distinct face once.  Both end in the same
+Moebius transform, and each is the other's oracle in the tests.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import support_counts, support_root_ids
+from .core import support_root_ids
 from .kernel import ForestStore, sweep
 from .shapes import RankSet, Record, Shape, checked_shape, full_shape, hook_shape
 
@@ -92,7 +94,7 @@ def support_table(n: int, shape, ranks) -> FlagTable:
     """The flag table over the subsets of one support S = ``ranks``: f and
     h keyed by every T inside S, from one sweep of the faces of S.  Not
     memoized; ``full_table`` keeps the tables of every support, counted by
-    ``core.support_counts``."""
+    ``classes.orbit_counts``."""
     shape = checked_shape(n, shape)
     dual_levels = RankSet.primal(n, ranks).as_dual().sorted()
     m = len(dual_levels)
@@ -102,15 +104,25 @@ def support_table(n: int, shape, ranks) -> FlagTable:
     return _flag_table(n, shape, dual_levels, f_by_mask)
 
 
-@lru_cache(maxsize=None)
+TABLE_CACHE_SIZE = 32
+"""The most whole tables ``full_table`` keeps, the least recently used
+evicted first.  A table of n has 2^(n-2) entries: about 1.5 MB at
+n = 12, and about 95 MB at n = 18."""
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _table_cache(n: int, parts: tuple) -> FlagTable:
+    from .classes import orbit_counts
+
     shape = Shape(parts)
-    return _flag_table(n, shape, tuple(range(1, n - 1)), support_counts(shape))
+    return _flag_table(n, shape, tuple(range(1, n - 1)), orbit_counts(shape))
 
 
 def full_table(n: int, shape) -> FlagTable:
-    """The complete flag table over all rank subsets, counted level by
-    level from the repeat patterns of the blocks (``core.support_counts``)."""
+    """The complete flag table over all rank subsets, counted by Burnside's
+    lemma over the cycle types of the Young subgroup
+    (``classes.orbit_counts``); the last ``TABLE_CACHE_SIZE`` tables are
+    kept."""
     return _table_cache(n, checked_shape(n, shape).parts)
 
 

@@ -239,39 +239,6 @@ def multiset_partitions(c: Content, num_parts: int) -> Iterator[tuple]:
                 chosen.pop()
 
 
-def multiset_partition_count(c: Content, limit: int) -> int:
-    """The number of partitions of content c into any number of nonempty
-    parts, or ``limit`` + 1 once it passes ``limit``; nothing is enumerated.
-
-    Counted for growing prefixes of the letters, largest multiplicity
-    first, since a letter added as a block of its own keeps partitions
-    distinct, so no prefix has more.  Each prefix m is a coin-change count
-    over its sub-contents as parts, in the mixed-radix index of the
-    contents below m, and takes prod (m_i + 1)(m_i + 2) / 2 steps."""
-    letters = sorted((x for x in c if x), reverse=True)
-    count = 1
-    for j in range(1, len(letters) + 1):
-        m = letters[:j]
-        strides = [1] * j
-        for i in range(j - 2, -1, -1):
-            strides[i] = strides[i + 1] * (m[i + 1] + 1)
-        ways = [0] * (strides[0] * (m[0] + 1))
-        ways[0] = 1
-        for part in itertools.product(*[range(x + 1) for x in m]):
-            at = sum(p * s for p, s in zip(part, strides))
-            if not at:
-                continue
-            rest = [0]  # indices of the contents u with part + u inside m, ascending
-            for x, p, s in zip(m, part, strides):
-                rest = [r + t * s for r in rest for t in range(x - p + 1)]
-            for r in rest:
-                ways[at + r] += ways[r]
-        count = ways[-1]
-        if count > limit:
-            return limit + 1
-    return count
-
-
 class RankSet(Record):
     """A set of proper ranks of the partition lattice on n elements.
 

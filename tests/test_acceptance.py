@@ -72,6 +72,11 @@ def test_criterion_14_one_support_tables():
     assert report["detail"].startswith("64 sets"), report["detail"]  # every S inside {1..6}
 
 
+def test_criterion_15_every_shape_of_twelve():
+    report = _run(acceptance.criterion_15)
+    assert report["detail"].startswith("77 shapes"), report["detail"]
+
+
 def test_run_all_builds_the_partitionings_once(monkeypatch):
     """Criteria 6-8 read one list of partitionings per ``run_all``; a second
     run builds it again, so nothing outlives a run."""

@@ -23,11 +23,10 @@ from rsl import (
     restrict,
 )
 from rsl import bars
-from rsl import core
+from rsl import core, flags
 from rsl.bars import NotMaximalError
 from rsl.construct import facet_from_positions
 from rsl.core import empty_chain
-from rsl.flags import full_table
 from rsl.kernel import ForestStore
 from rsl.orders import custom, distinguished, length_lex
 from rsl.partitioning import LabelTieError, order_facets
@@ -512,7 +511,9 @@ def fresh_caches():
 
 def test_duplicate_orbit_guard(monkeypatch, fresh_caches):
     """A repeated grouping in the bottom-up builder is caught by the builder
-    itself, for flag tables and for the facet orbits alike."""
+    itself, for the tables of one support and for the facet orbits alike.
+    Whole tables build no face; their count has its own guard, an exact
+    division (``tests/test_classes.py``)."""
     real = core.multiset_partitions
 
     def first_partition_twice(content, num_parts):
@@ -521,7 +522,7 @@ def test_duplicate_orbit_guard(monkeypatch, fresh_caches):
 
     monkeypatch.setattr(core, "multiset_partitions", first_partition_twice)
     with pytest.raises(AssertionError, match="duplicate orbit"):
-        full_table(5, full_shape(5))
+        flags.support_table(5, full_shape(5), range(1, 4))
     with pytest.raises(AssertionError, match="duplicate orbit"):
         enumerate_facet_orbits(5, full_shape(5))
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from rsl import b_prime, bars, cache, cli, flag_h, full_table
+from rsl import b_prime, bars, cache, cli, flag_h, full_table, oracles
 from rsl.cli import main
 from rsl.shapes import Shape, full_shape
 
@@ -131,7 +131,7 @@ def test_verify_all_quick(capsys):
     code, doc = run_json(capsys, "verify-all", "--max-n", "5", "--quiet")
     assert code == 0
     assert doc["results"]["passed"]
-    assert len(doc["results"]["criteria"]) == 14
+    assert len(doc["results"]["criteria"]) == 15
 
 
 def _run_fresh(code, *flags):
@@ -539,7 +539,7 @@ def test_one_s_query_above_the_bound_is_refused_before_sweeping(tmp_path, capsys
     for argv, pointer in (
         (("b", "--n", "12", "--ranks", top), "; rsl table --n 12 counts every S"),
         (("bprime", "--n", "12", "--ranks", top), "; rsl table --n 12 --lambda 11,1 counts every S"),
-        (("bprime", "--n", "18", "--ranks", top), ""),  # the (17,1) table is refused too
+        (("bprime", "--n", "18", "--ranks", top), "; rsl table --n 18 --lambda 17,1 counts every S"),
         (("stability", "--ranks", top, "--n", "21", "--m", "22"), ""),
     ):
         code, doc = run_json(capsys, "--cache-dir", str(tmp_path), *argv)
@@ -553,32 +553,60 @@ def test_one_s_query_above_the_bound_is_refused_before_sweeping(tmp_path, capsys
     assert doc["results"]["b"] == table.h[frozenset(range(1, 11))]
 
 
-COUNTED_SHAPES = [
-    (9,), (7, 1), (4, 4), (18,), (8, 7), (12, 4), (5, 5, 4), (7, 7, 1),
-    (3, 3, 3, 3, 1), (3, 3, 3, 2, 2), (2, 2, 2, 2, 1, 1, 1, 1), (1,) * 11,
-]
-REFUSED_SHAPES = [
+ONCE_REFUSED_SHAPES = [
     (17, 1), (16, 2), (8, 8), (9, 8), (6, 6, 3), (5, 5, 5), (4, 4, 3, 3), (4, 4, 4, 2),
     (1,) * 12, (4, 4, 4, 4), (3,) * 5, (2,) * 7,
 ]
 
 
 def test_whole_table_bound_reads_the_shape(tmp_path, capsys, monkeypatch):
-    """The shapes the bound was sized on fall on the measured side of it:
-    each counted one took at most about as long as (18), each refused one
-    longer (``cli.TABLE_GROWTH``).  A refused shape exits 2 before counting."""
-    for parts in COUNTED_SHAPES:
-        assert cli._table_refusal(sum(parts), Shape(parts)) is None, parts
-    for parts in REFUSED_SHAPES:
-        assert "multiset partitions" in cli._table_refusal(sum(parts), Shape(parts)), parts
+    """The bound reads only n: the shapes that a bound on their letters'
+    multiset partitions refused, when the count enumerated them, are
+    counted, since no shape of n costs more than (n) by cycle types.  Any
+    shape above ``TABLE_MAX_N`` exits 2 before counting."""
+    for parts in ONCE_REFUSED_SHAPES:
+        assert cli._table_refusal(sum(parts)) is None, parts
+    code, doc = run_json(capsys, "--cache-dir", str(tmp_path), "table", "--n", "16", "--lambda", "4,4,4,4")
+    assert code == 0 and doc["cache_hit"] is False
+    entries = {tuple(e["S"]): (e["f"], e["h"]) for e in doc["results"]["entries"]}
+    assert entries == {s: (f, h) for s, f, h in full_table(16, (4, 4, 4, 4)).entries()}
+    assert len(os.listdir(tmp_path)) == 1
 
     def no_count(*args):
         raise AssertionError("a refused table was counted")
 
     monkeypatch.setattr(cli.flags, "full_table", no_count)
-    code, doc = run_json(capsys, "--cache-dir", str(tmp_path), "table", "--n", "16", "--lambda", "4,4,4,4")
-    assert code == 2 and "(4,4,4,4) has more" in doc["error"], doc
-    assert os.listdir(tmp_path) == []
+    n = cli.TABLE_MAX_N + 1
+    for lam in (f"{n - 1},1", "7,6,6", ",".join(["1"] * n)):
+        code, doc = run_json(capsys, "table", "--n", str(n), "--lambda", lam)
+        assert code == 2 and f"up to n={cli.TABLE_MAX_N}, got n={n}" in doc["error"], lam
+
+
+def test_table_of_distinct_letters_is_the_stirling_product(capsys):
+    """With every letter distinct the group is trivial, so each f is the
+    number of chains of Pi_12 with those ranks."""
+    code, doc = run_json(capsys, "table", "--n", "12", "--lambda", ",".join(["1"] * 12))
+    assert code == 0
+    entries = doc["results"]["entries"]
+    assert len(entries) == 2**10
+    for entry in entries:
+        assert entry["f"] == oracles.classical_flag_f(12, entry["S"]), entry["S"]
+
+
+def test_only_whole_tables_load_the_class_count():
+    """``rsl.classes`` loads with the first whole table, so a request that
+    counts none never compiles it."""
+    code = """
+import contextlib, io, sys
+import rsl.cli
+loaded = ['rsl.classes' in sys.modules]
+for argv in (['b', '--n', '6', '--ranks', '2'], ['table', '--n', '5']):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rsl.cli.main(argv)
+    loaded.append('rsl.classes' in sys.modules)
+print(*loaded)
+"""
+    assert _run_fresh(code).split() == ["False", "False", "True"]
 
 
 def test_construct_infeasible_ranks(capsys):

@@ -25,8 +25,10 @@ from rsl import (
     vanishing_predicates,
 )
 
-from rsl import core, flags, oracles
+from rsl import classes, core, flags, oracles
 from rsl.kernel import ForestStore
+
+import pattern_count
 
 
 def test_full_table_n4_exact():
@@ -112,9 +114,9 @@ WALK_ORACLE_CASES = (
 
 @pytest.mark.parametrize("n, shape", WALK_ORACLE_CASES, ids=str)
 def test_full_table_walk_equals_the_sweep(n, shape):
-    """full_table counts every support's faces from the repeat patterns of
-    each level, building none; the sweep of the full support, which builds
-    the top faces and deletes levels from them, is its oracle."""
+    """full_table counts every support's orbits by Burnside's lemma over
+    cycle types, building no face; the sweep of the full support, which
+    builds the top faces and deletes levels from them, is its oracle."""
     counted = full_table(n, shape)
     swept = flags.support_table(n, shape, range(1, n - 1))
     assert counted.f == swept.f
@@ -163,19 +165,20 @@ def test_full_table_12_and_13_digests():
 
 def test_full_support_counts_are_euler_numbers():
     """The facet orbits of (n) are counted by E_(n-1) and those of the hook
-    (n-1, 1) by E_n, up to sizes no builder of faces reaches."""
-    for n in range(2, 17):
-        assert core.support_counts(Shape((n,)))[(1 << (n - 2)) - 1] == oracles.euler_number(n - 1), n
-    for n in range(2, 14):
-        assert core.support_counts(Shape((n - 1, 1)))[(1 << (n - 2)) - 1] == oracles.euler_number(n), n
+    (n-1, 1) by E_n, up to the largest whole table the CLI counts."""
+    for n in range(2, 19):
+        full = (1 << (n - 2)) - 1
+        assert classes.orbit_counts(Shape((n,)))[full] == oracles.euler_number(n - 1), n
+        assert classes.orbit_counts(Shape((n - 1, 1)))[full] == oracles.euler_number(n), n
 
 
 @pytest.mark.parametrize("level", ("finest", "coarser"))
 def test_count_refuses_a_repeated_partition(monkeypatch, level):
-    """The count adds one partition per grouping, so a multiset partition
-    emitted twice, of the ground content or of a coarser level's repeat
-    pattern, raises instead of counting twice."""
-    real = core.multiset_partitions
+    """The pattern count, the oracle of whole tables, adds one partition per
+    grouping, so a multiset partition emitted twice, of the ground content
+    or of a coarser level's repeat pattern, raises instead of counting
+    twice."""
+    real = pattern_count.multiset_partitions
     shape = Shape((6,))
 
     def first_partition_twice(content, num_parts):
@@ -184,9 +187,26 @@ def test_count_refuses_a_repeated_partition(monkeypatch, level):
             parts = parts[:1] + parts
         return parts
 
-    monkeypatch.setattr(core, "multiset_partitions", first_partition_twice)
+    monkeypatch.setattr(pattern_count, "multiset_partitions", first_partition_twice)
     with pytest.raises(AssertionError, match="duplicate"):
-        core.support_counts(shape)
+        pattern_count.support_counts(shape)
+
+
+def test_table_cache_is_bounded():
+    """The cache keeps the last ``TABLE_CACHE_SIZE`` tables: the least
+    recently used one is counted again, the others are hits."""
+    flags._table_cache.cache_clear()
+    tables = [(n, parts) for n in range(2, 10) for parts in classes.cycle_types(n)]
+    tables = tables[: flags.TABLE_CACHE_SIZE + 1]
+    for n, parts in tables:
+        full_table(n, parts)
+    info = flags._table_cache.cache_info()
+    assert info.maxsize == info.currsize == flags.TABLE_CACHE_SIZE
+    full_table(*tables[-1])
+    assert flags._table_cache.cache_info().hits == info.hits + 1
+    full_table(*tables[0])
+    assert flags._table_cache.cache_info().misses == info.misses + 1
+    flags._table_cache.cache_clear()
 
 
 @pytest.mark.parametrize("n, shape", [(7, (7,)), (8, (8,)), (8, (7, 1)), (8, (4, 4)), (7, (3, 2, 2))])

@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import pytest
@@ -14,10 +15,43 @@ from rsl.shapes import (
     dualize,
     full_shape,
     hook_shape,
-    multiset_partition_count,
     multiset_partitions,
     unit_contents,
 )
+
+
+def multiset_partition_count(c: tuple, limit: int) -> int:
+    """The number of partitions of content c into any number of nonempty
+    parts, or ``limit`` + 1 once it passes ``limit``; nothing is enumerated,
+    so it is an oracle of ``multiset_partitions``.
+
+    Counted for growing prefixes of the letters, largest multiplicity
+    first, since a letter added as a block of its own keeps partitions
+    distinct, so no prefix has more.  Each prefix m is a coin-change count
+    over its sub-contents as parts, in the mixed-radix index of the
+    contents below m, and takes prod (m_i + 1)(m_i + 2) / 2 steps."""
+    letters = sorted((x for x in c if x), reverse=True)
+    count = 1
+    for j in range(1, len(letters) + 1):
+        m = letters[:j]
+        strides = [1] * j
+        for i in range(j - 2, -1, -1):
+            strides[i] = strides[i + 1] * (m[i + 1] + 1)
+        ways = [0] * (strides[0] * (m[0] + 1))
+        ways[0] = 1
+        for part in itertools.product(*[range(x + 1) for x in m]):
+            at = sum(p * s for p, s in zip(part, strides))
+            if not at:
+                continue
+            rest = [0]  # indices of the contents u with part + u inside m, ascending
+            for x, p, s in zip(m, part, strides):
+                rest = [r + t * s for r in rest for t in range(x - p + 1)]
+            for r in rest:
+                ways[at + r] += ways[r]
+        count = ways[-1]
+        if count > limit:
+            return limit + 1
+    return count
 
 
 def test_shape_validation():
