@@ -24,10 +24,13 @@ Covering relation t carries a label: (position, word-of-positions, r) for
 the one-letter shape, and (bars-to-the-left, left-child word, prefix word,
 r) in general, where r is the corank at which the split block was created.
 Lexicographic comparison of label sequences orders the facets.  The labels
-(``CoverLabel``, ``cover_labels``) are the definition; the sort keys of
-``InsertionFacet.sort_key`` and ``min_extension`` come from ``_label_key``,
-which reads the same data from a facet's record, or from a walk's row,
-without building a label.
+(``CoverLabel``, ``cover_labels``) are the definition; the sort keys come
+from ``_label_key``, which reads the same data without building a label:
+``InsertionFacet.sort_key`` from a facet's record, and the facet walk and
+``min_extension`` from a walk's row as they push each step.  The facet
+walk computes each step's key once per edge, so its facets reach
+``partitioning.order_facets`` already keyed (``InsertionFacet._walk_key``);
+``sort_key`` stays the definition their keys must equal.
 
 The walk and the labels serve the interval partitioning; flag tables
 build their faces bottom-up in ``core`` instead.  A facet's
@@ -351,7 +354,7 @@ class InsertionFacet:
     replayed.
     """
 
-    __slots__ = ("shape", "order", "insertions", "_record", "_chain", "_descents")
+    __slots__ = ("shape", "order", "insertions", "_record", "_chain", "_descents", "_walk_key")
 
     def __init__(self, shape, order: BlockOrder, insertions):
         shape = as_shape(shape)
@@ -369,10 +372,12 @@ class InsertionFacet:
         self._adopt(shape, walk)
 
     @classmethod
-    def _walked(cls, shape, walk: _Walk) -> "InsertionFacet":
-        """The facet a walk of n-1 steps has built, from a copy of its record."""
+    def _walked(cls, shape, walk: _Walk, walk_key: tuple | None = None) -> "InsertionFacet":
+        """The facet a walk of n-1 steps has built, from a copy of its
+        record; the facet walk passes the label keys of its steps."""
         self = cls.__new__(cls)
         self._adopt(shape, walk)
+        self._walk_key = walk_key
         return self
 
     def _adopt(self, shape, walk: _Walk) -> None:
@@ -382,6 +387,7 @@ class InsertionFacet:
         self._record = walk.record()
         self._chain = None
         self._descents = None
+        self._walk_key = None
 
     @property
     def n(self) -> int:
@@ -514,19 +520,23 @@ def enumerate_insertion_facets(n: int, shape, order: BlockOrder | None = None):
     Each edge of the walk is one bar-insertion step (``_Walk.push``),
     undone on backtrack; each leaf's facet takes a copy of the walk's
     record, so no facet is replayed and facets share the walk's prefix
-    tuples.  A block content is split many times over, so each walk keeps
-    a per-walk memo, ``halves``: content -> its bipartitions, gone when the
-    walk ends.
+    tuples.  Each edge also computes its step's label key once, and each
+    leaf's facet keeps the tuple of its keys (``_walk_key``, equal to its
+    ``sort_key``), which ``partitioning.order_facets`` sorts by.  A block
+    content is split many times over, so each walk keeps a per-walk memo,
+    ``halves``: content -> its bipartitions, gone when the walk ends.
     """
     shape = checked_shape(n, shape)
     order = default_order(shape) if order is None else order
     results = []
     walk = _Walk(shape, order)
     halves = {}
+    positions = []  # the bars of the steps so far
+    keys = []  # their label keys
 
     def rec(t):
         if t == n:
-            results.append(InsertionFacet._walked(shape, walk))
+            results.append(InsertionFacet._walked(shape, walk, tuple(keys)))
             return
         row = walk.rows[-1]
         for idx in _splittable(row):
@@ -535,8 +545,14 @@ def enumerate_insertion_facets(n: int, shape, order: BlockOrder | None = None):
             if pairs is None:
                 pairs = halves[content] = tuple(bipartitions(content))
             for a, b in pairs:
-                walk.push(idx, a, b)
+                ins = walk.push(idx, a, b)
+                keys.append(
+                    _label_key(positions, ins.position, ins.left, walk.prefixes[-1], ins.parent_rank, order)
+                )
+                positions.append(ins.position)
                 rec(t + 1)
+                positions.pop()
+                keys.pop()
                 walk.pop()
 
     rec(1)

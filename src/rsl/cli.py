@@ -31,11 +31,15 @@ counted.  table and vanish read every S and count the whole table
 (``flags.full_table``) by Burnside's lemma over the cycle types of the
 Young subgroup, building no face.  They refuse, with exit 2 before
 counting, n above ``TABLE_MAX_N`` (18), whatever the shape.
+``partition-verify`` counts the facets (``core.support_count`` on the
+full support) and refuses, with exit 2 before the walk, more than
+``PARTITION_MAX_FACETS`` (60,000).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -54,8 +58,8 @@ library's builders take any n."""
 
 TABLE_MAX_N = 18
 """The largest n whose whole flag table ``table`` and ``vanish`` count.
-On a 2-vCPU host with Python 3.11, ``rsl table --n 18`` takes about 3 s
-and 151 MB, most of it the 2^(n-2) entries of the table and its report,
+On a 2-vCPU host with Python 3.11, ``rsl table --n 18`` takes about 1.7 s
+and 106 MB, most of it the 2^(n-2) entries of the table and its report,
 which double with each larger n; the count alone takes 0.5 s and 32 MB,
 and 0.84 s and 44 MB at n = 19.  No shape of n costs more to count than
 (n): at n = 18, (17,1) took 0.44 s, (9,9) 0.43 s, (6,6,6) 0.40 s and
@@ -71,6 +75,18 @@ in 120 s.  The count stops within one level's partitions of passing the
 bound: 0.01 s for S = {1..10} at n = 14, and up to 9 s for some refused
 sets at n = 30, where the sweep would first enumerate the same
 partitions."""
+
+
+PARTITION_MAX_FACETS = 60_000
+"""The most facets ``partition-verify`` walks.  Its cost grows with the
+facet count: (11), with 50,521 facets, takes about 6 s and 245 MB on a
+2-vCPU host with Python 3.11, and (12) has 353,792.  The facets are
+counted before the walk (``core.support_count`` on the full support),
+first those of (n): a smaller group has at least as many orbits, so
+E_(n-1), the facet count of (n), bounds every shape of n from below, and
+a large n is refused without counting its shape.  The count stops past
+the bound: 3 ms at (11), 19 ms at (1^11) and 30 ms at (1^20).
+``partitioning.verify_partitioning`` takes any size."""
 
 
 class UsageError(ValueError):
@@ -116,9 +132,11 @@ def _emit(report: dict, as_csv: bool) -> None:
         print("S,f,h")
         for entry in report["results"]["entries"]:
             print(f"\"{' '.join(str(r) for r in entry['S'])}\",{entry['f']},{entry['h']}")
-    else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        print()
+    else:  # json.dump would make one write per chunk of the encoder
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+        while batch := "".join(itertools.islice(chunks, 1 << 16)):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
 
 
 def _table_refusal(n):
@@ -126,6 +144,20 @@ def _table_refusal(n):
     ``TABLE_MAX_N``."""
     if n > TABLE_MAX_N:
         return f"whole tables are counted up to n={TABLE_MAX_N}, got n={n}"
+    return None
+
+
+def _partition_refusal(n, shape):
+    """Why the partitioning of (n, shape) is not checked, or None: more
+    than ``PARTITION_MAX_FACETS`` facets, for (n) or else for the shape."""
+    coranks = tuple(range(1, n - 1))
+    full = full_shape(n)
+    for counted in (full,) if shape == full else (full, shape):
+        if support_count(counted, coranks, PARTITION_MAX_FACETS) > PARTITION_MAX_FACETS:
+            return (
+                f"lambda={','.join(map(str, shape.parts))} at n={n} has more than "
+                f"{PARTITION_MAX_FACETS} facets, too many to walk"
+            )
     return None
 
 
@@ -202,6 +234,9 @@ def cmd_bprime(args):
 def cmd_partition_verify(args):
     shape = _parse_shape(args.lam, args.n)
     order = _order_for(args.order, shape)
+    refusal = _partition_refusal(args.n, shape)
+    if refusal:
+        raise UsageError(refusal)
     try:
         scheme = partitioning.verify_partitioning(args.n, shape, order)
     except partitioning.LengtheningError as exc:
@@ -280,8 +315,6 @@ def cmd_construct(args):
 
 
 def cmd_vanish(args):
-    import itertools
-
     from . import vanishing
 
     n = args.n

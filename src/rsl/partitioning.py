@@ -1,26 +1,32 @@
 """Lexicographic ordering of facets and the interval partitioning check.
 
-Facets are sorted by their label sequences.  In that order, the faces of
-each facet that belong to no earlier facet must form a boolean interval
-[G_i, F_i]; G_i is read off the codimension-one faces.  Each face is new to
-the first facet containing it, its owner, so one ``kernel.sweep`` from
-the ordered facets reads off every interval.  The sweep never trusts
-descent sets: the minimal face is always computed from actual membership,
-and the descent characterization is a statement to verify afterwards.
-Coverage is orbit identity with the facet orbits of ``core.support_root_ids``.
-The facet walk (``bars``) is imported inside the two functions that use it,
-so ``import rsl`` does not load it.
+Facets are sorted by their label sequences, as keys that the facet walk
+computes once per edge (``bars.enumerate_insertion_facets``); two facets
+with one key sequence raise ``LabelTieError``.  In that order, the faces
+of each facet that belong to no earlier facet must form a boolean
+interval [G_i, F_i]; the corank support of G_i is read off the
+codimension-one faces.  Each face is new to the first facet containing
+it, its owner, so one ``kernel.sweep`` from the ordered facets reads off
+every interval.  The sweep never trusts descent sets: the minimal
+support is always computed from actual membership, and the descent
+characterization is a statement to verify afterwards.  The checks read
+only the supports; G_i itself, facet i restricted to its support
+(``core.restrict``), is built on the first read of
+``PartitionScheme.minimal_faces``.  Coverage is orbit identity with the
+facet orbits of ``core.support_root_ids``.  The facet walk (``bars``) is
+imported inside the two functions that use it, so ``import rsl`` does
+not load it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from operator import itemgetter
+from operator import attrgetter
 
-from .core import ChainType, support_root_ids
+from .core import restrict, support_root_ids
 from .kernel import ForestStore, sweep
 from .orders import BlockOrder, default_order, verify_lengthening
-from .shapes import Record, Shape, as_shape
+from .shapes import RankSet, Record, Shape, as_shape
 
 __all__ = [
     "PartitionScheme",
@@ -53,7 +59,7 @@ class PartitionScheme:
     checks fill in the fields after the facets."""
 
     __slots__ = (
-        "n", "shape", "order", "facets", "minimal_faces", "min_dual_supports", "new_face_counts",
+        "n", "shape", "order", "facets", "_minimal_faces", "min_dual_supports", "new_face_counts",
         "status", "failures", "h_via_partitioning", "face_counts", "total_faces",
     )
 
@@ -62,19 +68,34 @@ class PartitionScheme:
         self.shape = shape
         self.order = order
         self.facets = facets  # InsertionFacet, lex order
-        self.minimal_faces: tuple | None = None  # ChainType per facet
-        self.min_dual_supports: tuple | None = None  # frozenset per facet
-        self.new_face_counts: tuple | None = None
+        self._minimal_faces = None  # built on first read of minimal_faces
+        self.min_dual_supports: tuple | None = None  # corank set of G_i per facet, from the owner sweep
+        self.new_face_counts: tuple | None = None  # faces each facet owns
         self.status = "ordered"  # ordered | partitioned | verified | failed
         self.failures = ()
         self.h_via_partitioning: dict | None = None  # frozenset of coranks -> count
         self.face_counts: dict | None = None  # frozenset of lattice ranks -> distinct faces
         self.total_faces: int | None = None
 
+    @property
+    def minimal_faces(self) -> tuple | None:
+        """G_i per facet as a ChainType: facet i restricted to its minimal
+        support.  None until the owner sweep has found the supports; built
+        on first read, since the checks read only the supports."""
+        if self._minimal_faces is None and self.min_dual_supports is not None:
+            self._minimal_faces = tuple(
+                restrict(facet.chain_type(), RankSet.of_dual(self.n, dual))
+                for facet, dual in zip(self.facets, self.min_dual_supports)
+            )
+        return self._minimal_faces
+
     def interval_size_sum(self) -> int:
         if self.new_face_counts is None:
             raise RuntimeError("run minimal_new_faces first")
         return sum(self.new_face_counts)
+
+
+_walk_key = attrgetter("_walk_key")
 
 
 def order_facets(n: int, shape, order: BlockOrder | None = None) -> PartitionScheme:
@@ -90,16 +111,17 @@ def order_facets(n: int, shape, order: BlockOrder | None = None) -> PartitionSch
         raise LengtheningError(
             f"order {order} fails the lengthening condition for n={n}, shape={shape}"
         )
-    from .bars import InsertionFacet, enumerate_insertion_facets  # the walk loads on first use
+    from .bars import enumerate_insertion_facets  # the walk loads on first use
 
-    facets = enumerate_insertion_facets(n, shape, order)
-    keyed = sorted(zip(map(InsertionFacet.sort_key, facets), facets), key=itemgetter(0))
-    for (key_a, a), (key_b, b) in zip(keyed, keyed[1:]):
-        if key_a == key_b:
+    facets = sorted(enumerate_insertion_facets(n, shape, order), key=_walk_key)
+    for a, b in zip(facets, facets[1:]):
+        if a._walk_key == b._walk_key:
             raise LabelTieError(
                 f"facets {a.positions} and {b.positions} share a label sequence"
             )
-    return PartitionScheme(n=n, shape=shape, order=order, facets=tuple(f for _, f in keyed))
+    for facet in facets:
+        facet._walk_key = None  # read once; the sweep that follows does not hold them
+    return PartitionScheme(n=n, shape=shape, order=order, facets=tuple(facets))
 
 
 def minimal_new_faces(scheme: PartitionScheme) -> tuple:
@@ -111,7 +133,8 @@ def minimal_new_faces(scheme: PartitionScheme) -> tuple:
     codimension-one face there has an earlier owner.  The faces facet i owns
     must then be precisely the supersets of supp(G_i).  Violations are
     recorded as failure witnesses, not patched.  Also fills
-    ``face_counts``, the distinct faces of each support.
+    ``face_counts``, the distinct faces of each support.  Returns
+    ``scheme.minimal_faces``, the G_i restricted from the facets.
     """
     _owner_sweep(scheme, ForestStore())
     return scheme.minimal_faces
@@ -131,12 +154,12 @@ def _owner_sweep(scheme: PartitionScheme, store: ForestStore) -> list:
         for owner in faces.values():
             owned[owner].append(mask)
         face_counts[frozenset(m - i for i in range(m) if mask >> i & 1)] = len(faces)
-    minimal_faces = []
     min_supports = []
     failures = []
-    for j, (facet, face, masks) in enumerate(zip(scheme.facets, tops, owned)):
+    for j, (facet, masks) in enumerate(zip(scheme.facets, owned)):
         d_mask = sum(1 << c for c in range(m) if full ^ (1 << c) not in masks)
-        supersets = 1 << (m - d_mask.bit_count())
+        levels = [i + 1 for i in range(m) if d_mask >> i & 1]
+        supersets = 1 << (m - len(levels))
         bad = sorted(mask for mask in masks if (mask & d_mask) != d_mask)
         if len(masks) != supersets or bad:
             failures.append(
@@ -145,21 +168,12 @@ def _owner_sweep(scheme: PartitionScheme, store: ForestStore) -> list:
                     reason="non-unique-minimal",
                     detail=(
                         f"facet {facet.positions}: {len(masks)} new faces, "
-                        f"expected {supersets} over corank set "
-                        f"{sorted(i + 1 for i in range(m) if d_mask >> i & 1)}; "
+                        f"expected {supersets} over corank set {levels}; "
                         f"offending masks {bad[:4]}"
                     ),
                 )
             )
-        top = m - 1
-        for c in range(m - 1, -1, -1):  # finest first: level c then has top - c below it
-            if not d_mask >> c & 1:
-                face = store.drop_roots(face, top - c, top)
-                top -= 1
-        levels = tuple(i + 1 for i in range(m) if d_mask >> i & 1)
         min_supports.append(frozenset(levels))
-        minimal_faces.append(ChainType(scheme.shape, levels, store.nested_roots(face)))
-    scheme.minimal_faces = tuple(minimal_faces)
     scheme.min_dual_supports = tuple(min_supports)
     scheme.new_face_counts = tuple(map(len, owned))
     scheme.face_counts = face_counts

@@ -1,4 +1,5 @@
 import ast
+import io
 import json
 import os
 import subprocess
@@ -85,6 +86,44 @@ def test_partition_verify_builds_facet_records_only_when_asked(capsys, monkeypat
     code, doc = run_json(capsys, "partition-verify", "--n", "6")
     assert code == 0
     assert doc["results"]["facets"] is None
+
+
+def test_partition_verify_refuses_shapes_over_the_facet_bound(capsys, monkeypatch):
+    # (12) has E_11 = 353,792 facets and (1^9) has 9! 8! / 2^8, both over
+    # PARTITION_MAX_FACETS; they are refused before the walk.  (n) is
+    # counted first: its facets bound every shape of n from below, so a
+    # large n never counts its shape.  (11) has 50,521 facets
+    def no_walk(*args):
+        raise AssertionError("walked a refused shape")
+
+    monkeypatch.setattr(bars, "enumerate_insertion_facets", no_walk)
+    for argv in (("--n", "12"), ("--n", "9", "--lambda", ",".join(["1"] * 9))):
+        code, doc = run_json(capsys, "partition-verify", *argv)
+        assert code == 2 and "facets, too many to walk" in doc["error"], argv
+    counted = []
+    plain = cli.support_count
+    monkeypatch.setattr(cli, "support_count", lambda shape, *a: counted.append(shape) or plain(shape, *a))
+    assert cli._partition_refusal(20, Shape((1,) * 20))
+    assert counted == [full_shape(20)]
+    assert cli._partition_refusal(11, full_shape(11)) is None
+    assert cli._partition_refusal(9, Shape((8, 1))) is None
+
+
+def test_report_is_one_canonical_write(monkeypatch):
+    # the report is json.dumps(indent=2, sort_keys=True) plus a newline,
+    # written in one batch, not chunk by chunk
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["table", "--n", "9"]) == 0
+    out = sys.stdout.getvalue()
+    assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+    assert len(writes) <= 2
 
 
 def test_vanish_consistency(capsys):

@@ -6,6 +6,7 @@ import pytest
 from rsl import (
     RankSet,
     Shape,
+    custom,
     distinguished,
     full_shape,
     full_table,
@@ -14,8 +15,8 @@ from rsl import (
     restrict,
     reverse_length,
 )
-from rsl import partitioning
-from rsl.bars import InsertionFacet
+from rsl import bars, partitioning
+from rsl.bars import InsertionFacet, enumerate_insertion_facets, min_extension
 from rsl.kernel import sweep_plan
 from rsl.partitioning import (
     LabelTieError,
@@ -42,21 +43,30 @@ def test_order_facets_refuses_bad_order():
 
 
 def test_order_facets_keys_each_facet_once(monkeypatch):
-    keyed = []
+    # the facet walk records each step's label key as it pushes the step;
+    # order_facets sorts by those and keys no facet again, and its order is
+    # the order of the keys sort_key defines
+    calls = []
     plain = InsertionFacet.sort_key
-
-    def counting_sort_key(facet):
-        keyed.append(facet)
-        return plain(facet)
-
-    monkeypatch.setattr(InsertionFacet, "sort_key", counting_sort_key)
-    scheme = order_facets(6, hook_shape(6))
-    assert len(scheme.facets) == 61  # E_6
-    assert sorted(map(id, keyed)) == sorted(map(id, scheme.facets))
+    monkeypatch.setattr(InsertionFacet, "sort_key", lambda facet: calls.append(facet) or plain(facet))
+    reverse_word = custom("reverse-word", lambda c: (sum(c), tuple(-x for x in c)))
+    cases = [
+        (full_shape(6), None, 16),  # E_5
+        (hook_shape(6), distinguished(hook_shape(6)), 61),  # E_6
+        (Shape((2, 2, 2)), None, 501),
+        (Shape((3, 2, 1)), reverse_word, 362),
+    ]
+    for shape, order, count in cases:
+        scheme = order_facets(6, shape, order)
+        assert not calls, shape
+        walked = enumerate_insertion_facets(6, shape, scheme.order)
+        assert [f._walk_key for f in walked] == [plain(f) for f in walked], shape
+        want = sorted(walked, key=plain)
+        assert list(scheme.facets) == want and len(want) == count, shape
 
 
 def test_order_facets_refuses_label_ties(monkeypatch):
-    monkeypatch.setattr(InsertionFacet, "sort_key", lambda facet: ())
+    monkeypatch.setattr(bars, "_label_key", lambda *args: ())
     with pytest.raises(LabelTieError):
         order_facets(5, full_shape(5))
 
@@ -73,12 +83,16 @@ def test_minimal_faces_n4_example():
 
 @pytest.mark.parametrize("parts", [(7,), (6, 1)], ids=str)
 def test_minimal_faces_match_restriction(parts):
+    # G_i is facet i restricted to its minimal support, and facet i is the
+    # lex-least facet containing G_i: the interval [G_i, F_i] starts there
     shape = Shape(parts)
     order = distinguished(shape) if len(parts) > 1 else None
     scheme = order_facets(7, shape, order)
     minimal_new_faces(scheme)
+    assert scheme.status == "partitioned"
     for facet, face, dual in zip(scheme.facets, scheme.minimal_faces, scheme.min_dual_supports):
-        assert face == restrict(facet.chain_type(), RankSet.of_dual(7, dual))
+        assert face.dual_levels == tuple(sorted(dual))
+        assert min_extension(face, scheme.order) == facet
 
 
 def test_verify_partitioning_n4():
@@ -325,9 +339,9 @@ def test_face_counts_equal_the_flag_table():
 
 @pytest.mark.parametrize("n,parts", [(8, (8,)), (7, (6, 1))], ids=str)
 def test_minimal_new_faces_drops_once_per_parent_face(monkeypatch, n, parts):
-    # one deletion per distinct face of each support's parent, plus at most
-    # one per missing level of each G_i; restricting every facet to every
-    # support would make facets * (2^m - 1)
+    # one deletion per distinct face of each support's parent, and none for
+    # the G_i, which the sweep reads off as supports; restricting every
+    # facet to every support would make facets * (2^m - 1)
     calls = []
 
     class CountingStore(partitioning.ForestStore):
@@ -344,4 +358,4 @@ def test_minimal_new_faces_drops_once_per_parent_face(monkeypatch, n, parts):
         return scheme.face_counts[_dual_key(n, {i + 1 for i in range(m) if mask >> i & 1})]
 
     sweep = sum(faces(parent) for _, parent, _ in sweep_plan(m) if parent is not None)
-    assert sweep < len(calls) <= sweep + m * len(scheme.facets)
+    assert len(calls) == sweep
