@@ -18,7 +18,12 @@ the one-letter shape for a word, pushes and pops the splits its word
 allows; ``min_extension``
 pushes the splits with the least label key that its face allows.  Only the
 public ``InsertionFacet`` constructor checks proposed insertions, against
-the ones the step makes at their gaps (``_block_at``).
+the ones the step makes at their gaps (``_block_at``).  The step itself
+checks, on every push, that the block is not an unsplit right twin.  Once
+per walk for each distinct split (content, a, b), it checks that the
+children are non-empty, non-negative and sum to the block, and orients
+them; the walk keeps the result in its memo (``_Walk.oriented``), so a
+walk's later pushes of that split reuse it.
 
 Covering relation t carries a label: (position, word-of-positions, r) for
 the one-letter shape, and (bars-to-the-left, left-child word, prefix word,
@@ -261,20 +266,29 @@ class _Walk:
 
     ``push`` is the one bar-insertion step: it splits the block its caller
     chose into two contents, orients them, and records and returns the
-    normalized insertion.  It checks only what needs no scan of the row:
-    the block is not an unsplit right twin, and the children are non-empty
-    and sum to it.  ``pop`` undoes the last step, so the facet walk
-    backtracks on a single walk; ``fork`` copies a walk whose next step
-    branches; ``record`` copies the record of a finished facet.
-    ``splits_at`` lists the splits the next step could make at one gap,
-    for builders that choose bars by position.
+    normalized insertion.  It checks only what needs no scan of the row.
+    On every step: the block is not an unsplit right twin.  Once per walk
+    for each distinct split (content, a, b): the children are non-empty,
+    non-negative and sum to the block, and their orientation
+    (``_oriented``); the walk's memo ``oriented`` keeps (left, right, size
+    of left) for each split it has checked, so the 4,340 edges of the
+    facet walk of (9) check and orient its 20 distinct splits once each.
+    A malformed split is never memoized, so it raises on every push.  The
+    memo lives and dies with the walk and its forks, never the process.
+    ``pop`` undoes the last step, so the facet walk backtracks on a single
+    walk; ``fork`` copies a walk whose next step branches; ``record``
+    copies the record of a finished facet.  ``splits_at`` lists the splits
+    the next step could make at one gap, for builders that choose bars by
+    position.
     """
 
-    __slots__ = ("order", "rows", "insertions", "splits", "prefixes", "left_split")
+    __slots__ = ("order", "oriented", "rows", "contents", "insertions", "splits", "prefixes", "left_split")
 
     def __init__(self, shape, order: BlockOrder):
         self.order = order
+        self.oriented = {}  # (content, a, b) -> (left, right, size of left), checked splits
         self.rows = [[(shape.root_content, 0, None, 0)]]  # rows[t]: the row after t steps
+        self.contents = [(shape.root_content,)]  # contents[t]: the block contents of rows[t]
         self.insertions = []
         self.splits = []
         self.prefixes = []
@@ -286,16 +300,23 @@ class _Walk:
         content, created, gid, start = row[idx]
         if idx and gid is not None and row[idx - 1][2] == gid:
             raise ValueError(f"insertion {t} splits a right twin before its left twin")
-        sums = len(a) == len(b) and add_contents(a, b) == content  # zip alone drops extra letters
-        if not sums or min(a + b) < 0 or not any(a) or not any(b):
-            raise ValueError(f"insertion {t} children do not sum to the block")
-        left, right = _oriented(self.order, a, b)
-        ins = BarInsertion(start + content_size(left), left, right, created)
+        split = self.oriented.get((content, a, b))
+        if split is None:
+            sums = len(a) == len(b) and add_contents(a, b) == content  # zip alone drops extra letters
+            if not sums or min(a + b) < 0 or not any(a) or not any(b):
+                raise ValueError(f"insertion {t} children do not sum to the block")
+            left, right = _oriented(self.order, a, b)
+            split = self.oriented[content, a, b] = (left, right, content_size(left))
+        left, right, size = split
+        ins = BarInsertion(start + size, left, right, created)
         if created and start != self.insertions[created - 1].position:
             self.left_split[created - 1] = t  # a right child starts at its parent's bar
         self.insertions.append(ins)
         self.splits.append((idx, content))
-        self.prefixes.append(tuple(blk[0] for blk in row[:idx]))
+        contents = self.contents[-1]
+        prefix = contents[:idx]
+        self.prefixes.append(prefix)
+        self.contents.append(prefix + (left, right) + contents[idx + 1 :])
         self.rows.append(_split_row(row, idx, left, right, t))
         return ins
 
@@ -318,6 +339,7 @@ class _Walk:
         t = len(self.insertions)
         self.insertions.pop()
         self.prefixes.pop()
+        self.contents.pop()
         self.rows.pop()
         idx, _ = self.splits.pop()
         created = self.rows[-1][idx][1]
@@ -328,13 +350,14 @@ class _Walk:
         """A second walk with this one's steps, to push a different next step."""
         twin = _Walk.__new__(_Walk)
         twin.order = self.order
-        for name in ("rows", "insertions", "splits", "prefixes", "left_split"):
+        twin.oriented = self.oriented  # a fork checks no split its walk has checked
+        for name in ("rows", "contents", "insertions", "splits", "prefixes", "left_split"):
             setattr(twin, name, getattr(self, name)[:])  # a push adds a new row, changes none
         return twin
 
     def record(self) -> _Steps:
         return _Steps(
-            tuple(b[0] for b in self.rows[-1]),
+            self.contents[-1],
             tuple(self.splits),
             tuple(self.prefixes),
             tuple(self.left_split),
@@ -523,8 +546,10 @@ def enumerate_insertion_facets(n: int, shape, order: BlockOrder | None = None):
     tuples.  Each edge also computes its step's label key once, and each
     leaf's facet keeps the tuple of its keys (``_walk_key``, equal to its
     ``sort_key``), which ``partitioning.order_facets`` sorts by.  A block
-    content is split many times over, so each walk keeps a per-walk memo,
-    ``halves``: content -> its bipartitions, gone when the walk ends.
+    content is split many times over, so each walk keeps two per-walk
+    memos, gone when the walk ends: ``halves``, content -> its
+    bipartitions, and the step's ``oriented``, which checks and orients
+    each split once.
     """
     shape = checked_shape(n, shape)
     order = default_order(shape) if order is None else order

@@ -79,8 +79,9 @@ partitions."""
 
 PARTITION_MAX_FACETS = 60_000
 """The most facets ``partition-verify`` walks.  Its cost grows with the
-facet count: (11), with 50,521 facets, takes about 6 s and 245 MB on a
-2-vCPU host with Python 3.11, and (12) has 353,792.  The facets are
+facet count: (11), with 50,521 facets, takes about 6 to 7 s and 250 to
+270 MB on a 2-vCPU host with Python 3.11 (peak memory differs by up to
+20 MB from run to run), and (12) has 353,792.  The facets are
 counted before the walk (``core.support_count`` on the full support),
 first those of (n): a smaller group has at least as many orbits, so
 E_(n-1), the facet count of (n), bounds every shape of n from below, and

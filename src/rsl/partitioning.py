@@ -10,12 +10,12 @@ it, its owner, so one ``kernel.sweep`` from the ordered facets reads off
 every interval.  The sweep never trusts descent sets: the minimal
 support is always computed from actual membership, and the descent
 characterization is a statement to verify afterwards.  The checks read
-only the supports; G_i itself, facet i restricted to its support
-(``core.restrict``), is built on the first read of
-``PartitionScheme.minimal_faces``.  Coverage is orbit identity with the
-facet orbits of ``core.support_root_ids``.  The facet walk (``bars``) is
-imported inside the two functions that use it, so ``import rsl`` does
-not load it.
+only the supports; G_i itself, facet i restricted to its support, is
+built on the first read of ``PartitionScheme.minimal_faces``, by level
+deletion in one store shared by every facet.  Coverage is orbit identity
+with the facet orbits of ``core.support_root_ids``.  The facet walk
+(``bars``) is imported inside the functions that use it, so ``import
+rsl`` does not load it.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from __future__ import annotations
 from collections import Counter
 from operator import attrgetter
 
-from .core import restrict, support_root_ids
+from .core import ChainType, support_root_ids
 from .kernel import ForestStore, sweep
 from .orders import BlockOrder, default_order, verify_lengthening
-from .shapes import RankSet, Record, Shape, as_shape
+from .shapes import Record, Shape, as_shape
 
 __all__ = [
     "PartitionScheme",
@@ -81,12 +81,32 @@ class PartitionScheme:
     def minimal_faces(self) -> tuple | None:
         """G_i per facet as a ChainType: facet i restricted to its minimal
         support.  None until the owner sweep has found the supports; built
-        on first read, since the checks read only the supports."""
+        on first read, since the checks read only the supports.
+
+        The facets are interned once into one shared store
+        (``bars.facet_root_ids``), and each facet's missing coranks are
+        deleted there, finest first, by ``ForestStore.drop_roots``, whose
+        memo serves every facet.  A facet's own ``chain_type`` is read from
+        the same store unless it was built before."""
         if self._minimal_faces is None and self.min_dual_supports is not None:
-            self._minimal_faces = tuple(
-                restrict(facet.chain_type(), RankSet.of_dual(self.n, dual))
-                for facet, dual in zip(self.facets, self.min_dual_supports)
-            )
+            from .bars import facet_root_ids
+
+            store = ForestStore()
+            m = self.n - 2
+            levels = tuple(range(1, m + 1))
+            faces = []
+            for facet, ids, dual in zip(
+                self.facets, facet_root_ids(store, self.facets), self.min_dual_supports
+            ):
+                if facet._chain is None:
+                    facet._chain = ChainType(self.shape, levels, store.nested_roots(ids))
+                top = m - 1  # the roots' height; corank c sits at height m - c
+                for c in reversed(levels):
+                    if c not in dual:  # the finer missing levels are gone, one per drop
+                        ids = store.drop_roots(ids, top - (c - 1), top)
+                        top -= 1
+                faces.append(ChainType(self.shape, tuple(sorted(dual)), store.nested_roots(ids)))
+            self._minimal_faces = tuple(faces)
         return self._minimal_faces
 
     def interval_size_sum(self) -> int:

@@ -653,6 +653,61 @@ def test_walk_checks_each_step_against_the_normalized_split(monkeypatch):
             bars.InsertionFacet(full_shape(7), f.order, f.insertions)
 
 
+def test_walk_checks_and_orients_each_split_once(monkeypatch):
+    """In one walk the sum check and ``_oriented`` run once per distinct
+    split (content, a, b): 20 times on the 4,340 edges of (9).  A second
+    walk checks again, and a fork shares its walk's checks."""
+    oriented, summed = [], []
+    real_oriented, real_add = bars._oriented, bars.add_contents
+
+    def counted_oriented(order, a, b):
+        oriented.append((a, b))
+        return real_oriented(order, a, b)
+
+    def counted_add(a, b):
+        summed.append(a + b)
+        return real_add(a, b)
+
+    monkeypatch.setattr(bars, "_oriented", counted_oriented)
+    monkeypatch.setattr(bars, "add_contents", counted_add)
+    for _ in range(2):
+        oriented.clear()
+        summed.clear()
+        facets = enumerate_insertion_facets(9, full_shape(9))
+        edges = {f.insertions[:k] for f in facets for k in range(1, 9)}
+        assert len(edges) == 4_340
+        assert len(oriented) == len(set(oriented)) == 20
+        assert len(summed) == 20
+    walk = bars._Walk(full_shape(4), length_lex())
+    walk.push(0, (1,), (3,))
+    twin = walk.fork()
+    oriented.clear()
+    twin.pop()
+    twin.push(0, (3,), (1,))  # a split neither walk has made
+    twin.pop()
+    twin.push(0, (1,), (3,))  # the split its walk checked
+    walk.pop()
+    walk.push(0, (3,), (1,))  # the split its fork checked
+    assert oriented == [((3,), (1,))]
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [((1,), (2,)), ((0,), (4,)), ((5,), (-1,)), ((2, 0), (2,)), ((1, 1), (1, 1))],
+    ids=["sum", "empty", "negative", "extra-letter", "two-letters"],
+)
+def test_walk_refuses_a_malformed_split_of_a_checked_content(a, b):
+    """A split of the root content (4,) is checked and memoized first; a
+    malformed split of that content still raises, on every push."""
+    walk = bars._Walk(full_shape(4), length_lex())
+    walk.push(0, (2,), (2,))
+    walk.pop()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="children do not sum to the block"):
+            walk.push(0, a, b)
+    assert walk.push(0, (3,), (1,)) == bars.BarInsertion(1, (1,), (3,), 0)
+
+
 def _key_of_label(label, order, general):
     """The sort key of one cover label, read from its documented fields."""
     if general:

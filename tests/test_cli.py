@@ -88,6 +88,32 @@ def test_partition_verify_builds_facet_records_only_when_asked(capsys, monkeypat
     assert doc["results"]["facets"] is None
 
 
+@pytest.mark.parametrize(
+    "argv,code,count,digest",
+    [
+        (("--n", "8"), 1, 272, "61e3200ca7d1cd23cb8986ef6e7a2dbe8a7c58a31a4990f8000513563c136241"),
+        (
+            ("--n", "8", "--lambda", "7,1", "--order", "distinguished"),
+            0,
+            1385,
+            "2e8ec9f48d8daba98441db7052636b338e056be01d5ddd9fb70c4e4e91ea4746",
+        ),
+    ],
+    ids=["(8)", "(7,1)-distinguished"],
+)
+def test_partition_verify_facet_records_are_pinned(capsys, argv, code, count, digest):
+    # sha256 of the per-facet records, dumped with sorted keys: every
+    # facet's chain, positions, G_i, minimal support, descent word and block
+    # conditions.  (8) has E_7 = 272 facets and fails (exit 1); (7,1) has
+    # 1,385 and verifies
+    import hashlib
+
+    got, doc = run_json(capsys, "partition-verify", *argv, "--facets")
+    records = doc["results"]["facets"]
+    assert (got, len(records)) == (code, count)
+    assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() == digest
+
+
 def test_partition_verify_refuses_shapes_over_the_facet_bound(capsys, monkeypatch):
     # (12) has E_11 = 353,792 facets and (1^9) has 9! 8! / 2^8, both over
     # PARTITION_MAX_FACETS; they are refused before the walk.  (n) is

@@ -95,6 +95,29 @@ def test_minimal_faces_match_restriction(parts):
         assert min_extension(face, scheme.order) == facet
 
 
+def _restriction_cases():
+    for n in range(4, 9):
+        yield n, full_shape(n), None
+    for n in range(3, 9):
+        yield n, hook_shape(n), distinguished(hook_shape(n))
+
+
+@pytest.mark.parametrize("n,shape,order", list(_restriction_cases()), ids=str)
+def test_minimal_faces_equal_nested_restriction(n, shape, order):
+    # every G_i, built by level deletion in one shared store, equals facet i
+    # restricted to its minimal support by core.restrict, which deletes
+    # levels of nested tuples and shares no drop code with the kernel; the
+    # facet chains read from that store equal those of a replayed facet,
+    # whose chain_type interns it alone.  (8) fails, and its failing facets
+    # are checked too
+    scheme = verify_partitioning(n, shape, order)
+    assert scheme.status == ("failed" if n == 8 and shape.is_full() else "verified")
+    for facet, face, dual in zip(scheme.facets, scheme.minimal_faces, scheme.min_dual_supports):
+        alone = InsertionFacet(shape, scheme.order, facet.insertions).chain_type()
+        assert facet.chain_type() == alone
+        assert face == restrict(alone, RankSet.of_dual(n, dual))
+
+
 def test_verify_partitioning_n4():
     scheme = verify_partitioning(4, full_shape(4))
     assert scheme.status == "verified"
@@ -339,14 +362,16 @@ def test_face_counts_equal_the_flag_table():
 
 @pytest.mark.parametrize("n,parts", [(8, (8,)), (7, (6, 1))], ids=str)
 def test_minimal_new_faces_drops_once_per_parent_face(monkeypatch, n, parts):
-    # one deletion per distinct face of each support's parent, and none for
-    # the G_i, which the sweep reads off as supports; restricting every
-    # facet to every support would make facets * (2^m - 1)
-    calls = []
+    # the sweep's store makes one deletion per distinct face of each
+    # support's parent, and none for the G_i, which the sweep reads off as
+    # supports; restricting every facet to every support would make
+    # facets * (2^m - 1).  The G_i are built afterwards in a second store,
+    # one deletion per missing corank of each facet
+    calls = {}  # store -> its drop_roots calls, stores in order of creation
 
     class CountingStore(partitioning.ForestStore):
         def drop_roots(self, *args):
-            calls.append(args)
+            calls.setdefault(self, []).append(args)
             return super().drop_roots(*args)
 
     monkeypatch.setattr(partitioning, "ForestStore", CountingStore)
@@ -358,4 +383,5 @@ def test_minimal_new_faces_drops_once_per_parent_face(monkeypatch, n, parts):
         return scheme.face_counts[_dual_key(n, {i + 1 for i in range(m) if mask >> i & 1})]
 
     sweep = sum(faces(parent) for _, parent, _ in sweep_plan(m) if parent is not None)
-    assert len(calls) == sweep
+    missing = sum(m - len(dual) for dual in scheme.min_dual_supports)
+    assert [len(made) for made in calls.values()] == [sweep, missing]
