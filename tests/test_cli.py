@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import io
 import json
 import os
@@ -106,8 +107,6 @@ def test_partition_verify_facet_records_are_pinned(capsys, argv, code, count, di
     # facet's chain, positions, G_i, minimal support, descent word and block
     # conditions.  (8) has E_7 = 272 facets and fails (exit 1); (7,1) has
     # 1,385 and verifies
-    import hashlib
-
     got, doc = run_json(capsys, "partition-verify", *argv, "--facets")
     records = doc["results"]["facets"]
     assert (got, len(records)) == (code, count)

@@ -367,7 +367,7 @@ def test_minimal_new_faces_drops_once_per_parent_face(monkeypatch, n, parts):
     # supports; restricting every facet to every support would make
     # facets * (2^m - 1).  The G_i are built afterwards in a second store,
     # one deletion per missing corank of each facet
-    calls = {}  # store -> its drop_roots calls, stores in order of creation
+    calls = {}  # store -> its drop_roots calls, stores in order of first deletion
 
     class CountingStore(partitioning.ForestStore):
         def drop_roots(self, *args):
