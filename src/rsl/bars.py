@@ -199,8 +199,8 @@ class _Steps(Record):
 # -- the one bar-insertion step ----------------------------------------------------
 #
 # A row is a list of blocks (content, step that created it, twin id, balls left
-# of it); the twin id is the creating step when the two children are equal,
-# else None.
+# of it, balls in it); the twin id is the creating step when the two children
+# are equal, else None.
 
 
 def _splittable(row):
@@ -209,8 +209,8 @@ def _splittable(row):
     twin is refined first).  A bar in a block with ``start`` balls left of
     it and ``w`` balls falls at gap start+1 to start+w-1."""
     prev = None
-    for idx, (content, _, gid, _) in enumerate(row):
-        if content_size(content) > 1 and (gid is None or gid != prev):
+    for idx, (_, _, gid, _, size) in enumerate(row):
+        if size > 1 and (gid is None or gid != prev):
             yield idx
         prev = gid
 
@@ -219,8 +219,8 @@ def _block_at(row, position: int) -> int | None:
     """Row index of the splittable block whose gaps hold ``position``, or
     None: the lookup for builders that start from a bar's position."""
     for idx in _splittable(row):
-        content, _, _, start = row[idx]
-        if start < position < start + content_size(content):
+        _, _, _, start, size = row[idx]
+        if start < position < start + size:
             return idx
     return None
 
@@ -231,11 +231,12 @@ def _oriented(order: BlockOrder, a: Content, b: Content) -> tuple:
     return (a, b) if (order.key(a), a) <= (order.key(b), b) else (b, a)
 
 
-def _split_row(row, idx: int, left: Content, right: Content, t: int) -> list:
-    """``row`` with block ``idx`` replaced by the children of insertion t."""
-    start = row[idx][3]
+def _split_row(row, idx: int, left: Content, right: Content, size: int, t: int) -> list:
+    """``row`` with block ``idx`` replaced by the children of insertion t,
+    the left one of ``size`` balls."""
+    _, _, _, start, whole = row[idx]
     gid = t if left == right else None
-    children = [(left, t, gid, start), (right, t, gid, start + content_size(left))]
+    children = [(left, t, gid, start, size), (right, t, gid, start + size, whole - size)]
     return row[:idx] + children + row[idx + 1 :]
 
 
@@ -287,7 +288,7 @@ class _Walk:
     def __init__(self, shape, order: BlockOrder):
         self.order = order
         self.oriented = {}  # (content, a, b) -> (left, right, size of left), checked splits
-        self.rows = [[(shape.root_content, 0, None, 0)]]  # rows[t]: the row after t steps
+        self.rows = [[(shape.root_content, 0, None, 0, shape.n)]]  # rows[t]: the row after t steps
         self.contents = [(shape.root_content,)]  # contents[t]: the block contents of rows[t]
         self.insertions = []
         self.splits = []
@@ -297,7 +298,7 @@ class _Walk:
     def push(self, idx: int, a: Content, b: Content) -> BarInsertion:
         row = self.rows[-1]
         t = len(self.insertions) + 1
-        content, created, gid, start = row[idx]
+        content, created, gid, start, _ = row[idx]
         if idx and gid is not None and row[idx - 1][2] == gid:
             raise ValueError(f"insertion {t} splits a right twin before its left twin")
         split = self.oriented.get((content, a, b))
@@ -317,7 +318,7 @@ class _Walk:
         prefix = contents[:idx]
         self.prefixes.append(prefix)
         self.contents.append(prefix + (left, right) + contents[idx + 1 :])
-        self.rows.append(_split_row(row, idx, left, right, t))
+        self.rows.append(_split_row(row, idx, left, right, size, t))
         return ins
 
     def splits_at(self, position: int) -> list:
@@ -328,7 +329,7 @@ class _Walk:
         idx = _block_at(row, position)
         if idx is None:
             return []
-        content, _, _, start = row[idx]
+        content, _, _, start, _ = row[idx]
         return [
             (idx, left, right)
             for left, right in (_oriented(self.order, a, b) for a, b in bipartitions(content))
@@ -632,7 +633,7 @@ def min_extension(c: ChainType, order: BlockOrder | None = None) -> InsertionFac
                 for idx in blocks:
                     if len(targets[idx]) < 2:
                         continue
-                    content, created, _, start = row[idx]
+                    content, created, _, start, _ = row[idx]
                     prefix = tuple(b[0] for b in row[:idx])
                     for t1, t2 in _target_bipartitions(targets[idx]):
                         s1 = tuple(map(sum, zip(*[tgt[0] for tgt in t1])))

@@ -11,16 +11,15 @@ made once, at the end; ArithmeticError if it is not exact.
 g fixes a chain when it fixes each of its partitions, and it then permutes
 the blocks of each level.  Counted level by level from the finest, as in
 Harary and Palmer's transform: a g-invariant partition of a level on which
-g acts with cycle type mu groups g's cycles into block orbits.  An orbit of
-length l takes cycles whose lengths l divides, and one group of t cycles
-forms one orbit in l^(t-1) ways.  So the invariant partitions on whose
-blocks g acts with cycle type nu are counted from multinomials and
-S(s, j) l^(s-j), with no set partition enumerated (``transitions``).
+g acts with cycle type mu groups g's cycles into block orbits, and the
+invariant partitions on whose blocks g acts with cycle type nu are counted
+one cycle of g at a time, with no set partition enumerated
+(``FixedChains.transitions``): the new cycle's blocks form an orbit of
+their own, or it joins an orbit of the other cycles' partition.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from math import factorial, prod
 
 __all__ = ["cycle_types", "class_weights", "FixedChains", "orbit_counts"]
@@ -61,19 +60,10 @@ def class_weights(parts) -> dict:
     return weights
 
 
-def _stirling_rows(m: int) -> list:
-    """S(s, j) for 0 <= j <= s <= m, as rows indexed by s."""
-    rows = [[1]]
-    for s in range(1, m + 1):
-        prev = rows[-1] + [0]
-        rows.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, s + 1)])
-    return rows
-
-
 class FixedChains:
-    """Sums of the fixed-chain lists F(mu) of cycle types of at most n
-    points, with the transitions of each cycle type computed once for the
-    life of the object.
+    """Sums of the fixed-chain lists F(mu) of cycle types, with the
+    transitions of each cycle type computed once for the life of the
+    object.
 
     F(mu) counts the chains that coarsen a level of e + 1 blocks on which g
     acts with cycle type mu and that g fixes, as a list indexed by the mask
@@ -82,54 +72,51 @@ class FixedChains:
     has corank c, that is c + 1 blocks.  So F(mu) is 1 followed, level by
     level, by sum over nu of T(mu -> nu) F(nu).  No F(nu) is stored: a
     weighted sum of them carries its weights down to each coarser level
-    instead, so memory is the transitions and one path of weights, 32 MB at
-    n = 18, where a list per cycle type held 13 million entries."""
+    instead, so memory is the transitions and one path of weights: a count
+    of (18) peaks at 31 MB, where a list per cycle type held 13 million
+    entries.
 
-    def __init__(self, n: int):
-        self.stirling = _stirling_rows(n)
+    T(mu -> nu) is built one cycle at a time: the transitions of every
+    prefix of a cycle type are kept (``tables``), so cycle types that share
+    a prefix share its work."""
+
+    def __init__(self):
+        self.tables = {(): {(): 1}}  # cycle type -> its transitions, every prefix kept
         self.memo = {}
 
     def transitions(self, mu: tuple) -> dict:
         """{nu: number of g-invariant partitions of the level on whose blocks
-        g acts with cycle type nu}, g of cycle type ``mu``.
+        g acts with cycle type nu}, g of cycle type ``mu``, nu descending.
 
-        The m_L cycles of length L split among the orbit lengths l dividing
-        L in multinomially many ways; the s_l cycles sent to length l form
-        j_l orbits in S(s_l, j_l) l^(s_l - j_l) ways, and nu has j_l parts
-        equal to l."""
-        lengths = sorted({l for L in set(mu) for l in range(1, L + 1) if L % l == 0})
-        splits = {(0,) * len(lengths): 1}  # cycles sent to each orbit length -> ways
-        for L in set(mu):
-            m = mu.count(L)
-            slots = [i for i, l in enumerate(lengths) if L % l == 0]
-            shares = []
-            for head in product(range(m + 1), repeat=len(slots) - 1):
-                if sum(head) <= m:
-                    share = (*head, m - sum(head))
-                    shares.append((share, factorial(m) // prod(map(factorial, share))))
-            merged = {}
-            for split, ways in splits.items():
-                for share, k in shares:
-                    s = list(split)
-                    for i, x in zip(slots, share):
-                        s[i] += x
-                    s = tuple(s)
-                    merged[s] = merged.get(s, 0) + ways * k
-            splits = merged
-        out = {}
-        for split, ways in splits.items():
-            partial = {(): ways}  # nu so far, its parts descending -> ways
-            for l, s in reversed(list(zip(lengths, split))):
-                if s:
-                    row = self.stirling[s]
-                    partial = {
-                        nu + (l,) * j: w * row[j] * l ** (s - j)
-                        for nu, w in partial.items()
-                        for j in range(1, s + 1)
-                    }
-            for nu, w in partial.items():
-                out[nu] = out.get(nu, 0) + w
-        return out
+        With one more cycle, of length L, on an invariant partition of the
+        other points whose blocks have cycle type nu, the blocks meeting the
+        cycle form one orbit of a length l dividing L.  Either they hold
+        only its points, one way, giving nu + (l,); or the cycle joins one
+        of the j_l(nu) orbits of length l, in l alignments each, leaving nu.
+        Extended from the longest prefix already kept, in a loop, so the
+        depth of the interpreter's stack does not grow with len(mu).  The
+        dict is kept: later calls for mu, and for every cycle type that
+        extends it, read it, so callers must not mutate it."""
+        k = len(mu)
+        while mu[:k] not in self.tables:
+            k -= 1
+        got = self.tables[mu[:k]]
+        for i in range(k, len(mu)):
+            L = mu[i]
+            lengths = [l for l in range(1, L + 1) if L % l == 0]
+            grown = {}
+            for nu, w in got.items():
+                for l in lengths:
+                    at = len(nu)  # where l goes in the descending nu
+                    while at and nu[at - 1] < l:
+                        at -= 1
+                    key = nu[:at] + (l,) + nu[at:]
+                    grown[key] = grown.get(key, 0) + w
+                    j = nu.count(l)
+                    if j:
+                        grown[nu] = grown.get(nu, 0) + w * l * j
+            got = self.tables[mu[: i + 1]] = grown
+        return got
 
     def _coarser(self, mu: tuple) -> list:
         """``transitions(mu)`` to the proper coarser levels, 2 to |mu| - 1
@@ -173,7 +160,7 @@ def orbit_counts(shape) -> dict:
     weights = class_weights(shape.parts)
     order = prod(map(factorial, shape.parts))
     counts = {}
-    for mask, total in enumerate(FixedChains(n).sums(weights, n)):
+    for mask, total in enumerate(FixedChains().sums(weights, n)):
         f, rest = divmod(total, order)
         if rest:
             raise ArithmeticError(

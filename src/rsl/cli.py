@@ -58,12 +58,13 @@ library's builders take any n."""
 
 TABLE_MAX_N = 18
 """The largest n whose whole flag table ``table`` and ``vanish`` count.
-On a 2-vCPU host with Python 3.11, ``rsl table --n 18`` takes about 1.7 s
-and 106 MB, most of it the 2^(n-2) entries of the table and its report,
-which double with each larger n; the count alone takes 0.5 s and 32 MB,
-and 0.84 s and 44 MB at n = 19.  No shape of n costs more to count than
-(n): at n = 18, (17,1) took 0.44 s, (9,9) 0.43 s, (6,6,6) 0.40 s and
-(1^18) 0.12 s.  ``flags.full_table`` takes any n."""
+On a 2-vCPU host with Python 3.11, ``rsl table --n 18`` takes about 3 s
+and 120 MB, most of it the 2^(n-2) entries of the table and its report,
+which double with each larger n; the count alone takes 0.39 s and 31 MB,
+and 0.75 s and 43 MB at n = 19.  No shape of n costs markedly more to
+count than (n): at n = 18, (17,1) took 0.37 s, (9,9) 0.40 s, (6,6,6)
+0.36 s and (1^18) 0.13 s (medians of 5 fresh processes).
+``flags.full_table`` takes any n."""
 
 ONE_S_MAX_FACES = 200_000
 """The most orbit types of support S (f_S, ``core.support_count``) that

@@ -127,7 +127,7 @@ def _search_peel_facet(word: str) -> InsertionFacet:
         row = walk.rows[-1]
         blocks = list(_splittable(row))
         for idx in blocks if leftmost_first else reversed(blocks):
-            ((width,), created, _, _) = row[idx]
+            ((width,), created, _, _, _) = row[idx]
             for k in (1, 2):
                 if 2 * k > width:
                     break

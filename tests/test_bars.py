@@ -593,13 +593,13 @@ def _walk_without_memo(n, shape, order):
             out.append(tuple(acc))
             return
         for idx in bars._splittable(row):
-            content, created, _, start = row[idx]
+            content, created, _, start, _ = row[idx]
             for a, b in bipartitions(content):
                 left, right = bars._oriented(order, a, b)
                 ins = bars.BarInsertion(start + sum(left), left, right, created)
-                rec(bars._split_row(row, idx, left, right, t), t + 1, acc + [ins])
+                rec(bars._split_row(row, idx, left, right, sum(left), t), t + 1, acc + [ins])
 
-    rec([(shape.root_content, 0, None, 0)], 1, [])
+    rec([(shape.root_content, 0, None, 0, n)], 1, [])
     return out
 
 

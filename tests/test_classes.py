@@ -11,6 +11,7 @@ from rsl import classes, oracles
 from rsl.shapes import Shape
 
 import pattern_count
+import stirling_transitions
 
 
 def _cycle_type(perm: dict) -> tuple:
@@ -49,11 +50,11 @@ def test_class_weights_count_the_young_subgroup(parts):
     assert classes.class_weights(parts) == dict(want)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_transitions_count_the_invariant_partitions(n):
     """For g of each cycle type of n points, every set partition that g
     maps to itself, grouped by the cycle type of g on its blocks."""
-    chains = classes.FixedChains(n)
+    chains = classes.FixedChains()
     for mu in classes.cycle_types(n):
         g = _permutation(mu)
         want = Counter()
@@ -63,6 +64,15 @@ def test_transitions_count_the_invariant_partitions(n):
             if None not in images.values():
                 want[_cycle_type(images)] += 1
         assert chains.transitions(mu) == dict(want), mu
+
+
+def test_transitions_are_the_stirling_count():
+    """Every cycle type of n <= 12, 272 in all, against multinomial splits
+    of the cycles among orbit lengths and Stirling rows."""
+    chains = classes.FixedChains()
+    for n in range(1, 13):
+        for mu in classes.cycle_types(n):
+            assert chains.transitions(mu) == stirling_transitions.transitions(mu), mu
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -99,7 +109,7 @@ def test_full_support_character_is_signed_lie(n):
     """By the Hopf trace formula the alternating sum of F_T(mu) over the
     subsets T of the full support is the character of the top homology of
     Pi_n at mu, which is sgn tensor Lie_n (Stanley, JCTA 32, 1982)."""
-    chains = classes.FixedChains(n)
+    chains = classes.FixedChains()
     for mu in classes.cycle_types(n):
         fixed = chains.sums({mu: 1}, n)
         top = n - 2
@@ -123,3 +133,22 @@ def test_inexact_class_sum_raises(monkeypatch):
         classes.orbit_counts(Shape((6,)))
     with pytest.raises(ValueError, match="n >= 2"):
         classes.orbit_counts(Shape((1,)))
+
+
+def test_fresh_chains_are_exact_after_corruption(monkeypatch):
+    """A corrupted transition lives only in the object that computed it:
+    once the patch is undone, a fresh ``FixedChains`` counts exactly."""
+    real = classes.FixedChains.transitions
+
+    def corrupted(self, mu):
+        got = real(self, mu)
+        if mu == (1,) * 6:
+            got[(1, 1)] += 1  # the object's own kept table
+        return got
+
+    shape = Shape((6,))
+    with monkeypatch.context() as patch:
+        patch.setattr(classes.FixedChains, "transitions", corrupted)
+        with pytest.raises(ArithmeticError, match="not divisible by"):
+            classes.orbit_counts(shape)
+    assert classes.orbit_counts(shape) == pattern_count.support_counts(shape)
