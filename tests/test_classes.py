@@ -67,7 +67,7 @@ def test_transitions_count_the_invariant_partitions(n):
 
 
 def test_transitions_are_the_stirling_count():
-    """Every cycle type of n <= 12, 272 in all, against multinomial splits
+    """Every cycle type of n <= 12, 271 in all, against multinomial splits
     of the cycles among orbit lengths and Stirling rows."""
     chains = classes.FixedChains()
     for n in range(1, 13):
