@@ -582,6 +582,7 @@ def enumerate_insertion_facets(n: int, shape, order: BlockOrder | None = None):
                 walk.pop()
 
     rec(1)
+    del rec  # it refers to itself; its cycle would keep the walk alive
     return results
 
 

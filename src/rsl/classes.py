@@ -37,6 +37,7 @@ def cycle_types(n: int) -> list:
             rec(left - part, part, prefix + (part,))
 
     rec(n, n, ())
+    del rec  # it refers to itself; break the cycle
     return out
 
 

@@ -24,13 +24,14 @@ later queries of that table read it instead of recomputing.
 b, bprime and stability ask about one rank set S.  Without a stored
 table they sweep only the subsets of S (``flags.support_table``), never
 the whole table, so ``rsl b --n 16 --ranks 2,3`` answers in milliseconds.
-Before the sweep they count the orbit types of S (``core.support_count``)
-and refuse, with exit 2, an S with more than ``ONE_S_MAX_FACES``
-(200,000); the message points to ``rsl table`` when that table is
-counted.  table and vanish read every S and count the whole table
-(``flags.full_table``) by Burnside's lemma over the cycle types of the
-Young subgroup, building no face.  They refuse, with exit 2 before
-counting, n above ``TABLE_MAX_N`` (18), whatever the shape.
+They refuse, with exit 2 before counting, n above ``ONE_S_MAX_N``
+(1,600).  Before the sweep they count the orbit types of S
+(``core.support_count``) and refuse, with exit 2, an S with more than
+``ONE_S_MAX_FACES`` (200,000); the message points to ``rsl table`` when
+that table is counted.  table and vanish read every S and count the
+whole table (``flags.full_table``) by Burnside's lemma over the cycle
+types of the Young subgroup, building no face.  They refuse, with exit 2
+before counting, n above ``TABLE_MAX_N`` (18), whatever the shape.
 ``partition-verify`` counts the facets (``core.support_count`` on the
 full support) and refuses, with exit 2 before the walk, more than
 ``PARTITION_MAX_FACETS`` (60,000).
@@ -77,12 +78,22 @@ bound: 0.01 s for S = {1..10} at n = 14, and up to 9 s for some refused
 sets at n = 30, where the sweep would first enumerate the same
 partitions."""
 
+ONE_S_MAX_N = 1_600
+"""The largest n at which b, bprime and stability answer a query about one
+S.  A one-S query costs about n^2 even when f_S is small, since counting
+and sweeping S partition the ground set into blocks of every size
+(``shapes.multiset_partitions``): ``rsl b --n N --ranks 1``, f = 1, takes
+0.43 s at n = 1,100, 1.0 s at n = 1,600 and 1.9 s at n = 2,200 on a
+2-vCPU host with Python 3.11 (``timing_seconds``).  Other sets cost more
+at one n: S = {1, 2} takes 1.5 s at n = 1,100 and 3.6 s at n = 1,600.
+The library's functions take any n."""
+
 
 PARTITION_MAX_FACETS = 60_000
 """The most facets ``partition-verify`` walks.  Its cost grows with the
-facet count: (11), with 50,521 facets, takes about 6 to 7 s and 250 to
-270 MB on a 2-vCPU host with Python 3.11 (peak memory differs by up to
-20 MB from run to run), and (12) has 353,792.  The facets are
+facet count: (11), with 50,521 facets, takes about 5 to 6 s and 250 to
+260 MB on a 2-vCPU host with Python 3.11 (peak memory differs by up to
+10 MB from run to run), and (12) has 353,792.  The facets are
 counted before the walk (``core.support_count`` on the full support),
 first those of (n): a smaller group has at least as many orbits, so
 E_(n-1), the facet count of (n), bounds every shape of n from below, and
@@ -221,13 +232,23 @@ def cmd_table(args):
     return results, {"cache_hit": hit}, 0
 
 
+def _refuse_one_s(*sizes):
+    """UsageError for a one-S query at a size above ``ONE_S_MAX_N``, before
+    anything is counted."""
+    n = max(sizes)
+    if n > ONE_S_MAX_N:
+        raise UsageError(f"one-S queries are answered up to n={ONE_S_MAX_N}, got n={n}")
+
+
 def cmd_b(args):
+    _refuse_one_s(args.n)
     ranks = _parse_ranks(args.ranks, args.n)
     h, hit = _h_value(args.n, full_shape(args.n), ranks, args.cache_dir)
     return {"n": args.n, "S": sorted(ranks), "b": h}, {"cache_hit": hit}, 0
 
 
 def cmd_bprime(args):
+    _refuse_one_s(args.n)
     ranks = _parse_ranks(args.ranks, args.n)
     h, hit = _h_value(args.n, hook_shape(args.n), ranks, args.cache_dir)
     return {"n": args.n, "S": sorted(ranks), "bprime": h}, {"cache_hit": hit}, 0
@@ -336,6 +357,7 @@ def cmd_vanish(args):
 
 
 def cmd_stability(args):
+    _refuse_one_s(args.n, args.m)
     ranks = _parse_ranks(args.ranks, min(args.n, args.m))
     try:
         s = flags.stability_ranks(ranks, args.n, args.m)

@@ -24,6 +24,11 @@ with support T is the restriction of some face on any superset of T, so
 each subset is reached by one deletion per parent face, and memoized
 deletion materializes each distinct face once.  Both end in the same
 Moebius transform, and each is the other's oracle in the tests.
+
+Both builders run with the cyclic garbage collector paused
+(``kernel.collector_paused``); a whole table pauses it only when it is
+counted, not when ``full_table`` returns a kept one.  Their stores, dicts
+and tuples hold no reference cycles, so reference counting frees them.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .core import support_root_ids
-from .kernel import ForestStore, sweep
+from .kernel import ForestStore, collector_paused, sweep
 from .shapes import RankSet, Record, Shape, checked_shape, full_shape, hook_shape
 
 __all__ = [
@@ -90,6 +95,7 @@ def _flag_table(n: int, shape: Shape, dual_levels: tuple, f_by_mask: dict) -> Fl
     return FlagTable(n, shape, f, h)
 
 
+@collector_paused
 def support_table(n: int, shape, ranks) -> FlagTable:
     """The flag table over the subsets of one support S = ``ranks``: f and
     h keyed by every T inside S, from one sweep of the faces of S.  Not
@@ -112,6 +118,7 @@ n = 18 (held after the build, by tracemalloc)."""
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
+@collector_paused  # under the cache, so a hit pauses nothing
 def _table_cache(n: int, parts: tuple) -> FlagTable:
     from .classes import orbit_counts
 

@@ -25,16 +25,49 @@ plan is a depth-first preorder of the canonical-parent tree.  ``sweep``
 walks it: one-support flag tables (``flags.support_table``) and the
 partitioning both reach their faces through it, and nothing else walks the
 plan.
+
+The builders that allocate the most (the partitioning, one-support and
+whole flag tables) run with CPython's cyclic garbage collector paused
+(``collector_paused``).  A build allocates millions of tuples, dicts and
+slotted records, and each batch of allocations would otherwise start a
+collection that walks the whole live heap.  The pause is safe because the
+builds make no reference cycles (a recursive closure is deleted once its
+outer call returns), so reference counting frees everything they drop; the
+package is single-threaded; and the collector is enabled again when the
+call returns or raises, only by the call that paused it.
 """
 
 from __future__ import annotations
 
+import gc
 from collections import defaultdict
+from functools import wraps
 
-__all__ = ["ForestStore", "IMPL", "sweep", "sweep_plan"]
+__all__ = ["ForestStore", "IMPL", "collector_paused", "sweep", "sweep_plan"]
 
 # The kernel implementation's name, recorded with every benchmark run.
 IMPL = "python"
+
+
+def collector_paused(build):
+    """``build`` with the cyclic garbage collector paused for the call.
+
+    The call that finds the collector enabled disables it and enables it
+    again on return or exception; a nested call, or a caller that paused it
+    already, finds it disabled and leaves it so.  Decorate functions that
+    return, not generators: a generator's body runs after the call."""
+
+    @wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class ForestStore:

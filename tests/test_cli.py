@@ -617,6 +617,32 @@ def test_one_s_query_above_the_bound_is_refused_before_sweeping(tmp_path, capsys
     assert doc["results"]["b"] == table.h[frozenset(range(1, 11))]
 
 
+def test_one_s_query_above_the_size_bound_is_refused_before_counting(tmp_path, capsys, monkeypatch):
+    """Past ``ONE_S_MAX_N`` b, bprime and stability exit 2 before counting
+    S, even S = {1} with f = 1; stability refuses when either size is past
+    it.  At the bound itself, b answers."""
+
+    def no_count(*args):
+        raise AssertionError("a refused size was counted")
+
+    monkeypatch.setattr(cli, "support_count", no_count)
+    monkeypatch.setattr(cli.flags, "support_table", no_count)
+    big, small = str(cli.ONE_S_MAX_N + 1), str(cli.ONE_S_MAX_N - 1)
+    for argv in (
+        ("b", "--n", big, "--ranks", "1"),
+        ("bprime", "--n", big, "--ranks", "1"),
+        ("stability", "--ranks", "1", "--n", small, "--m", big),
+        ("stability", "--ranks", "1", "--n", big, "--m", small),
+        ("--cache-dir", str(tmp_path), "b", "--n", big, "--ranks", "1"),
+    ):
+        code, doc = run_json(capsys, *argv)
+        refusal = f"one-S queries are answered up to n={cli.ONE_S_MAX_N}, got n={big}"
+        assert code == 2 and doc["error"] == refusal, (argv, doc)
+    monkeypatch.undo()
+    code, doc = run_json(capsys, "b", "--n", str(cli.ONE_S_MAX_N), "--ranks", f"{cli.ONE_S_MAX_N - 2}")
+    assert code == 0 and doc["results"]["b"] == cli.ONE_S_MAX_N // 2 - 1
+
+
 ONCE_REFUSED_SHAPES = [
     (17, 1), (16, 2), (8, 8), (9, 8), (6, 6, 3), (5, 5, 5), (4, 4, 3, 3), (4, 4, 4, 2),
     (1,) * 12, (4, 4, 4, 4), (3,) * 5, (2,) * 7,
