@@ -29,8 +29,9 @@ plan.
 The builders that allocate the most (the partitioning, one-support and
 whole flag tables) run with CPython's cyclic garbage collector paused
 (``collector_paused``).  A build allocates millions of tuples, dicts and
-slotted records, and each batch of allocations would otherwise start a
-collection that walks the whole live heap.  The pause is safe because the
+slotted records; with the collector running, every few hundred of them
+start a collection, and the rarer collections of the older generations
+walk most of what the build holds.  The pause is safe because the
 builds make no reference cycles (a recursive closure is deleted once its
 outer call returns), so reference counting frees everything they drop; the
 package is single-threaded; and the collector is enabled again when the
