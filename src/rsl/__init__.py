@@ -52,7 +52,6 @@ from .flags import (
     flag_f,
     flag_h,
     full_table,
-    reduced_euler,
 )
 from .partitioning import (
     PartitionScheme,
@@ -60,7 +59,7 @@ from .partitioning import (
     order_facets,
     verify_partitioning,
 )
-from . import flags
+from . import core, flags
 
 __version__ = "0.1.0"
 
@@ -117,11 +116,13 @@ def __dir__():
 
 
 def clear_caches() -> None:
-    """Empty the in-process cache of flag tables, so the next call computes
-    afresh and the memory it holds can be freed.  ``enumerate_facet_orbits``
-    builds its facets on every call.  The named block orders' keys stay
-    cached: they are pure, and there is one per block content asked about."""
+    """Empty the in-process caches of whole flag tables and of the one-S
+    count's partition steps, so the next call computes afresh and the
+    memory they hold can be freed.  ``enumerate_facet_orbits`` builds its
+    facets on every call.  The named block orders' keys stay cached: they
+    are pure, and there is one per block content asked about."""
     flags._table_cache.cache_clear()
+    core._coarsenings.cache_clear()
 
 
 # Listed, so that ``from rsl import *`` binds the deferred names too.

@@ -330,13 +330,14 @@ def _initial(s) -> bool:
 
 def criterion_14():
     """Criteria 1, 2, 4, 5 and 9 beyond the whole tables, at n = 10..20, read
-    from ``flags.support_table``, which sweeps only the subsets of one S.
+    from ``flags.support_table``, which counts only the subsets of one S.
 
     Size: at each n, one table of (n) over {1..6} gives h on its 64
     subsets, and one table of the hook (n-1, 1) over {1..4} gives b' on its
-    16 subsets: 22 tables in all.  Budget: 5 s, reported in ``seconds`` but
-    not failed on, since hosts differ; 0.23-0.24 s on 2 vCPUs.  Checks, at
-    every n:
+    16 subsets: 22 tables in all, sharing the count's partition steps.
+    Budget: 5 s, reported in ``seconds`` but not failed on, since hosts
+    differ; 0.39-0.51 s on 2 vCPUs with Python 3.11 (5 fresh processes).
+    Checks, at every n:
     - Hanlon: h = 0 on {1..i}, 1 <= i <= 6;
     - Sundaram: h >= 1 when 1 is not in S;
     - every fired vanishing predicate gives h = 0;

@@ -22,15 +22,15 @@ table writes the cache: run ``rsl table`` once for an (n, shape), and
 later queries of that table read it instead of recomputing.
 
 b, bprime and stability ask about one rank set S.  Without a stored
-table they sweep only the subsets of S (``flags.support_table``), never
-the whole table, so ``rsl b --n 16 --ranks 2,3`` answers in milliseconds.
-They refuse, with exit 2 before counting, n above ``ONE_S_MAX_N``
-(1,600).  Before the sweep they count the orbit types of S
-(``core.support_count``) and refuse, with exit 2, an S with more than
-``ONE_S_MAX_FACES`` (200,000); the message points to ``rsl table`` when
-that table is counted.  table and vanish read every S and count the
-whole table (``flags.full_table``) by Burnside's lemma over the cycle
-types of the Young subgroup, building no face.  They refuse, with exit 2
+table they count only the subsets of S (``flags.support_table``), never
+the whole table, and build no face, so ``rsl b --n 16 --ranks 2,3``
+answers in milliseconds.  They refuse, with exit 2 before counting, n
+above ``ONE_S_MAX_N`` (1,600).  Before the table they count the orbit
+types of S alone (``core.support_count``) and refuse, with exit 2, an S
+with more than ``ONE_S_MAX_FACES`` (200,000); the message points to
+``rsl table`` when that table is counted.  table and vanish read every S
+and count the whole table (``flags.full_table``) by Burnside's lemma
+over the cycle types of the Young subgroup, building no face.  They refuse, with exit 2
 before counting, n above ``TABLE_MAX_N`` (18), whatever the shape.
 ``partition-verify`` counts the facets (``core.support_count`` on the
 full support) and refuses, with exit 2 before the walk, more than
@@ -68,25 +68,28 @@ count than (n): at n = 18, (17,1) took 0.37 s, (9,9) 0.40 s, (6,6,6)
 ``flags.full_table`` takes any n."""
 
 ONE_S_MAX_FACES = 200_000
-"""The most orbit types of support S (f_S, ``core.support_count``) that
-b, bprime and stability sweep without a stored table.  The sweep takes
-about 15 to 50 us and 1 KB per such orbit on a 2-vCPU host with
-Python 3.11: f_{1..8}(20) = 25,444 sweeps in 1.4 s, f_{1..9}(14) =
-192,627 in 10 s and 178 MB, and f_{1..10}(14) = 1,397,107 did not finish
-in 120 s.  The count stops within one level's partitions of passing the
-bound: 0.01 s for S = {1..10} at n = 14, and up to 9 s for some refused
-sets at n = 30, where the sweep would first enumerate the same
-partitions."""
+"""The most orbit types of support S (f_S, ``core.support_count``) for
+which b, bprime and stability, without a stored table, count the subsets
+of S.  What bounds the time is the pre-count of S, not the table: the table
+costs what the multiset partitions of its levels cost, not f, so
+f_{1..8}(20) = 25,444 takes about 1 s and 16 MB and f_{1..9}(14) =
+192,627 about 0.4 s and 16 MB, on a 2-vCPU host with Python 3.11
+(``timing_seconds`` and ``ru_maxrss``).  The pre-count stops within one
+pattern's partitions of passing the bound: 0.01 s for S = {1..10} at
+n = 14, 1.5 s for S = {5, 10, .., 35} at n = 40, and up to 10 s for
+some refused sets at n = 30.  A larger bound lets it run on: with 1.5
+million, S = {5, 10, .., 35} at n = 40 took 17 s to refuse."""
 
 ONE_S_MAX_N = 1_600
 """The largest n at which b, bprime and stability answer a query about one
 S.  A one-S query costs about n^2 even when f_S is small, since counting
-and sweeping S partition the ground set into blocks of every size
-(``shapes.multiset_partitions``): ``rsl b --n N --ranks 1``, f = 1, takes
-0.43 s at n = 1,100, 1.0 s at n = 1,600 and 1.9 s at n = 2,200 on a
-2-vCPU host with Python 3.11 (``timing_seconds``).  Other sets cost more
-at one n: S = {1, 2} takes 1.5 s at n = 1,100 and 3.6 s at n = 1,600.
-The library's functions take any n."""
+S partitions the ground set into blocks of every size
+(``shapes.multiset_partitions``).  The pre-count and the table share
+those partitions (``core._coarsenings``), so each is enumerated once:
+at n = 1,600, ``rsl b --n 1600 --ranks 1``, f = 1, takes 0.5 to 0.9 s,
+S = {1, 1598} 0.5 to 0.8 s and S = {1, 2} 2.6 to 4.1 s on a 2-vCPU host
+with Python 3.11 (``timing_seconds``, 3 runs each).  The library's
+functions take any n."""
 
 
 PARTITION_MAX_FACETS = 60_000
@@ -191,7 +194,7 @@ def _table(n, shape, cache_dir):
 def _h_value(n, shape, ranks, cache_dir):
     """h of the one rank set ``ranks`` (a frozenset of lattice ranks) and
     whether it came from the cache.  A stored table is read; otherwise only
-    the subsets of ``ranks`` are swept, and UsageError, before the sweep,
+    the subsets of ``ranks`` are counted, and UsageError, before the table,
     when S has more than ``ONE_S_MAX_FACES`` orbit types.  Never writes
     the cache."""
     if cache_dir:
@@ -203,7 +206,7 @@ def _h_value(n, shape, ranks, cache_dir):
     if support_count(shape, dual_levels, ONE_S_MAX_FACES) > ONE_S_MAX_FACES:
         message = (
             f"S={','.join(map(str, sorted(ranks)))} has more than {ONE_S_MAX_FACES} "
-            f"orbit types at n={n}, too many to sweep"
+            f"orbit types at n={n}"
         )
         if _table_refusal(n) is None:
             lam = "" if len(shape.parts) == 1 else f" --lambda {','.join(map(str, shape.parts))}"

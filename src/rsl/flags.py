@@ -7,36 +7,32 @@ multiplicity of the trivial character in the rank-selected homology
 representation.  The one-letter shape gives b_S(n); the hook shape
 (n-1, 1) gives b'_S(n).
 
-Two builders serve two kinds of call.  ``full_table``, the table over
-every support S inside {1..n-2} that every question about all supports
-reads, counts orbits by Burnside's lemma over cycle types
-(``classes.orbit_counts``) and builds no face: f_S is the class-weighted
-average of the chains of support S that each element of the Young subgroup
-fixes, and that number depends only on its cycle type.  ``rsl.classes``
-loads with the first whole table, so a process that builds none never
-compiles it.  ``support_table``, the table over the subsets of one
-support S that a question about one S reads (h_S reads only the f_T with
-T inside S), is one ``kernel.sweep`` from the faces of S: they are built
-bottom-up straight into a ForestStore (``core.support_root_ids``; no
-ChainType is built), and the faces of each subset are the level deletions
-of the faces of its canonical parent.  This is exact because every face
-with support T is the restriction of some face on any superset of T, so
-each subset is reached by one deletion per parent face, and memoized
-deletion materializes each distinct face once.  Both end in the same
-Moebius transform, and each is the other's oracle in the tests.
+Two builders serve two kinds of call, and neither builds a face.
+``full_table``, the table over every support S inside {1..n-2} that every
+question about all supports reads, counts orbits by Burnside's lemma over
+cycle types (``classes.orbit_counts``): f_S is the class-weighted average
+of the chains of support S that each element of the Young subgroup fixes,
+and that number depends only on its cycle type.  ``rsl.classes`` loads
+with the first whole table, so a process that builds none never compiles
+it.  ``support_table``, the table over the subsets of one support S that
+a question about one S reads (h_S reads only the f_T with T inside S),
+is the pattern count of every T inside S (``core.support_counts``).  The
+two counts share no code, and each is the other's oracle in the tests;
+the face sweep of ``kernel`` serves only the partitioning, and builds
+the tests' third oracle.  Both end in the same Moebius transform.
 
 Both builders run with the cyclic garbage collector paused
 (``kernel.collector_paused``); a whole table pauses it only when it is
-counted, not when ``full_table`` returns a kept one.  Their stores, dicts
-and tuples hold no reference cycles, so reference counting frees them.
+counted, not when ``full_table`` returns a kept one.  Their dicts and
+tuples hold no reference cycles, so reference counting frees them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import support_root_ids
-from .kernel import ForestStore, collector_paused, sweep
+from .core import support_counts
+from .kernel import collector_paused
 from .shapes import RankSet, Record, Shape, checked_shape, full_shape, hook_shape
 
 __all__ = [
@@ -48,7 +44,6 @@ __all__ = [
     "support_table",
     "check_stability",
     "stability_ranks",
-    "reduced_euler",
 ]
 
 
@@ -68,14 +63,6 @@ class FlagTable(Record):
         """(ranks tuple, f, h) sorted by (size, ranks)."""
         keys = sorted(self.f, key=lambda s: (len(s), tuple(sorted(s))))
         return [(tuple(sorted(s)), self.f[s], self.h[s]) for s in keys]
-
-    def check_inversion(self) -> bool:
-        """f_S = sum_{T subset S} h_T, exactly."""
-        for s in self.f:
-            total = sum(hv for t, hv in self.h.items() if t <= s)
-            if total != self.f[s]:
-                return False
-        return True
 
 
 def _flag_table(n: int, shape: Shape, dual_levels: tuple, f_by_mask: dict) -> FlagTable:
@@ -98,16 +85,12 @@ def _flag_table(n: int, shape: Shape, dual_levels: tuple, f_by_mask: dict) -> Fl
 @collector_paused
 def support_table(n: int, shape, ranks) -> FlagTable:
     """The flag table over the subsets of one support S = ``ranks``: f and
-    h keyed by every T inside S, from one sweep of the faces of S.  Not
+    h keyed by every T inside S, counted by ``core.support_counts``.  Not
     memoized; ``full_table`` keeps the tables of every support, counted by
     ``classes.orbit_counts``."""
     shape = checked_shape(n, shape)
     dual_levels = RankSet.primal(n, ranks).as_dual().sorted()
-    m = len(dual_levels)
-    store = ForestStore()
-    tops = support_root_ids(shape, dual_levels, store)
-    f_by_mask = {mask: len(faces) for mask, faces in sweep(store, m, tops)}
-    return _flag_table(n, shape, dual_levels, f_by_mask)
+    return _flag_table(n, shape, dual_levels, support_counts(shape, dual_levels))
 
 
 TABLE_CACHE_SIZE = 32
@@ -164,22 +147,3 @@ def check_stability(ranks, n: int, m: int) -> bool:
     """Agreement of flag_h across n and m, valid only above twice the top rank."""
     s = stability_ranks(ranks, n, m)
     return flag_h(n, full_shape(n), s) == flag_h(m, full_shape(m), s)
-
-
-def reduced_euler(n: int, shape, ranks) -> int:
-    """Reduced Euler characteristic of the rank-selected quotient complex.
-
-    chi~ = -1 + sum over nonempty T subset S of (-1)^(|T|-1) f_T, with the
-    empty selection returning 1 by the h-vector convention.  The alternating
-    sum defining h stays authoritative; the calibrated identity is
-    h_S = (-1)^(|S|-1) * chi~ for nonempty S.
-    """
-    s = RankSet.primal(n, ranks).ranks
-    if not s:
-        return 1
-    table = full_table(n, shape)
-    acc = -1
-    for t, fv in table.f.items():
-        if t and t <= s:
-            acc += (-1) ** (len(t) - 1) * fv
-    return acc

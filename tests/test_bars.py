@@ -23,7 +23,7 @@ from rsl import (
     restrict,
 )
 from rsl import bars
-from rsl import core, flags
+from rsl import core
 from rsl.bars import NotMaximalError
 from rsl.construct import facet_from_positions
 from rsl.core import empty_chain
@@ -31,6 +31,8 @@ from rsl.kernel import ForestStore
 from rsl.orders import custom, distinguished, length_lex
 from rsl.partitioning import LabelTieError, order_facets
 from rsl.shapes import bipartitions, hook_shape
+
+import sweep_table
 
 
 def _facet(n, positions):
@@ -511,9 +513,11 @@ def fresh_caches():
 
 def test_duplicate_orbit_guard(monkeypatch, fresh_caches):
     """A repeated grouping in the bottom-up builder is caught by the builder
-    itself, for the tables of one support and for the facet orbits alike.
-    Whole tables build no face; their count has its own guard, an exact
-    division (``tests/test_classes.py``)."""
+    itself, for the swept table of one support that the tests keep as an
+    oracle and for the facet orbits alike.  Flag tables build no face: the
+    whole-table count has its own guard, an exact division
+    (``tests/test_classes.py``), and the one-support count is checked
+    against it and against the sweep (``tests/test_flags.py``)."""
     real = core.multiset_partitions
 
     def first_partition_twice(content, num_parts):
@@ -522,7 +526,7 @@ def test_duplicate_orbit_guard(monkeypatch, fresh_caches):
 
     monkeypatch.setattr(core, "multiset_partitions", first_partition_twice)
     with pytest.raises(AssertionError, match="duplicate orbit"):
-        flags.support_table(5, full_shape(5), range(1, 4))
+        sweep_table.support_table(5, full_shape(5), range(1, 4))
     with pytest.raises(AssertionError, match="duplicate orbit"):
         enumerate_facet_orbits(5, full_shape(5))
 

@@ -1,16 +1,15 @@
 """Whole flag tables by Burnside's lemma over cycle types (``rsl.classes``),
-against the pattern count and against brute force, neither of which shares
-its code."""
+against the pattern count (``core.support_counts``) and against brute
+force, neither of which shares its code."""
 
 from collections import Counter
 from math import factorial
 
 import pytest
 
-from rsl import classes, oracles
+from rsl import classes, core, oracles
 from rsl.shapes import Shape
 
-import pattern_count
 import stirling_transitions
 
 
@@ -75,12 +74,17 @@ def test_transitions_are_the_stirling_count():
             assert chains.transitions(mu) == stirling_transitions.transitions(mu), mu
 
 
+def _pattern_count(shape: Shape) -> dict:
+    """f of every support by ``core.support_counts`` on the full support."""
+    return core.support_counts(shape, tuple(range(1, shape.n - 1)))
+
+
 @pytest.mark.parametrize("n", range(2, 10))
 def test_burnside_is_the_pattern_count(n):
     """Every shape of n <= 9, 95 in all."""
     for parts in classes.cycle_types(n):
         shape = Shape(parts)
-        assert classes.orbit_counts(shape) == pattern_count.support_counts(shape), parts
+        assert classes.orbit_counts(shape) == _pattern_count(shape), parts
 
 
 def _moebius(d: int) -> int:
@@ -151,4 +155,4 @@ def test_fresh_chains_are_exact_after_corruption(monkeypatch):
         patch.setattr(classes.FixedChains, "transitions", corrupted)
         with pytest.raises(ArithmeticError, match="not divisible by"):
             classes.orbit_counts(shape)
-    assert classes.orbit_counts(shape) == pattern_count.support_counts(shape)
+    assert classes.orbit_counts(shape) == _pattern_count(shape)

@@ -563,7 +563,7 @@ def test_b_past_the_recursion_limit(capsys):
 
 
 def test_b_beyond_any_whole_table(tmp_path, capsys, monkeypatch):
-    """The subsets of {2, 3} are four supports, so b sweeps them and never
+    """The subsets of {2, 3} are four supports, so b counts them and never
     counts the whole n = 16 table (E_15 = 1,903,757,312 facet orbits, about
     2 s); asking for the whole table fails at once here."""
 
@@ -589,16 +589,16 @@ def test_whole_table_above_the_bound_is_refused_before_counting(tmp_path, capsys
     assert os.listdir(tmp_path) == []
 
 
-def test_one_s_query_above_the_bound_is_refused_before_sweeping(tmp_path, capsys, monkeypatch):
+def test_one_s_query_above_the_face_bound_is_refused_before_counting(tmp_path, capsys, monkeypatch):
     """f_{1..10}(12) is E_11 = 353,792 facet orbits, above the one-S bound:
-    b, bprime and stability refuse it before any sweep, and point to
-    ``rsl table`` where the whole table is counted.  A stored table still
-    answers."""
+    b, bprime and stability refuse it before counting its subsets, and
+    point to ``rsl table`` where the whole table is counted.  A stored
+    table still answers."""
 
-    def no_sweep(*args):
-        raise AssertionError("a refused support was swept")
+    def no_table(*args):
+        raise AssertionError("the subsets of a refused support were counted")
 
-    monkeypatch.setattr(cli.flags, "support_table", no_sweep)
+    monkeypatch.setattr(cli.flags, "support_table", no_table)
     top = ",".join(map(str, range(1, 11)))
     for argv, pointer in (
         (("b", "--n", "12", "--ranks", top), "; rsl table --n 12 counts every S"),
@@ -608,7 +608,7 @@ def test_one_s_query_above_the_bound_is_refused_before_sweeping(tmp_path, capsys
     ):
         code, doc = run_json(capsys, "--cache-dir", str(tmp_path), *argv)
         n = argv[argv.index("--n") + 1]
-        refusal = f"more than {cli.ONE_S_MAX_FACES} orbit types at n={n}, too many to sweep"
+        refusal = f"more than {cli.ONE_S_MAX_FACES} orbit types at n={n}"
         assert code == 2 and doc["error"].endswith(refusal + pointer), (argv, doc)
     table = full_table(12, full_shape(12))
     cache.store_table(str(tmp_path), table)

@@ -48,7 +48,7 @@ BUILDERS = {
     "order_facets": (_order, bars, "enumerate_insertion_facets"),
     "minimal_new_faces": (_minimal_new_faces, partitioning, "sweep"),
     "minimal_faces": (_minimal_faces, bars, "facet_root_ids"),
-    "support_table": (_support_table, flags, "sweep"),
+    "support_table": (_support_table, flags, "support_counts"),
     "full_table": (_whole_table, classes, "orbit_counts"),
 }
 

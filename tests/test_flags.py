@@ -19,16 +19,15 @@ from rsl import (
     flag_h,
     full_shape,
     full_table,
-    reduced_euler,
     restrict,
     theorem31_witness,
     vanishing_predicates,
 )
 
-from rsl import classes, core, flags, oracles
+from rsl import classes, core, flags, kernel, oracles
 from rsl.kernel import ForestStore
 
-import pattern_count
+import sweep_table
 
 
 def test_full_table_n4_exact():
@@ -62,9 +61,12 @@ def test_flag_examples():
 
 
 def test_inversion_invariant():
+    """f_S = sum of h_T over T inside S, exactly."""
     for n in range(3, 9):
-        assert full_table(n, full_shape(n)).check_inversion()
-        assert full_table(n, (n - 1, 1)).check_inversion()
+        for shape in (full_shape(n), (n - 1, 1)):
+            table = full_table(n, shape)
+            for s, f in table.f.items():
+                assert f == sum(h for t, h in table.h.items() if t <= s), (n, shape, sorted(s))
 
 
 def test_nonnegative_h_full_shape():
@@ -107,7 +109,7 @@ def test_table_matches_face_enumeration(n):
 
 WALK_ORACLE_CASES = (
     [(n, (n,)) for n in range(3, 11)]
-    + [(n, (n - 1, 1)) for n in range(3, 10)]
+    + [(n, (n - 1, 1)) for n in range(3, 11)]
     + [(8, (4, 4)), (8, (3, 3, 2)), (7, (3, 2, 2)), (7, (1,) * 7)]
 )
 
@@ -115,12 +117,19 @@ WALK_ORACLE_CASES = (
 @pytest.mark.parametrize("n, shape", WALK_ORACLE_CASES, ids=str)
 def test_full_table_walk_equals_the_sweep(n, shape):
     """full_table counts every support's orbits by Burnside's lemma over
-    cycle types, building no face; the sweep of the full support, which
-    builds the top faces and deletes levels from them, is its oracle."""
+    cycle types, and ``support_table`` by the pattern count of the subsets
+    of one S, both building no face; the sweep of the full support, which
+    builds the top faces and deletes levels from them, is the oracle of
+    both, the count read from every S."""
     counted = full_table(n, shape)
-    swept = flags.support_table(n, shape, range(1, n - 1))
+    swept = sweep_table.support_table(n, shape, range(1, n - 1))
     assert counted.f == swept.f
     assert counted.h == swept.h
+    for top in _subsets(n):
+        got = flags.support_table(n, shape, top)
+        assert set(got.f) == {s for s in swept.f if s <= frozenset(top)}, top
+        assert got.f == {s: swept.f[s] for s in got.f}, top
+        assert got.h == {s: swept.h[s] for s in got.h}, top
 
 
 @pytest.mark.parametrize("n, shape", WALK_ORACLE_CASES, ids=str)
@@ -172,26 +181,6 @@ def test_full_support_counts_are_euler_numbers():
         assert classes.orbit_counts(Shape((n - 1, 1)))[full] == oracles.euler_number(n), n
 
 
-@pytest.mark.parametrize("level", ("finest", "coarser"))
-def test_count_refuses_a_repeated_partition(monkeypatch, level):
-    """The pattern count, the oracle of whole tables, adds one partition per
-    grouping, so a multiset partition emitted twice, of the ground content
-    or of a coarser level's repeat pattern, raises instead of counting
-    twice."""
-    real = pattern_count.multiset_partitions
-    shape = Shape((6,))
-
-    def first_partition_twice(content, num_parts):
-        parts = list(real(content, num_parts))
-        if (content == shape.root_content) == (level == "finest"):
-            parts = parts[:1] + parts
-        return parts
-
-    monkeypatch.setattr(pattern_count, "multiset_partitions", first_partition_twice)
-    with pytest.raises(AssertionError, match="duplicate"):
-        pattern_count.support_counts(shape)
-
-
 def test_table_cache_is_bounded():
     """The cache keeps the last ``TABLE_CACHE_SIZE`` tables: the least
     recently used one is counted again, the others are hits."""
@@ -222,12 +211,32 @@ def test_support_table_is_the_full_table_on_the_subsets(n, shape):
         assert got.h == {s: table.h[s] for s in got.h}, sorted(top)
 
 
+def test_support_table_builds_no_face(monkeypatch):
+    """The one-S table is counted: with every face builder and the sweep
+    made to raise, it still answers, and equals the whole table on the
+    subsets of S."""
+
+    def refuse(*args):
+        raise AssertionError("the one-S table built a face")
+
+    for module in (core, kernel, flags):
+        for name in ("support_root_ids", "ForestStore", "sweep"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    top = frozenset({1, 2, 3, 5, 8})
+    got = flags.support_table(12, (12,), top)
+    monkeypatch.undo()
+    table = full_table(12, (12,))
+    assert set(got.f) == {s for s in table.f if s <= top}
+    assert got.f == {s: table.f[s] for s in got.f}
+    assert got.h == {s: table.h[s] for s in got.h}
+
+
 @pytest.mark.parametrize(
     "n, shape, top", [(6, (6,), {1, 3, 4}), (7, (7,), {2, 3, 5}), (7, (6, 1), {1, 2, 4, 5}), (7, (4, 3), {2, 4})]
 )
 def test_support_table_counts_the_restrictions_of_every_facet(n, shape, top):
-    """f from one support's sweep against the facets' restrictions, an
-    oracle that builds no face bottom-up and walks no sweep plan."""
+    """f from one support's count against the facets' restrictions, an
+    oracle that counts no pattern and walks no sweep plan."""
     got = flags.support_table(n, shape, top).f
     assert set(got) == {frozenset(s) for k in range(len(top) + 1) for s in itertools.combinations(top, k)}
     for s, count in got.items():
@@ -287,29 +296,12 @@ def test_stability_precondition():
         flags.stability_ranks({3}, 9, 9)  # one size compares with nothing
 
 
-def test_reduced_euler_identity():
-    for n in (4, 5, 6):
-        table = full_table(n, full_shape(n))
-        for s, h in table.h.items():
-            if not s:
-                assert reduced_euler(n, (n,), s) == 1
-                continue
-            chi = reduced_euler(n, (n,), s)
-            assert (-1) ** (len(s) - 1) * chi == h
-
-
-def test_reduced_euler_known_values():
-    assert reduced_euler(4, (4,), {1, 2}) == 0
-    assert reduced_euler(4, (4,), {2}) == 1
-
-
 # name -> (n, lattice ranks S, call on a rank argument).  Every S differs
 # from its corank image, so reading a corank set as lattice ranks shows.
 RANK_ARGUMENT_CASES = {
     "flag_f": (8, {1, 4}, lambda r: flag_f(8, (8,), r)),
     "flag_h": (8, {1, 4}, lambda r: flag_h(8, (8,), r)),
     "b_prime": (8, {1, 4}, lambda r: b_prime(8, r)),
-    "reduced_euler": (8, {1, 4}, lambda r: reduced_euler(8, (8,), r)),
     "restrict": (8, {1, 4}, lambda r: restrict(enumerate_facet_orbits(8, (8,))[0], r)),
     "faces_with_support": (8, {1, 4}, lambda r: faces_with_support(8, (8,), r)),
     "classify_rank_set": (8, {1, 4}, lambda r: classify_rank_set(r, 8)),
@@ -377,8 +369,8 @@ def _sweep_support_table_8(monkeypatch, release):
                 super().release_drops_above(height)
             self.releases.append((height, max(self._drop_memo, default=-1)))
 
-    monkeypatch.setattr(flags, "ForestStore", CountingStore)
-    table = flags.support_table(8, (8,), range(1, 7))
+    monkeypatch.setattr(sweep_table, "ForestStore", CountingStore)
+    table = sweep_table.support_table(8, (8,), range(1, 7))
     (store,) = stores
     return table, store
 
@@ -414,10 +406,10 @@ def test_sweep_work_is_finest_parent_faces(monkeypatch, n):
             CountingStore.calls += 1
             return super().drop_roots(root_ids, height, top)
 
-    monkeypatch.setattr(flags, "ForestStore", CountingStore)
+    monkeypatch.setattr(sweep_table, "ForestStore", CountingStore)
     for shape in ((n,), (n - 1, 1), (4, n - 4)):
         CountingStore.calls = 0
-        table = flags.support_table(n, shape, range(1, n - 1))
+        table = sweep_table.support_table(n, shape, range(1, n - 1))
 
         def f(mask):  # coranks as bits, lowest bit = corank 1 = lattice rank n-2
             return table.f[frozenset(n - 2 - i for i in range(m) if mask >> i & 1)]
