@@ -122,7 +122,7 @@ def clear_caches() -> None:
     facets on every call.  The named block orders' keys stay cached: they
     are pure, and there is one per block content asked about."""
     flags._table_cache.cache_clear()
-    core._coarsenings.cache_clear()
+    core._steps.clear()
 
 
 # Listed, so that ``from rsl import *`` binds the deferred names too.

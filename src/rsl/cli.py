@@ -22,19 +22,15 @@ table writes the cache: run ``rsl table`` once for an (n, shape), and
 later queries of that table read it instead of recomputing.
 
 b, bprime and stability ask about one rank set S.  Without a stored
-table they count only the subsets of S (``flags.support_table``), never
-the whole table, and build no face, so ``rsl b --n 16 --ranks 2,3``
-answers in milliseconds.  They refuse, with exit 2 before counting, n
-above ``ONE_S_MAX_N`` (1,600).  Before the table they count the orbit
-types of S alone (``core.support_count``) and refuse, with exit 2, an S
-with more than ``ONE_S_MAX_FACES`` (200,000); the message points to
-``rsl table`` when that table is counted.  table and vanish read every S
-and count the whole table (``flags.full_table``) by Burnside's lemma
-over the cycle types of the Young subgroup, building no face.  They refuse, with exit 2
-before counting, n above ``TABLE_MAX_N`` (18), whatever the shape.
-``partition-verify`` counts the facets (``core.support_count`` on the
-full support) and refuses, with exit 2 before the walk, more than
-``PARTITION_MAX_FACETS`` (60,000).
+table they count only the subsets of S (``flags.support_table``), so
+``rsl b --n 16 --ranks 2,3`` answers in milliseconds.  table and vanish
+count the whole table (``flags.full_table``).  None builds a face.  Each
+refuses with exit 2 before counting: one-S queries n above
+``ONE_S_MAX_N`` (1,600) or an S with more than ``ONE_S_MAX_FACES``
+(200,000) orbit types (``core.support_count``), pointing to ``rsl
+table`` when that table is counted; table and vanish n above
+``TABLE_MAX_N`` (18); ``partition-verify`` more than
+``PARTITION_MAX_FACETS`` (60,000) facets, before the walk.
 """
 
 from __future__ import annotations
@@ -70,26 +66,22 @@ count than (n): at n = 18, (17,1) took 0.37 s, (9,9) 0.40 s, (6,6,6)
 ONE_S_MAX_FACES = 200_000
 """The most orbit types of support S (f_S, ``core.support_count``) for
 which b, bprime and stability, without a stored table, count the subsets
-of S.  What bounds the time is the pre-count of S, not the table: the table
-costs what the multiset partitions of its levels cost, not f, so
-f_{1..8}(20) = 25,444 takes about 1 s and 16 MB and f_{1..9}(14) =
-192,627 about 0.4 s and 16 MB, on a 2-vCPU host with Python 3.11
-(``timing_seconds`` and ``ru_maxrss``).  The pre-count stops within one
-pattern's partitions of passing the bound: 0.01 s for S = {1..10} at
-n = 14, 1.5 s for S = {5, 10, .., 35} at n = 40, and up to 10 s for
-some refused sets at n = 30.  A larger bound lets it run on: with 1.5
-million, S = {5, 10, .., 35} at n = 40 took 17 s to refuse."""
+of S.  It bounds the pre-count of S, which meets at most the bound + 1
+partitions a level before it refuses; the table costs what its partitions
+cost, not f: f_{1..9}(14) = 192,627 takes about 0.4 s and 16 MB on a
+2-vCPU host with Python 3.11.  Refusals took 0.01 s for S = {1..10} at
+n = 14, 1.3 s for S = {5, 10, .., 35} at n = 40 (17 s with a bound of
+1.5 million) and up to 10 s at n = 30; S = {60} at n = 120 takes about
+20 minutes, as its partitions come at about 170 a second."""
 
 ONE_S_MAX_N = 1_600
 """The largest n at which b, bprime and stability answer a query about one
 S.  A one-S query costs about n^2 even when f_S is small, since counting
-S partitions the ground set into blocks of every size
-(``shapes.multiset_partitions``).  The pre-count and the table share
-those partitions (``core._coarsenings``), so each is enumerated once:
-at n = 1,600, ``rsl b --n 1600 --ranks 1``, f = 1, takes 0.5 to 0.9 s,
-S = {1, 1598} 0.5 to 0.8 s and S = {1, 2} 2.6 to 4.1 s on a 2-vCPU host
-with Python 3.11 (``timing_seconds``, 3 runs each).  The library's
-functions take any n."""
+S partitions the ground set into blocks of every size, once for the
+pre-count and the table together (``core._coarsenings``): at n = 1,600,
+S = {1} takes 0.5 to 0.9 s, {1, 1598} 0.5 to 0.8 s and {1, 2} 2.5 to
+4.1 s on a 2-vCPU host with Python 3.11 (``timing_seconds``, 5 runs
+each).  The library's functions take any n."""
 
 
 PARTITION_MAX_FACETS = 60_000

@@ -22,8 +22,7 @@ are counted elsewhere, by Burnside's lemma over cycle types
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from functools import lru_cache
+from collections import Counter, OrderedDict, defaultdict
 from operator import itemgetter
 
 from .kernel import ForestStore
@@ -520,25 +519,38 @@ def support_root_ids(shape: Shape, dual_levels: tuple, store: ForestStore) -> li
 
 
 COARSENING_CACHE_SIZE = 4096
-"""The most (pattern, corank) steps ``support_count`` and
-``support_counts`` keep, the least recently used evicted first.  Kept
-across calls, so the pre-count of S and its table enumerate each
-partition once, and the 22 tables of acceptance criterion 14 find 534
-of the 1,046 steps they take already kept.  Steps are few and small: 512
-kept after criterion 14, 225 after h_{1..8}(18) and 270 after
-f_{1..9}(14), holding under 1 MB (tracemalloc)."""
+"""The most (pattern, corank) steps ``_coarsenings`` keeps across calls,
+so that the pre-count of S and its table enumerate each partition once:
+512 kept after acceptance criterion 14, under 1 MB (tracemalloc)."""
+
+_steps = OrderedDict()  # (pattern, d) -> the step, least recently used first
 
 
-@lru_cache(maxsize=COARSENING_CACHE_SIZE)
-def _coarsenings(pattern: tuple, d: int) -> tuple:
+def _coarsenings(pattern: tuple, d: int, budget: float = float("inf")):
     """The patterns of the levels of d + 1 blocks that group a level of
-    ``pattern``, each with its number of groupings, as (pattern, ways)
-    pairs: one grouping per multiset partition of the pattern."""
+    ``pattern``, as (pattern, ways) pairs, one grouping per multiset
+    partition; None past ``budget`` partitions, kept only when finished.
+    AssertionError for a partition not above the one before it (a repeat:
+    ``multiset_partitions`` yields them in increasing order)."""
+    key = (pattern, d)
+    step = _steps.get(key)
+    if step is not None:
+        _steps.move_to_end(key)
+        return step
     coarser = {}
-    for parts in multiset_partitions(pattern, d + 1):
-        key = tuple(sorted(_run_lengths(parts), reverse=True))
-        coarser[key] = coarser.get(key, 0) + 1
-    return tuple(coarser.items())
+    prev = ()
+    for met, parts in enumerate(multiset_partitions(pattern, d + 1), 1):
+        if met > budget:
+            return None
+        if parts <= prev:
+            raise AssertionError("pattern count met a repeated partition")
+        prev = parts
+        found = tuple(sorted(_run_lengths(parts), reverse=True))
+        coarser[found] = coarser.get(found, 0) + 1
+    step = _steps[key] = tuple(coarser.items())
+    if len(_steps) > COARSENING_CACHE_SIZE:
+        _steps.popitem(last=False)
+    return step
 
 
 def support_count(shape: Shape, dual_levels: tuple, limit: int) -> int:
@@ -548,22 +560,24 @@ def support_count(shape: Shape, dual_levels: tuple, limit: int) -> int:
 
     Above the ground set a block is the multiset of the blocks it joins, so
     what lies above a level depends only on its pattern: how many times
-    each of its distinct blocks repeats.  The ground set's pattern is the
-    shape's parts.  Level by level from the finest, grouping a level into
-    d + 1 blocks is one multiset partition of its pattern into d + 1 parts,
-    and the coarser level's pattern is the multiplicities of that
-    partition's equal parts (the multiset transform of Harary and Palmer,
-    *Graphical Enumeration*, 1973; ``_coarsenings``).  Each pattern keeps
-    the number of chain prefixes that end in it.  Distinct prefixes extend
-    to distinct orbits of the support, so the prefixes counted so far never
-    exceed f, and the count stops within one pattern's partitions of
-    passing ``limit``."""
+    each of its distinct blocks repeats (the ground set's is the shape's
+    parts).  Grouping a level into d + 1 blocks is one multiset partition
+    of its pattern into d + 1 parts, and the coarser pattern is the
+    multiplicities of its equal parts (the multiset transform of Harary
+    and Palmer, *Graphical Enumeration*, 1973; ``_coarsenings``).  Level by
+    level from the finest, each pattern keeps the number of chain prefixes
+    that end in it, which extend to distinct orbits, so the running total
+    never exceeds f; each partition adds at least 1, so the count meets at
+    most ``limit`` + 1 partitions a level."""
     level = {shape.root_content: 1}
     for d in reversed(dual_levels):
         coarser = {}
         total = 0
         for pattern, k in level.items():
-            for key, ways in _coarsenings(pattern, d):
+            step = _coarsenings(pattern, d, (limit - total) // k)
+            if step is None:
+                return limit + 1
+            for key, ways in step:
                 coarser[key] = coarser.get(key, 0) + ways * k
                 total += ways * k
             if total > limit:

@@ -7,19 +7,15 @@ multiplicity of the trivial character in the rank-selected homology
 representation.  The one-letter shape gives b_S(n); the hook shape
 (n-1, 1) gives b'_S(n).
 
-Two builders serve two kinds of call, and neither builds a face.
-``full_table``, the table over every support S inside {1..n-2} that every
-question about all supports reads, counts orbits by Burnside's lemma over
-cycle types (``classes.orbit_counts``): f_S is the class-weighted average
-of the chains of support S that each element of the Young subgroup fixes,
-and that number depends only on its cycle type.  ``rsl.classes`` loads
-with the first whole table, so a process that builds none never compiles
-it.  ``support_table``, the table over the subsets of one support S that
-a question about one S reads (h_S reads only the f_T with T inside S),
-is the pattern count of every T inside S (``core.support_counts``).  The
-two counts share no code, and each is the other's oracle in the tests;
-the face sweep of ``kernel`` serves only the partitioning, and builds
-the tests' third oracle.  Both end in the same Moebius transform.
+Two builders count, and neither builds a face.  ``full_table``, over
+every support S inside {1..n-2}, counts orbits by Burnside's lemma over
+cycle types (``classes.orbit_counts``, loaded with the first whole
+table): f_S averages, over the classes of the Young subgroup, the chains
+of support S that an element fixes.  ``support_table``, over the subsets
+of one S (h_S reads only the f_T with T inside S), is the pattern count
+``core.support_counts``.  The two share no code but the Moebius
+transform, and each is the other's oracle in the tests, with the face
+sweep of ``kernel``, which serves only the partitioning, as a third.
 
 Both builders run with the cyclic garbage collector paused
 (``kernel.collector_paused``); a whole table pauses it only when it is

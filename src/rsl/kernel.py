@@ -22,10 +22,8 @@ This is the hot core of the package.
 each support is the restriction of its canonical parent, the support plus
 its finest missing level, so one level deletion per face suffices.  The
 plan is a depth-first preorder of the canonical-parent tree.  ``sweep``
-walks it for the partitioning, which reads each face's owner off it, and
-nothing else walks the plan.  Flag tables are counted, whole or for one
-support, and build no face (``flags``); the tests keep a one-support
-table swept from its faces as an oracle of the count.
+walks it for the partitioning, which reads each face's owner off it;
+flag tables are counted and build no face (``flags``).
 
 The builders that allocate the most (the partitioning, one-support and
 whole flag tables) run with CPython's cyclic garbage collector paused

@@ -198,9 +198,11 @@ def bipartitions(c: Content) -> Iterator[tuple]:
 def multiset_partitions(c: Content, num_parts: int) -> Iterator[tuple]:
     """Partitions of content c into exactly num_parts nonempty parts.
 
-    Parts are emitted as a weakly decreasing tuple (no permuted duplicates).
-    They are chosen on an explicit stack, one frame per part, so the
-    recursion limit does not bound num_parts.
+    Parts are emitted as a weakly decreasing tuple (no permuted duplicates),
+    and the partitions in increasing lexicographic order, which
+    ``core._coarsenings`` relies on to catch a repeat.  They are chosen on
+    an explicit stack, one frame per part, so the recursion limit does not
+    bound num_parts.
     """
     size = content_size(c)
     if num_parts < 1 or num_parts > size:

@@ -23,7 +23,7 @@ from rsl import (
     restrict,
 )
 from rsl import bars
-from rsl import core
+from rsl import core, flags
 from rsl.bars import NotMaximalError
 from rsl.construct import facet_from_positions
 from rsl.core import empty_chain
@@ -512,12 +512,10 @@ def fresh_caches():
 
 
 def test_duplicate_orbit_guard(monkeypatch, fresh_caches):
-    """A repeated grouping in the bottom-up builder is caught by the builder
-    itself, for the swept table of one support that the tests keep as an
-    oracle and for the facet orbits alike.  Flag tables build no face: the
-    whole-table count has its own guard, an exact division
-    (``tests/test_classes.py``), and the one-support count is checked
-    against it and against the sweep (``tests/test_flags.py``)."""
+    """A repeated grouping is caught by the one-S pattern count and its
+    pre-count, and by the bottom-up builder of the swept oracle table and
+    of the facet orbits.  The whole-table count's guard is an exact
+    division (``tests/test_classes.py``)."""
     real = core.multiset_partitions
 
     def first_partition_twice(content, num_parts):
@@ -525,6 +523,10 @@ def test_duplicate_orbit_guard(monkeypatch, fresh_caches):
         return parts[:1] + parts
 
     monkeypatch.setattr(core, "multiset_partitions", first_partition_twice)
+    with pytest.raises(AssertionError, match="repeated partition"):
+        flags.support_table(5, full_shape(5), range(1, 4))
+    with pytest.raises(AssertionError, match="repeated partition"):
+        core.support_count(full_shape(5), (1, 2, 3), 100)
     with pytest.raises(AssertionError, match="duplicate orbit"):
         sweep_table.support_table(5, full_shape(5), range(1, 4))
     with pytest.raises(AssertionError, match="duplicate orbit"):

@@ -12,6 +12,7 @@ from rsl import (
     build_theorem22,
     chain_condition_search,
     check_stability,
+    clear_caches,
     classify_rank_set,
     enumerate_facet_orbits,
     faces_with_support,
@@ -116,20 +117,12 @@ WALK_ORACLE_CASES = (
 
 @pytest.mark.parametrize("n, shape", WALK_ORACLE_CASES, ids=str)
 def test_full_table_walk_equals_the_sweep(n, shape):
-    """full_table counts every support's orbits by Burnside's lemma over
-    cycle types, and ``support_table`` by the pattern count of the subsets
-    of one S, both building no face; the sweep of the full support, which
-    builds the top faces and deletes levels from them, is the oracle of
-    both, the count read from every S."""
+    """full_table, counted over cycle types, equals the sweep of the full
+    support's faces; the subsets test reads the one-S count on every S."""
     counted = full_table(n, shape)
     swept = sweep_table.support_table(n, shape, range(1, n - 1))
     assert counted.f == swept.f
     assert counted.h == swept.h
-    for top in _subsets(n):
-        got = flags.support_table(n, shape, top)
-        assert set(got.f) == {s for s in swept.f if s <= frozenset(top)}, top
-        assert got.f == {s: swept.f[s] for s in got.f}, top
-        assert got.h == {s: swept.h[s] for s in got.h}, top
 
 
 @pytest.mark.parametrize("n, shape", WALK_ORACLE_CASES, ids=str)
@@ -154,6 +147,21 @@ def test_one_support_count_at_the_query_bound():
     assert count(9) == 192_627
     assert count(10) == 1_397_107
     assert count(12) == oracles.euler_number(13)
+
+
+def test_one_support_count_stops_past_the_limit(monkeypatch):
+    """On one level of many groupings the count meets at most limit + 1
+    partitions, and keeps no step it left unfinished."""
+    clear_caches()
+    met, real = [], core.multiset_partitions
+    monkeypatch.setattr(core, "multiset_partitions", lambda c, k: (met.append(p) or p for p in real(c, k)))
+    shape, dual_levels = Shape((60,)), (29,)  # p(30) = 5,604 groupings into 30 blocks
+    assert core.support_count(shape, dual_levels, 1_000) == 1_001
+    assert len(met) <= 1_001
+    assert not core._steps
+    assert core.support_count(shape, dual_levels, 10_000) == 5_604
+    assert len(met) == 1_001 + 5_604
+    clear_caches()
 
 
 def _entries_digest(n):
@@ -198,17 +206,22 @@ def test_table_cache_is_bounded():
     flags._table_cache.cache_clear()
 
 
-@pytest.mark.parametrize("n, shape", [(7, (7,)), (8, (8,)), (8, (7, 1)), (8, (4, 4)), (7, (3, 2, 2))])
+SUBSET_CASES = [(7, (7,)), (8, (8,)), (8, (7, 1)), (8, (4, 4)), (7, (3, 2, 2))]
+
+
+@pytest.mark.parametrize("n, shape", SUBSET_CASES + [c for c in WALK_ORACLE_CASES if c not in SUBSET_CASES])
 def test_support_table_is_the_full_table_on_the_subsets(n, shape):
-    """From every support S, the table over the subsets of S equals the
-    whole table read on those subsets."""
-    table = full_table(n, shape)
+    """From every support S, the table over the subsets of S, counted by
+    patterns, equals the whole table, counted over cycle types, read on
+    those subsets."""
     for top in _subsets(n):
-        top = frozenset(top)
-        got = flags.support_table(n, shape, top)
-        assert set(got.f) == {s for s in table.f if s <= top}
-        assert got.f == {s: table.f[s] for s in got.f}, sorted(top)
-        assert got.h == {s: table.h[s] for s in got.h}, sorted(top)
+        _assert_read_on_subsets(flags.support_table(n, shape, top), full_table(n, shape), frozenset(top))
+
+
+def _assert_read_on_subsets(got, table, top):
+    assert set(got.f) == {s for s in table.f if s <= top}, sorted(top)
+    assert got.f == {s: table.f[s] for s in got.f}, sorted(top)
+    assert got.h == {s: table.h[s] for s in got.h}, sorted(top)
 
 
 def test_support_table_builds_no_face(monkeypatch):
@@ -219,16 +232,12 @@ def test_support_table_builds_no_face(monkeypatch):
     def refuse(*args):
         raise AssertionError("the one-S table built a face")
 
-    for module in (core, kernel, flags):
-        for name in ("support_root_ids", "ForestStore", "sweep"):
-            monkeypatch.setattr(module, name, refuse, raising=False)
+    for module, name in ((core, "support_root_ids"), (core, "ForestStore"), (kernel, "ForestStore"), (kernel, "sweep")):
+        monkeypatch.setattr(module, name, refuse)
     top = frozenset({1, 2, 3, 5, 8})
     got = flags.support_table(12, (12,), top)
     monkeypatch.undo()
-    table = full_table(12, (12,))
-    assert set(got.f) == {s for s in table.f if s <= top}
-    assert got.f == {s: table.f[s] for s in got.f}
-    assert got.h == {s: table.h[s] for s in got.h}
+    _assert_read_on_subsets(got, full_table(12, (12,)), top)
 
 
 @pytest.mark.parametrize(

@@ -122,6 +122,7 @@ def test_multiset_partitions_match_set_partition_oracle(content):
         }
         got = list(multiset_partitions(content, k))
         assert all(list(p) == sorted(p, reverse=True) for p in got)
+        assert got == sorted(got)  # core._coarsenings relies on the order
         assert len(set(got)) == len(got)
         assert set(got) == expected
 
