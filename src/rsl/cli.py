@@ -15,22 +15,21 @@ stability and vanish never load the walk.  ``construct`` refuses n above
 ``CONSTRUCT_MAX_N`` (100), counting n as the word length + 2 when --n is
 not given, with exit 2.
 
-With --cache-dir (or RSL_CACHE_DIR), table, b, bprime, vanish and
-stability read flag tables from the disk cache, and report cache_hit
-(for stability, true only when both of its tables were stored).  Only
-table writes the cache: run ``rsl table`` once for an (n, shape), and
-later queries of that table read it instead of recomputing.
+With --cache-dir (or RSL_CACHE_DIR), table and vanish read whole flag
+tables from the disk cache (``rsl.cache``, loaded only then) and report
+cache_hit; only table writes it.  b, bprime and stability never touch it.
 
-b, bprime and stability ask about one rank set S.  Without a stored
-table they count only the subsets of S (``flags.support_table``), so
-``rsl b --n 16 --ranks 2,3`` answers in milliseconds.  table and vanish
-count the whole table (``flags.full_table``).  None builds a face.  Each
-refuses with exit 2 before counting: one-S queries n above
-``ONE_S_MAX_N`` (1,600) or an S with more than ``ONE_S_MAX_FACES``
-(200,000) orbit types (``core.support_count``), pointing to ``rsl
-table`` when that table is counted; table and vanish n above
-``TABLE_MAX_N`` (18); ``partition-verify`` more than
-``PARTITION_MAX_FACETS`` (60,000) facets, before the walk.
+b, bprime and stability ask about one rank set S.  They count only the
+subsets of S (``flags.support_table``), so ``rsl b --n 16 --ranks 2,3``
+answers in milliseconds, unless S has more than ``ONE_S_MAX_FACES``
+(200,000) orbit types (``core.support_count``): then they read h_S from
+the whole table, counted in memory, up to ``TABLE_MAX_N``, and refuse
+above it.  table and vanish count the whole table (``flags.full_table``).
+None builds a face.  Each refuses with exit 2 before counting: one-S
+queries n above ``ONE_S_MAX_N`` (1,600) or, above ``TABLE_MAX_N``, an S
+past the pre-count; table and vanish n above ``TABLE_MAX_N`` (18);
+``partition-verify`` more than ``PARTITION_MAX_FACETS`` (60,000) facets,
+before the walk.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import os
 import sys
 import time
 
-from . import cache, flags, orders, partitioning
+from . import flags, orders, partitioning
 from .core import support_count
 from .shapes import RankSet, checked_shape, full_shape, hook_shape
 
@@ -54,7 +53,8 @@ at n = 100 and 2.2 s at n = 200 on a 2-vCPU host with Python 3.11.  The
 library's builders take any n."""
 
 TABLE_MAX_N = 18
-"""The largest n whose whole flag table ``table`` and ``vanish`` count.
+"""The largest n whose whole flag table ``table`` and ``vanish`` count,
+and one-S queries past ``ONE_S_MAX_FACES`` read.
 On a 2-vCPU host with Python 3.11, ``rsl table --n 18`` takes about 3 s
 and 120 MB, most of it the 2^(n-2) entries of the table and its report,
 which double with each larger n; the count alone takes 0.39 s and 31 MB,
@@ -65,14 +65,17 @@ count than (n): at n = 18, (17,1) took 0.37 s, (9,9) 0.40 s, (6,6,6)
 
 ONE_S_MAX_FACES = 200_000
 """The most orbit types of support S (f_S, ``core.support_count``) for
-which b, bprime and stability, without a stored table, count the subsets
-of S.  It bounds the pre-count of S, which meets at most the bound + 1
-partitions a level before it refuses; the table costs what its partitions
-cost, not f: f_{1..9}(14) = 192,627 takes about 0.4 s and 16 MB on a
-2-vCPU host with Python 3.11.  Refusals took 0.01 s for S = {1..10} at
-n = 14, 1.3 s for S = {5, 10, .., 35} at n = 40 (17 s with a bound of
-1.5 million) and up to 10 s at n = 30; S = {60} at n = 120 takes about
-20 minutes, as its partitions come at about 170 a second."""
+which b, bprime and stability count only the subsets of S.  Past it they
+read h_S from the whole table, counted in memory, at n up to
+``TABLE_MAX_N``, and refuse above: the bound picks the builder at n <= 18
+and refuses only above it.  It bounds the pre-count of S, which meets at
+most the bound + 1 partitions a level before it stops; the subset table
+costs what its partitions cost, not f: f_{1..9}(14) = 192,627 takes about
+0.4 s and 16 MB on a 2-vCPU host with Python 3.11, and the whole table
+for a heavy S at n = 18 about 1 s and 83 MB.  Refusals took 1.3 s for
+S = {5, 10, .., 35} at n = 40 (17 s with a bound of 1.5 million) and up
+to 10 s at n = 30; S = {60} at n = 120 takes about 20 minutes, as its
+partitions come at about 170 a second."""
 
 ONE_S_MAX_N = 1_600
 """The largest n at which b, bprime and stability answer a query about one
@@ -170,61 +173,54 @@ def _partition_refusal(n, shape):
 
 
 def _table(n, shape, cache_dir):
-    """Flag table entries [(ranks, f, h), ...] and whether they came from the
-    cache.  Reads the cache but never writes it.  UsageError for a table
-    that ``_table_refusal`` refuses, before anything is read or counted."""
+    """Whole flag table entries [(ranks, f, h), ...] and whether they came
+    from the cache, which only table and vanish read and never write here.
+    UsageError for a table that ``_table_refusal`` refuses, before anything
+    is read or counted."""
     refusal = _table_refusal(n)
     if refusal:
         raise UsageError(refusal)
     if cache_dir:
+        from . import cache  # loaded only when a cache dir is given
+
         entries = cache.load_table(cache_dir, n, shape)
         if entries is not None:
             return entries, True
     return flags.full_table(n, shape).entries(), False
 
 
-def _h_value(n, shape, ranks, cache_dir):
-    """h of the one rank set ``ranks`` (a frozenset of lattice ranks) and
-    whether it came from the cache.  A stored table is read; otherwise only
-    the subsets of ``ranks`` are counted, and UsageError, before the table,
-    when S has more than ``ONE_S_MAX_FACES`` orbit types.  Never writes
-    the cache."""
-    if cache_dir:
-        entries = cache.load_table(cache_dir, n, shape)
-        if entries is not None:
-            key = tuple(sorted(ranks))
-            return next(h for s, _, h in entries if s == key), True
+def _h_value(n, shape, ranks):
+    """h of the one rank set ``ranks`` (a frozenset of lattice ranks),
+    counted over the subsets of ``ranks`` when S has at most
+    ``ONE_S_MAX_FACES`` orbit types, else read from the whole table,
+    counted in memory, when ``_table_refusal`` accepts n; UsageError
+    otherwise, before anything past the pre-count is counted."""
     dual_levels = RankSet.primal(n, ranks).as_dual().sorted()
-    if support_count(shape, dual_levels, ONE_S_MAX_FACES) > ONE_S_MAX_FACES:
-        message = (
-            f"S={','.join(map(str, sorted(ranks)))} has more than {ONE_S_MAX_FACES} "
-            f"orbit types at n={n}"
-        )
-        if _table_refusal(n) is None:
-            lam = "" if len(shape.parts) == 1 else f" --lambda {','.join(map(str, shape.parts))}"
-            message += f"; rsl table --n {n}{lam} counts every S"
-        raise UsageError(message)
-    return flags.support_table(n, shape, ranks).h[ranks], False
+    if support_count(shape, dual_levels, ONE_S_MAX_FACES) <= ONE_S_MAX_FACES:
+        return flags.support_table(n, shape, ranks).h[ranks]
+    if _table_refusal(n) is None:
+        return flags.flag_h(n, shape, ranks)
+    raise UsageError(
+        f"S={','.join(map(str, sorted(ranks)))} has more than {ONE_S_MAX_FACES} "
+        f"orbit types at n={n}"
+    )
 
 
-def _table_results(n, shape, dual, cache_dir):
-    entries, hit = _table(n, shape, cache_dir)
-    if cache_dir and not hit:
+def cmd_table(args):
+    n, shape = args.n, _parse_shape(args.lam, args.n)
+    entries, hit = _table(n, shape, args.cache_dir)
+    if args.cache_dir and not hit:
+        from . import cache  # loaded by _table
+
         try:
-            cache.store_table(cache_dir, flags.full_table(n, shape))  # computed above
+            cache.store_table(args.cache_dir, flags.full_table(n, shape))  # computed above
         except OSError as exc:
             raise UsageError(f"cannot write the cache: {exc}") from exc
     out = []
     for s, f, h in entries:
-        key = tuple(sorted(n - 1 - r for r in s)) if dual else s
+        key = tuple(sorted(n - 1 - r for r in s)) if args.dual else s
         out.append({"S": list(key), "f": f, "h": h})
-    return {"n": n, "lambda": list(shape.parts), "entries": out}, hit
-
-
-def cmd_table(args):
-    shape = _parse_shape(args.lam, args.n)
-    results, hit = _table_results(args.n, shape, args.dual, args.cache_dir)
-    return results, {"cache_hit": hit}, 0
+    return {"n": n, "lambda": list(shape.parts), "entries": out}, {"cache_hit": hit}, 0
 
 
 def _refuse_one_s(*sizes):
@@ -238,15 +234,15 @@ def _refuse_one_s(*sizes):
 def cmd_b(args):
     _refuse_one_s(args.n)
     ranks = _parse_ranks(args.ranks, args.n)
-    h, hit = _h_value(args.n, full_shape(args.n), ranks, args.cache_dir)
-    return {"n": args.n, "S": sorted(ranks), "b": h}, {"cache_hit": hit}, 0
+    h = _h_value(args.n, full_shape(args.n), ranks)
+    return {"n": args.n, "S": sorted(ranks), "b": h}, {}, 0
 
 
 def cmd_bprime(args):
     _refuse_one_s(args.n)
     ranks = _parse_ranks(args.ranks, args.n)
-    h, hit = _h_value(args.n, hook_shape(args.n), ranks, args.cache_dir)
-    return {"n": args.n, "S": sorted(ranks), "bprime": h}, {"cache_hit": hit}, 0
+    h = _h_value(args.n, hook_shape(args.n), ranks)
+    return {"n": args.n, "S": sorted(ranks), "bprime": h}, {}, 0
 
 
 def cmd_partition_verify(args):
@@ -358,8 +354,8 @@ def cmd_stability(args):
         s = flags.stability_ranks(ranks, args.n, args.m)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    h_n, hit_n = _h_value(args.n, full_shape(args.n), s, args.cache_dir)
-    h_m, hit_m = _h_value(args.m, full_shape(args.m), s, args.cache_dir)
+    h_n = _h_value(args.n, full_shape(args.n), s)
+    h_m = _h_value(args.m, full_shape(args.m), s)
     same = h_n == h_m
     results = {
         "S": sorted(ranks),
@@ -368,7 +364,7 @@ def cmd_stability(args):
         "equal": same,
         "values": {str(args.n): h_n, str(args.m): h_m},
     }
-    return results, {"cache_hit": hit_n and hit_m}, 0 if same else 1
+    return results, {}, 0 if same else 1
 
 
 def cmd_verify_all(args):
@@ -387,7 +383,8 @@ def build_parser():
         prog="rsl",
         description="Flag h-vectors of rank-selected quotients of the partition lattice",
     )
-    parser.add_argument("--cache-dir", default=os.environ.get("RSL_CACHE_DIR"))
+    parser.add_argument("--cache-dir", default=os.environ.get("RSL_CACHE_DIR"),
+                        help="stored whole tables: read by table and vanish, written by table")
     parser.add_argument("--csv", action="store_true", help="CSV output for tables")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -447,8 +444,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     t0 = time.perf_counter()
     try:
-        if getattr(args, "n", None) is not None and args.n < 2:
-            raise UsageError(f"need n >= 2, got n={args.n}")
+        for size in ("n", "m"):
+            value = getattr(args, size, None)
+            if value is not None and value < 2:
+                raise UsageError(f"need {size} >= 2, got {size}={value}")
         results, extra, code = args.fn(args)
     except UsageError as exc:
         json.dump({"error": str(exc)}, sys.stdout)

@@ -179,6 +179,8 @@ def test_usage_errors(capsys):
         (("stability", "--ranks", "3", "--n", "9", "--m", "9"), "compares two sizes"),
         (("table", "--n", "1"), "need n >= 2"),
         (("table", "--n", "0"), "need n >= 2"),
+        (("stability", "--ranks", "1", "--n", "5", "--m", "1"), "need m >= 2, got m=1"),
+        (("stability", "--ranks", "1", "--n", "5", "--m", "-3"), "need m >= 2, got m=-3"),
         (("partition-verify", "--n", "1"), "need n >= 2"),
         (("verify-all", "--max-n", "1"), "at least 5"),
         (("verify-all", "--max-n", "4"), "at least 5"),
@@ -214,7 +216,8 @@ def test_cli_import_leaves_the_battery_out():
     """Every CLI request is a fresh process, so ``import rsl.cli`` loads only
     what every request may run.  The facet walk, the facet builders, the
     vanishing predicates, the acceptance battery and its oracles load in the
-    subcommands that use them, and ``hashlib`` at the cache's first digest.
+    subcommands that use them, the disk cache in table and vanish given a
+    cache dir, and ``hashlib`` at the cache's first digest.
     Records are slotted classes on ``shapes.Record``, so neither
     ``dataclasses`` nor the ``inspect`` it imports loads."""
     out = _run_fresh(
@@ -224,7 +227,7 @@ def test_cli_import_leaves_the_battery_out():
     modules, loaded = out.splitlines()
     assert modules.split() == sorted(
         ["rsl", "rsl.shapes", "rsl.kernel", "rsl.core", "rsl.orders",
-         "rsl.flags", "rsl.partitioning", "rsl.cache", "rsl.cli"]
+         "rsl.flags", "rsl.partitioning", "rsl.cli"]
     )
     assert loaded.split() == ["False", "False", "False"]
 
@@ -263,17 +266,22 @@ def test_cli_import_loads_no_typing():
         (["partition-verify", "--n", "5"], True),
     ],
 )
-def test_only_facet_requests_load_the_walk(argv, walks):
+def test_only_facet_requests_load_the_walk(tmp_path, argv, walks):
     """A request loads the facet walk (``rsl.bars``) only when it builds or
-    orders facets."""
+    orders facets, and, given a cache dir, the disk cache (``rsl.cache``)
+    only for table and vanish: b, bprime and stability leave it unloaded
+    though the (n) tables they could read are stored."""
+    for n in (5, 6):
+        cache.store_table(str(tmp_path), full_table(n, full_shape(n)))
     code = f"""
 import contextlib, io, sys
 from rsl.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    code = main({argv!r})
-print(code, 'rsl.bars' in sys.modules)
+    code = main(['--cache-dir', {str(tmp_path)!r}, *{argv!r}])
+print(code, 'rsl.bars' in sys.modules, 'rsl.cache' in sys.modules)
 """
-    assert _run_fresh(code).split() == ["0", str(walks)]
+    caches = argv[0] in ("table", "vanish")
+    assert _run_fresh(code).split() == ["0", str(walks), str(caches)]
 
 
 def test_deferred_names_resolve_on_first_use():
@@ -458,7 +466,7 @@ QUERIES = (
 
 
 def _query_answers(capsys, cache_dir):
-    """{command: (answer, cache_hit)} for the three table queries."""
+    """{command: (answer, cache_hit or None)} for the three table queries."""
     answers = {}
     for argv in QUERIES:
         code, doc = run_json(capsys, "--cache-dir", cache_dir, *argv)
@@ -468,7 +476,7 @@ def _query_answers(capsys, cache_dir):
             value = {tuple(row["S"]): row["h"] for row in res["sets"]}
         else:
             value = res[argv[0]]
-        answers[argv[0]] = (value, doc["cache_hit"])
+        answers[argv[0]] = (value, doc.get("cache_hit"))
     return answers
 
 
@@ -477,54 +485,44 @@ def _in_process_answers():
     return {"b": flag_h(7, (7,), {2, 4}), "bprime": b_prime(7, {2, 3}), "vanish": h_of}
 
 
-def test_queries_read_stored_tables(tmp_path, capsys, monkeypatch):
-    want = _in_process_answers()
+def test_vanish_reads_stored_tables(tmp_path, capsys, monkeypatch):
+    want = _in_process_answers()["vanish"]
+    cache.store_table(str(tmp_path), full_table(7, full_shape(7)))
+
+    def no_count(*args):
+        raise AssertionError("a stored table was recomputed")
+
+    monkeypatch.setattr(cli.flags, "full_table", no_count)
+    got = _query_answers(capsys, str(tmp_path))["vanish"]
+    assert got == (want, True)
+
+
+def test_one_s_queries_never_read_stored_tables(tmp_path, capsys, monkeypatch):
+    """b, bprime and stability count their answer though (7) and (6,1) are
+    stored, and report no cache_hit."""
     cache.store_table(str(tmp_path), full_table(7, full_shape(7)))
     cache.store_table(str(tmp_path), full_table(7, (6, 1)))
 
-    def no_sweep(*args):
-        raise AssertionError("a stored table was recomputed")
+    def no_read(*args):
+        raise AssertionError("a one-S query read the cache")
 
-    monkeypatch.setattr(cli.flags, "full_table", no_sweep)
-    monkeypatch.setattr(cli.flags, "support_table", no_sweep)
-    got = _query_answers(capsys, str(tmp_path))
-    assert got == {cmd: (value, True) for cmd, value in want.items()}
+    monkeypatch.setattr(cache, "load_table", no_read)
+    for argv, key, want in (
+        (QUERIES[0], "b", flag_h(7, (7,), {2, 4})),
+        (QUERIES[1], "bprime", b_prime(7, {2, 3})),
+        (("stability", "--ranks", "2", "--n", "7", "--m", "8"), "values",
+         {"7": flag_h(7, (7,), {2}), "8": flag_h(8, (8,), {2})}),
+    ):
+        code, doc = run_json(capsys, "--cache-dir", str(tmp_path), *argv)
+        assert code == 0 and doc["results"][key] == want, argv
+        assert "cache_hit" not in doc, argv
 
 
 def test_queries_never_write_the_cache(tmp_path, capsys):
     want = _in_process_answers()
     got = _query_answers(capsys, str(tmp_path))
-    assert got == {cmd: (value, False) for cmd, value in want.items()}
+    assert got == {cmd: (value, False if cmd == "vanish" else None) for cmd, value in want.items()}
     assert os.listdir(tmp_path) == []
-
-
-def test_query_misses_table_of_other_code(tmp_path, capsys, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(cache, "code_fingerprint", lambda: "0" * 64)
-        cache.store_table(str(tmp_path), full_table(7, full_shape(7)))
-    code, doc = run_json(capsys, "--cache-dir", str(tmp_path), *QUERIES[0])
-    assert code == 0 and not doc["cache_hit"]
-    assert doc["results"]["b"] == flag_h(7, (7,), {2, 4})
-
-
-def test_stability_reads_stored_tables(tmp_path, capsys, monkeypatch):
-    argv = ("--cache-dir", str(tmp_path), "stability", "--ranks", "2", "--n", "7", "--m", "8")
-    want = {"7": flag_h(7, (7,), {2}), "8": flag_h(8, (8,), {2})}
-    cache.store_table(str(tmp_path), full_table(7, full_shape(7)))
-    stored = sorted(os.listdir(tmp_path))
-    code, doc = run_json(capsys, *argv)  # (8) is not stored: computed, not written
-    assert code == 0 and doc["results"]["values"] == want and not doc["cache_hit"]
-    assert sorted(os.listdir(tmp_path)) == stored
-    cache.store_table(str(tmp_path), full_table(8, full_shape(8)))
-
-    def no_sweep(*args):
-        raise AssertionError("a stored table was recomputed")
-
-    monkeypatch.setattr(cli.flags, "full_table", no_sweep)
-    monkeypatch.setattr(cli.flags, "support_table", no_sweep)
-    code, doc = run_json(capsys, *argv)
-    assert code == 0 and doc["results"]["values"] == want and doc["cache_hit"]
-    assert doc["results"]["equal"]
 
 
 @pytest.mark.parametrize(
@@ -547,7 +545,7 @@ def test_query_miss_sweeps_only_the_subsets_of_its_ranks(tmp_path, capsys, monke
 
     monkeypatch.setattr(cli.flags, "full_table", no_full_table)
     code, doc = run_json(capsys, "--cache-dir", str(tmp_path), *argv)
-    assert code == 0 and doc["cache_hit"] is False
+    assert code == 0
     assert doc["results"]["values" if argv[0] == "stability" else argv[0]] == want
     assert os.listdir(tmp_path) == []
 
@@ -573,7 +571,7 @@ def test_b_beyond_any_whole_table(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.flags, "full_table", no_full_table)
     code, doc = run_json(capsys, "--cache-dir", str(tmp_path), "b", "--n", "16", "--ranks", "2,3")
     assert code == 0
-    assert doc["results"]["b"] == 1 and doc["cache_hit"] is False
+    assert doc["results"]["b"] == 1
     assert os.listdir(tmp_path) == []
 
 
@@ -589,32 +587,55 @@ def test_whole_table_above_the_bound_is_refused_before_counting(tmp_path, capsys
     assert os.listdir(tmp_path) == []
 
 
-def test_one_s_query_above_the_face_bound_is_refused_before_counting(tmp_path, capsys, monkeypatch):
+def test_one_s_query_above_the_face_bound_counts_the_whole_table(capsys, monkeypatch):
     """f_{1..10}(12) is E_11 = 353,792 facet orbits, above the one-S bound:
-    b, bprime and stability refuse it before counting its subsets, and
-    point to ``rsl table`` where the whole table is counted.  A stored
-    table still answers."""
+    b and bprime read h_S from the whole table, counted in memory, and
+    never count the subsets of S, up to ``TABLE_MAX_N``; above it,
+    stability refuses such an S before counting."""
+    top = ",".join(map(str, range(1, 11)))
+    s = frozenset(range(1, 11))
+    cases = (
+        (("b", "--n", "12", "--ranks", top), flag_h(12, (12,), s)),
+        (("bprime", "--n", "18", "--ranks", top), b_prime(18, s)),
+    )
 
     def no_table(*args):
-        raise AssertionError("the subsets of a refused support were counted")
+        raise AssertionError("the subsets of a support past the bound were counted")
 
     monkeypatch.setattr(cli.flags, "support_table", no_table)
-    top = ",".join(map(str, range(1, 11)))
-    for argv, pointer in (
-        (("b", "--n", "12", "--ranks", top), "; rsl table --n 12 counts every S"),
-        (("bprime", "--n", "12", "--ranks", top), "; rsl table --n 12 --lambda 11,1 counts every S"),
-        (("bprime", "--n", "18", "--ranks", top), "; rsl table --n 18 --lambda 17,1 counts every S"),
-        (("stability", "--ranks", top, "--n", "21", "--m", "22"), ""),
-    ):
-        code, doc = run_json(capsys, "--cache-dir", str(tmp_path), *argv)
-        n = argv[argv.index("--n") + 1]
-        refusal = f"more than {cli.ONE_S_MAX_FACES} orbit types at n={n}"
-        assert code == 2 and doc["error"].endswith(refusal + pointer), (argv, doc)
-    table = full_table(12, full_shape(12))
-    cache.store_table(str(tmp_path), table)
-    code, doc = run_json(capsys, "--cache-dir", str(tmp_path), "b", "--n", "12", "--ranks", top)
-    assert code == 0 and doc["cache_hit"]
-    assert doc["results"]["b"] == table.h[frozenset(range(1, 11))]
+    for argv, want in cases:
+        code, doc = run_json(capsys, *argv)
+        assert code == 0 and doc["results"][argv[0]] == want, (argv, doc)
+    code, doc = run_json(capsys, "stability", "--ranks", top, "--n", "21", "--m", "22")
+    assert code == 2
+    assert doc["error"].endswith(f"more than {cli.ONE_S_MAX_FACES} orbit types at n=21"), doc
+
+
+def test_both_one_s_builders_equal_the_whole_table(capsys, monkeypatch):
+    """With the bound lowered to 50, b and bprime at n = 8 count some S over
+    their subsets and read the others from the whole table; both equal the
+    whole table on all 64 S of (8) and of (7,1)."""
+    wanted = {"b": full_table(8, (8,)).h, "bprime": full_table(8, (7, 1)).h}
+    calls = {"support_table": 0, "flag_h": 0}
+
+    def counted(name):
+        plain = getattr(cli.flags, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return plain(*args)
+
+        return spy
+
+    monkeypatch.setattr(cli, "ONE_S_MAX_FACES", 50)
+    for name in calls:
+        monkeypatch.setattr(cli.flags, name, counted(name))
+    for cmd, h in wanted.items():
+        assert len(h) == 64
+        for s, want in h.items():
+            code, doc = run_json(capsys, cmd, "--n", "8", "--ranks", ",".join(map(str, sorted(s))))
+            assert code == 0 and doc["results"][cmd] == want, (cmd, s)
+    assert calls["support_table"] > 0 and calls["flag_h"] > 0, calls
 
 
 def test_one_s_query_above_the_size_bound_is_refused_before_counting(tmp_path, capsys, monkeypatch):
